@@ -65,7 +65,14 @@ def test_bench_multicell(bench, config):
 
 @pytest.mark.perf
 def test_bench_multicell_fleet(config):
-    """All-pairs baseline vs indexed + sharded kernel on an 8x8 fleet."""
+    """All-pairs baseline vs indexed + sharded kernel on an 8x8 fleet.
+
+    The all-pairs baseline builds one designer per cell, and those 64
+    builds are about 80% of its run time (78-84% over three runs on a
+    2-vCPU host; the indexed path shares one designer per process).
+    The 5x floor therefore mostly measures designer construction, not
+    the kernel; it stays as pinned until the all-pairs path goes.
+    """
     duration = 8.0
 
     baseline = default_network(config, rows=8, cols=8, n_nodes=32, seed=11,

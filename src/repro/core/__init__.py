@@ -6,7 +6,8 @@ Public surface:
 * :class:`SymbolPattern`, :class:`SuperSymbol` — the modulation units.
 * :class:`SlotErrorModel` — channel error abstraction (Eq. (3)).
 * :class:`AmppmDesigner` / :class:`AmppmDesign` — dimming level → best
-  super-symbol (Steps 1-3 of Section 4.2).
+  super-symbol (Steps 1-3 of Section 4.2); :func:`shared_designer` —
+  the one designer per (config, errors) a process shares.
 * :func:`encode_symbol` / :func:`decode_symbol` and the codec classes —
   the combinatorial-dichotomy Algorithms 1-2.
 * envelope, perception and adaptation helpers.
@@ -19,7 +20,12 @@ from .adaptation import (
     plan_perceived_steps,
     safe_measured_tau,
 )
-from .ampdesign import AmppmDesign, AmppmDesigner, UnreachableDimmingError
+from .ampdesign import (
+    AmppmDesign,
+    AmppmDesigner,
+    UnreachableDimmingError,
+    shared_designer,
+)
 from .coding import (
     CodewordWeightError,
     SuperSymbolCodec,
@@ -75,6 +81,7 @@ __all__ = [
     "plan_perceived_steps",
     "reachable_dimming_levels",
     "safe_measured_tau",
+    "shared_designer",
     "slope_walk_envelope",
     "symbol_capacity",
     "to_measured",

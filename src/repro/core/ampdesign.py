@@ -12,16 +12,18 @@ Pipeline, exactly as the paper stages it:
    envelope vertices that bracket it into a super-symbol whose dimming
    level lands within the perceived resolution of the target.
 
-Designs are cached per dimming level: the transmitter re-designs only
-when the smart-lighting controller actually moves the setpoint, which
-is the "reduce the number of brightness adjustments" concern of
-Section 4.3.
+Designs are memoised per perceived-resolution bucket, each composed at
+the bucket's canonical level, so a design is a pure function of
+(config, errors, bucket) and :func:`shared_designer` keeps one designer
+per (config, errors) per process.  The transmitter re-designs only when
+the smart-lighting controller moves the setpoint, the "reduce the number
+of brightness adjustments" concern of Section 4.3.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Sequence
 
 from .envelope import Envelope, slope_walk_envelope
 from .errormodel import SlotErrorModel
@@ -34,6 +36,7 @@ from .symbols import SymbolPattern, candidate_patterns
 class AmppmDesign:
     """The outcome of one designer invocation."""
 
+    #: the canonical level of the memo bucket the design serves
     target_dimming: float
     super_symbol: SuperSymbol
 
@@ -44,7 +47,7 @@ class AmppmDesign:
 
     @property
     def dimming_error(self) -> float:
-        """|achieved - target|; bounded by the designer's tolerance."""
+        """|achieved - target|; at most half the perceived resolution."""
         return abs(self.achieved_dimming - self.target_dimming)
 
     def normalized_rate(self, errors: SlotErrorModel | None = None) -> float:
@@ -73,8 +76,9 @@ class AmppmDesigner:
     """Stateful designer binding a configuration to a channel condition.
 
     The candidate set and envelope are built once; :meth:`design` is
-    then a cheap bracket-and-compose per requested dimming level, with
-    results memoised at the configured perceived resolution.
+    then a cheap bracket-and-compose per memo bucket, filled lazily.
+    Designs are pure in (config, errors, bucket), so one designer can
+    serve any number of consumers (see :func:`shared_designer`).
     """
 
     def __init__(self, config: SystemConfig | None = None,
@@ -90,26 +94,6 @@ class AmppmDesigner:
             )
         self._envelope = slope_walk_envelope(self._candidates, self.errors)
         self._cache: dict[int, AmppmDesign] = {}
-
-    def fork(self) -> "AmppmDesigner":
-        """A designer reusing this one's tables but with a fresh memo.
-
-        Candidate filtering and envelope construction dominate setup
-        and are pure in ``(config, errors)``, so forks share them.  The
-        design memo is deliberately *not* shared: its key quantizes the
-        dimming request to the perceived resolution, so a shared memo
-        would hand one consumer's design to another whose request
-        differs within a bucket.  Independent consumers (e.g. the
-        per-cell lighting controllers of a fleet) fork one template
-        designer and stay bit-identical to fully independent ones.
-        """
-        other = object.__new__(type(self))
-        other.config = self.config
-        other.errors = self.errors
-        other._candidates = self._candidates
-        other._envelope = self._envelope
-        other._cache = {}
-        return other
 
     @property
     def candidates(self) -> list[SymbolPattern]:
@@ -141,81 +125,53 @@ class AmppmDesigner:
     def design(self, dimming: float) -> AmppmDesign:
         """Best super-symbol for a required dimming level.
 
-        Raises :class:`UnreachableDimmingError` outside the supported
-        range — the caller decides whether to clamp (the smart-lighting
+        A memo miss composes the bucket's design at its canonical level
+        ``clamp(key * tau_p)`` within tau_p / 2 of it; no request is
+        further than tau_p / 2 from its bucket's canonical level, so
+        every request is served within tau_p.  Raises
+        :class:`UnreachableDimmingError` outside the supported range —
+        the caller decides whether to clamp (the smart-lighting
         controller does, because an LED pinned at 2% cannot modulate).
         """
         lo, hi = self.supported_range
         if not lo - 1e-9 <= dimming <= hi + 1e-9:
             raise UnreachableDimmingError(dimming, lo, hi)
-        dimming = min(max(dimming, lo), hi)
-
         key = self.memo_key(dimming)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
-        left, right = self._envelope.bracket(dimming)
-        if left is right or _close(dimming, left.dimming):
-            super_symbol = SuperSymbol.single(left.pattern)
-        elif _close(dimming, right.dimming):
-            super_symbol = SuperSymbol.single(right.pattern)
-        else:
-            try:
-                super_symbol = compose(left.pattern, right.pattern, dimming,
-                                       self.config)
-            except ValueError:
-                # The envelope vertices are too far apart to mix at the
-                # required resolution under the repeat-count/flicker
-                # caps (this happens near the dimming extremes, where
-                # hull segments are long).  Trade rate for resolution:
-                # search bracketing candidate pairs off the envelope.
-                super_symbol = self._compose_fallback(dimming)
-        design = AmppmDesign(dimming, super_symbol)
-        self._cache[key] = design
+        design = self._cache.get(key)
+        if design is None:
+            level = self.clamp(key * self.config.tau_perceived)
+            design = AmppmDesign(level, self._compose_at(level))
+            self._cache[key] = design
         return design
 
-    def design_many(self, dimmings: Sequence[float]) -> list[AmppmDesign]:
-        """Designs for a batch of dimming levels, one core call per bucket.
+    def _compose_at(self, level: float) -> SuperSymbol:
+        """Mix the envelope vertices bracketing ``level`` within tau_p / 2."""
+        tolerance = self.config.tau_perceived / 2
+        left, right = self._envelope.bracket(level)
+        if left is right or _close(level, left.dimming):
+            return SuperSymbol.single(left.pattern)
+        if _close(level, right.dimming):
+            return SuperSymbol.single(right.pattern)
+        try:
+            return compose(left.pattern, right.pattern, level, self.config,
+                           tolerance)
+        except ValueError:
+            # The envelope vertices are too far apart to mix at the
+            # required resolution under the repeat-count/flicker caps
+            # (this happens near the dimming extremes, where hull
+            # segments are long).  Trade rate for resolution: search
+            # bracketing candidate pairs off the envelope.
+            return self._compose_fallback(level, tolerance)
 
-        The batched entry point of the serving path: requests are
-        deduped by :meth:`memo_key`, the designer core runs once per
-        *unique* bucket (memo hits are free), and the resulting designs
-        fan back out aligned with ``dimmings``.  Every request in a
-        bucket receives the *same* :class:`AmppmDesign` object, so the
-        fan-out is byte-identical by construction.  Raises
-        :class:`UnreachableDimmingError` on the first out-of-range
-        request, before any design is computed, and :class:`ValueError`
-        on an empty batch — a caller holding zero requests has a bug
-        upstream (the serving coalescer never flushes an empty window),
-        and silently returning ``[]`` would mask it.
-        """
-        if len(dimmings) == 0:
-            raise ValueError("design_many needs at least one dimming "
-                             "level; an empty batch is a caller bug")
-        lo, hi = self.supported_range
-        for dimming in dimmings:
-            if not lo - 1e-9 <= dimming <= hi + 1e-9:
-                raise UnreachableDimmingError(dimming, lo, hi)
-        by_bucket: dict[int, AmppmDesign] = {}
-        out: list[AmppmDesign] = []
-        for dimming in dimmings:
-            key = self.memo_key(dimming)
-            design = by_bucket.get(key)
-            if design is None:
-                design = self.design(dimming)
-                by_bucket[key] = design
-            out.append(design)
-        return out
-
-    def _compose_fallback(self, dimming: float) -> SuperSymbol:
+    def _compose_fallback(self, dimming: float,
+                          tolerance: float) -> SuperSymbol:
         """Best-rate composition from non-envelope candidate pairs.
 
         Considers the nearest candidates on each side of the target,
         ordered by the rate their mix would achieve, and returns the
-        first pair that reaches the target within the perceived
-        resolution.  Smaller-N patterns allow larger repeat counts and
-        therefore finer mixing granularity.
+        first pair that reaches the target within ``tolerance``.
+        Smaller-N patterns allow larger repeat counts and therefore
+        finer mixing granularity.
         """
         below = sorted((p for p in self._candidates if p.dimming <= dimming),
                        key=lambda p: dimming - p.dimming)[:24]
@@ -240,7 +196,8 @@ class AmppmDesigner:
             key=mixed_rate, reverse=True)
         for first, second in pairs:
             try:
-                return compose(first, second, dimming, self.config)
+                return compose(first, second, dimming, self.config,
+                               tolerance)
             except ValueError:
                 continue
         raise UnreachableDimmingError(dimming, *self.supported_range)
@@ -253,6 +210,27 @@ class AmppmDesigner:
     def design_clamped(self, dimming: float) -> AmppmDesign:
         """Like :meth:`design` but clamps out-of-range requests."""
         return self.design(self.clamp(dimming))
+
+
+def shared_designer(config: SystemConfig | None = None,
+                    errors: SlotErrorModel | None = None) -> AmppmDesigner:
+    """The process-wide designer for ``(config, errors)``.
+
+    Designs are pure in (config, errors, bucket), so every consumer of
+    one channel condition — cells, controllers, the serving engine,
+    sweep and fuzz workers — shares one designer and its memo table.
+    ``errors=None`` means the config's measured constants, as in
+    :class:`AmppmDesigner`.
+    """
+    config = config if config is not None else SystemConfig()
+    return _designer_for(config, errors if errors is not None
+                         else SlotErrorModel.from_config(config))
+
+
+@functools.cache
+def _designer_for(config: SystemConfig,
+                  errors: SlotErrorModel) -> AmppmDesigner:
+    return AmppmDesigner(config, errors)
 
 
 def _close(a: float, b: float, eps: float = 1e-9) -> bool:

@@ -22,11 +22,13 @@ The oracles:
   its payload through the real transmitter/receiver pair.
 * ``design`` — invariant: every designed super-symbol satisfies the
   Type-I flicker bound, lands inside the illumination envelope
-  (|achieved − target| ≤ τ_perceived), and a fresh designer fork
-  reproduces it (the PR 6 memo-leak shape).
-* ``serve`` — differential: the batched/coalesced serving path
-  (:meth:`AdaptEngine.adapt_batch`) against the direct per-request
-  path, canonical response bytes compared per request.
+  (|achieved − request| ≤ τ_perceived), and is the one design of its
+  memo bucket (the request and the bucket's canonical level get the
+  same object).
+* ``serve`` — differential: the real :class:`~repro.serve.coalescer.
+  AdaptCoalescer` over an :class:`AdaptEngine`, fed in generated and
+  in reversed order, against the direct per-request path, canonical
+  response bytes compared per request.
 * ``journal`` — differential, over the multicell DES kernel: the
   sharded kernel at ``regions=1`` and the spatial index are
   bit-identical to the reference kernel, ``regions=R`` runs are
@@ -117,37 +119,19 @@ class Oracle(Protocol):  # pragma: no cover - typing only
 
 
 # -- shared per-process state ------------------------------------------
-#
-# Designer tables dominate setup (~80 ms) and are pure in the default
-# SystemConfig, so worker processes build them once and oracles take
-# fresh forks when memo isolation matters.
-
-_SHARED: dict = {}
 
 
 def _config():
-    from ..core.params import SystemConfig
+    from ..core.params import DEFAULT_CONFIG
 
-    if "config" not in _SHARED:
-        _SHARED["config"] = SystemConfig()
-    return _SHARED["config"]
+    return DEFAULT_CONFIG
 
 
 def _designer():
-    """The per-process template designer.
+    """The process's designer for the default config (pure per bucket)."""
+    from ..core.ampdesign import shared_designer
 
-    Oracles must treat it as a *template*: candidate tables and the
-    envelope are pure in the config and safe to share, but anything
-    that touches the design memo goes through :meth:`fork` so a case's
-    result is a function of its params, never of which cases this
-    worker happened to run first (``design()`` answers within-bucket
-    requests with the bucket owner's design by contract).
-    """
-    from ..core.ampdesign import AmppmDesigner
-
-    if "designer" not in _SHARED:
-        _SHARED["designer"] = AmppmDesigner(_config())
-    return _SHARED["designer"]
+    return shared_designer(_config())
 
 
 def _sub_rng(rngseed: int, stream: int) -> np.random.Generator:
@@ -296,14 +280,10 @@ class RoundtripOracle:
             return _fail(f"CRC blind spot: single-bit flip at bit {flip} "
                          f"goes undetected")
 
-        # A forked designer for the same reason as DesignOracle: the
-        # shared scheme's memo warms across cases, and a within-bucket
-        # hit would make frame_slots depend on process history.
         from ..schemes import AmppmSchemeDesign
 
-        dimming = _designer().clamp(float(params["dimming"]))
-        design = AmppmSchemeDesign(_designer().fork().design(dimming),
-                                   _config())
+        design = AmppmSchemeDesign(
+            _designer().design_clamped(float(params["dimming"])), _config())
         slots = Transmitter(_config()).encode_frame(data, design)
         try:
             frame = Receiver(_config()).decode_frame(list(slots))
@@ -341,12 +321,7 @@ class DesignOracle:
         return {"dimming": round(float(rng.uniform(0.001, 0.999)), 6)}
 
     def execute(self, params: Mapping) -> CaseResult:
-        # Design on a fresh fork: the template's memo is warm with every
-        # prior case this worker ran, and ``design()`` deliberately
-        # answers within-bucket requests with the bucket owner's design
-        # — correct for one consumer, but it would make this result a
-        # function of process history instead of ``params``.
-        designer = _designer().fork()
+        designer = _designer()
         config = _config()
         target = designer.clamp(float(params["dimming"]))
         design = designer.design(target)
@@ -354,14 +329,17 @@ class DesignOracle:
         if not ss.flicker_free(config):
             return _fail(f"flicker bound violated by {ss} "
                          f"at dimming {target:.6f}")
-        if design.dimming_error > config.tau_perceived + 1e-9:
+        error = abs(design.achieved_dimming - target)
+        if error > config.tau_perceived + 1e-9:
             return _fail(f"illumination envelope: |achieved-target| = "
-                         f"{design.dimming_error:.6f} exceeds "
+                         f"{error:.6f} exceeds "
                          f"tau_perceived {config.tau_perceived:g}")
-        fresh = _designer().fork().design(target)
-        if fresh.super_symbol != ss:
-            return _fail("memo purity: a fresh designer fork produced "
-                         "a different super-symbol")
+        canonical = designer.clamp(designer.memo_key(target)
+                                   * config.tau_perceived)
+        if designer.design(canonical) is not design:
+            return _fail(f"bucket purity: the canonical level "
+                         f"{canonical:.6f} of the request's bucket has a "
+                         f"different design")
         return _ok(n1=ss.first.n_slots, k1=ss.first.n_on, m1=ss.m1,
                    n2=ss.second.n_slots, k2=ss.second.n_on, m2=ss.m2,
                    achieved=round(design.achieved_dimming, 9))
@@ -373,7 +351,26 @@ class DesignOracle:
             yield {**base, "dimming": dimming}
 
 
-# -- serve: batched serving path vs the direct designer ----------------
+# -- serve: coalesced serving path vs the direct designer --------------
+
+
+async def _coalesced(engine, dimmings: list[float], by_size: bool) -> list:
+    """Designs for ``dimmings`` through one coalescing window.
+
+    The window never expires on its own: it flushes when the last
+    request fills it (``by_size``) or on an explicit :meth:`flush`.
+    """
+    import asyncio
+
+    from ..serve.coalescer import AdaptCoalescer
+
+    coalescer = AdaptCoalescer(
+        engine.design, engine.bucket, window_s=3600.0,
+        max_batch=len(dimmings) + (0 if by_size else 1))
+    waiters = [asyncio.ensure_future(coalescer.submit(d)) for d in dimmings]
+    await asyncio.sleep(0)  # every request parks in the window
+    coalescer.flush()       # a no-op once the size trigger flushed
+    return list(await asyncio.gather(*waiters))
 
 
 class ServeOracle:
@@ -404,6 +401,8 @@ class ServeOracle:
         return {"requests": requests}
 
     def execute(self, params: Mapping) -> CaseResult:
+        import asyncio
+
         from ..serve.protocol import encode, ok_response, parse_request
         from ..serve.server import AdaptEngine
 
@@ -411,20 +410,24 @@ class ServeOracle:
         if not raw:
             return _fail("empty request list is not a valid case")
         requests = [parse_request({"v": 1, "op": "adapt", **r}) for r in raw]
-        direct_engine = AdaptEngine(_config(), designer=_designer().fork())
-        batch_engine = AdaptEngine(_config(), designer=_designer().fork())
-        direct = [encode(ok_response("adapt",
-                                     direct_engine.adapt_direct(r), r.id))
+        engine = AdaptEngine(_config())
+        direct = [encode(ok_response("adapt", engine.adapt_direct(r), r.id))
                   for r in requests]
-        batched_payloads = batch_engine.adapt_batch(list(requests))
-        batched = [encode(ok_response("adapt", payload, r.id))
-                   for payload, r in zip(batched_payloads, requests)]
-        for i, (a, b) in enumerate(zip(direct, batched)):
-            if a != b:
-                return _fail(f"served-vs-direct divergence at request {i}: "
-                             f"batched reply differs from the direct "
-                             f"designer answer")
-        buckets = {direct_engine.bucket(r.dimming) for r in requests}
+        forward = list(range(len(requests)))
+        for order, indices in (("generated", forward),
+                               ("reversed", forward[::-1])):
+            designs = asyncio.run(_coalesced(
+                engine, [requests[i].dimming for i in indices],
+                by_size=order == "generated"))
+            for i, design in zip(indices, designs):
+                r = requests[i]
+                if encode(ok_response("adapt", engine.result(r, design),
+                                      r.id)) != direct[i]:
+                    return _fail(f"served-vs-direct divergence at request "
+                                 f"{i} ({order} order): the coalesced "
+                                 f"reply differs from the direct designer "
+                                 f"answer")
+        buckets = {engine.bucket(r.dimming) for r in requests}
         replies_sha = hashlib.sha256(b"".join(direct)).hexdigest()[:16]
         return _ok(requests=len(requests), unique_buckets=len(buckets),
                    replies_sha=replies_sha)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.adaptation import Adapter, AdaptationPlan
-from ..core.ampdesign import AmppmDesign, AmppmDesigner
+from ..core.ampdesign import AmppmDesign, AmppmDesigner, shared_designer
 from ..core.errormodel import SlotErrorModel
 from ..core.params import SystemConfig
 from ..core.perception import perceived_step
@@ -190,8 +190,7 @@ class SmartLightingController:
             errors = SlotErrorModel.from_config(self.config).scaled(
                 self.degraded_error_margin)
             try:
-                self._conservative = AmppmDesigner(self.config,
-                                                   errors=errors)
+                self._conservative = shared_designer(self.config, errors)
             except ValueError:
                 # Margin prunes every candidate: degrade to the normal
                 # designer rather than losing the link entirely.

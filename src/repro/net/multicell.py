@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..core.ampdesign import AmppmDesigner
+from ..core.ampdesign import AmppmDesigner, shared_designer
 from ..core.params import SystemConfig
 from ..des import DesFeedbackPlane, EventJournal, EventScheduler
 from ..lighting.ambient import AmbientProfile, StaticAmbient
@@ -480,16 +480,13 @@ class MulticellSimulation:
         """Per-cell runtime state, in luminaire order.
 
         ``names`` restricts to a region's cells (sharded runs).  On
-        the indexed path all controllers :meth:`~AmppmDesigner.fork`
-        one template :class:`AmppmDesigner`: candidate filtering and
-        envelope construction are pure functions of the config, so
-        sharing them removes the dominant O(cells) setup cost of large
-        fleets, while the per-fork design memo keeps every cell
-        bit-identical to one with a fully independent designer.  The
-        all-pairs path keeps per-cell construction, matching the
-        historical cost profile it exists to benchmark.
+        the indexed path every controller shares the process's
+        :func:`~repro.core.ampdesign.shared_designer`: designs are pure
+        in the config and the dimming bucket, so one designer serves
+        every cell.  The all-pairs path keeps per-cell construction,
+        matching the historical cost profile it exists to benchmark.
         """
-        template = AmppmDesigner(self.config) if self._index is not None \
+        shared = shared_designer(self.config) if self._index is not None \
             else None
         cells: dict[str, _CellState] = {}
         for lum in self.luminaires:
@@ -497,8 +494,7 @@ class MulticellSimulation:
                 continue
             controller = SmartLightingController(
                 target_sum=self.target_sum, config=self.config,
-                designer=(template.fork() if template is not None
-                          else AmppmDesigner(self.config)))
+                designer=shared or AmppmDesigner(self.config))
             collector = FeedbackCollector(
                 uplink=self.uplink, aggregation=self.aggregation,
                 staleness_s=self.staleness_s)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.ampdesign import AmppmDesigner
+from ..core.ampdesign import shared_designer
 from ..core.params import SystemConfig
 from ..lighting.ambient import AmbientProfile, StaticAmbient
 from ..lighting.controller import SmartLightingController
@@ -114,10 +114,9 @@ class RoomSimulation:
             raise ValueError("a room needs at least one receiver")
         if self.channel is None:
             self.channel = calibrated_channel(self.config)
-        self._designer = AmppmDesigner(self.config)
         self._controller = SmartLightingController(
             target_sum=self.target_sum, config=self.config,
-            designer=self._designer)
+            designer=shared_designer(self.config))
         self._rng = np.random.default_rng(self.seed)
         #: minimum goodput for a node to count as "linked"
         self.link_floor_bps = 1e3

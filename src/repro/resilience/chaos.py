@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.ampdesign import AmppmDesigner
+from ..core.ampdesign import shared_designer
 from ..core.params import SystemConfig
 from ..des.journal import EventJournal
 from ..des.kernel import EventScheduler
@@ -133,7 +133,7 @@ class ChaosScenario:
         channel = (self.channel if self.channel is not None
                    else calibrated_channel(self.config))
         geometry = LinkGeometry.on_axis(self.distance_m)
-        designer = AmppmDesigner(self.config)
+        designer = shared_designer(self.config)
         controller = SmartLightingController(
             target_sum=self.target_sum, config=self.config,
             designer=designer)

@@ -16,7 +16,7 @@ from .baselines.mppm import Mppm, MppmDesign
 from .baselines.ookct import OokCt, OokCtDesign
 from .baselines.oppm import Oppm, OppmDesign
 from .baselines.vppm import Vppm, VppmDesign
-from .core.ampdesign import AmppmDesign, AmppmDesigner
+from .core.ampdesign import AmppmDesign, shared_designer
 from .core.coding import SuperSymbolCodec
 from .core.errormodel import SlotErrorModel
 from .core.params import SystemConfig
@@ -68,7 +68,7 @@ class AmppmScheme(ModulationScheme):
     def __init__(self, config: SystemConfig | None = None,
                  errors: SlotErrorModel | None = None):
         super().__init__(config)
-        self.designer = AmppmDesigner(self.config, errors)
+        self.designer = shared_designer(self.config, errors)
 
     @property
     def supported_range(self) -> tuple[float, float]:

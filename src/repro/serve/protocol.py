@@ -267,18 +267,21 @@ def encode(obj: Mapping[str, Any]) -> bytes:
 
 
 def adapt_result(request: AdaptRequest, design: AmppmDesign,
-                 errors: SlotErrorModel, config: SystemConfig) -> dict:
+                 errors: SlotErrorModel, config: SystemConfig,
+                 target: float) -> dict:
     """The ``adapt`` result payload for a finished design.
 
-    Pure in ``(request, design, errors, config)`` — the server and the
-    parity tests build responses through this one function, so a served
-    design is byte-identical to the direct designer answer.
+    ``dimming_error`` is measured against ``target``, the request's
+    dimming clamped to the supported range.  Pure in its arguments —
+    the server and the parity tests build responses through this one
+    function, so a served design is byte-identical to the direct
+    designer answer.
     """
     ss = design.super_symbol
     return {
         "dimming": request.dimming,
         "achieved_dimming": design.achieved_dimming,
-        "dimming_error": design.dimming_error,
+        "dimming_error": abs(design.achieved_dimming - target),
         "super_symbol": {
             "n1": ss.first.n_slots, "k1": ss.first.n_on, "m1": ss.m1,
             "n2": ss.second.n_slots, "k2": ss.second.n_on, "m2": ss.m2,

@@ -21,7 +21,7 @@ listener closes, in-flight requests finish, new ones are refused with
 ``draining``, and the process exits 0.
 
 Adapt requests flow through the :class:`~repro.serve.coalescer.
-AdaptCoalescer` into the designer's batched path; everything is
+AdaptCoalescer` into the shared designer; everything is
 instrumented live through ``repro.obs`` counters/gauges/histograms,
 which is exactly what ``/metrics`` exposes.
 """
@@ -34,7 +34,7 @@ import signal
 import sys
 from dataclasses import dataclass, field
 
-from ..core.ampdesign import AmppmDesigner
+from ..core.ampdesign import AmppmDesigner, shared_designer
 from ..core.errormodel import SlotErrorModel
 from ..core.params import SystemConfig
 from ..link.supervision import BackoffPolicy, LinkSupervisor
@@ -127,14 +127,15 @@ class AdaptEngine:
     budget, exactly as :class:`~repro.sim.linkmodel.LinkEvaluator`
     works — while the *reported* performance of a design is evaluated
     under the request's actual placement and ambient level.  That split
-    is what makes coalescing sound: same bucket, same design.
+    is what makes coalescing sound: same bucket, same design, whichever
+    request of the window arrived first.
     """
 
     def __init__(self, config: SystemConfig | None = None,
                  designer: AmppmDesigner | None = None):
         self.config = config if config is not None else SystemConfig()
         self.designer = (designer if designer is not None
-                         else AmppmDesigner(self.config))
+                         else shared_designer(self.config))
         self.channel = calibrated_channel(self.config)
 
     def bucket(self, dimming: float):
@@ -153,19 +154,11 @@ class AdaptEngine:
     def result(self, request: AdaptRequest, design) -> dict:
         """The response payload for a finished design."""
         return adapt_result(request, design, self.errors_for(request),
-                            self.config)
+                            self.config, self.designer.clamp(request.dimming))
 
     def adapt_direct(self, request: AdaptRequest) -> dict:
         """The uncoalesced reference path: one designer call, one reply."""
         return self.result(request, self.design(request.dimming))
-
-    def adapt_batch(self, requests: list[AdaptRequest]) -> list[dict]:
-        """The batched path: one designer call per unique memo bucket."""
-        if not requests:  # design_many rejects empty batches
-            return []
-        clamped = [self.designer.clamp(r.dimming) for r in requests]
-        designs = self.designer.design_many(clamped)
-        return [self.result(r, d) for r, d in zip(requests, designs)]
 
 
 def link_snapshot_metrics(snapshot: dict, registry: MetricsRegistry) -> None:
@@ -197,7 +190,6 @@ def link_snapshot_metrics(snapshot: dict, registry: MetricsRegistry) -> None:
 class _Connection:
     """Book-keeping for one accepted socket."""
 
-    writer: asyncio.StreamWriter
     transport: str = "?"
     inflight: int = 0
     lock: asyncio.Lock = field(default_factory=asyncio.Lock)
@@ -234,6 +226,7 @@ class ControlPlane:
         self._server: asyncio.Server | None = None
         self._bound_port: int | None = None
         self._connections: dict[int, _Connection] = {}
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._conn_seq = 0
         self._inflight = 0
         self._idle: asyncio.Event | None = None
@@ -296,11 +289,17 @@ class ControlPlane:
                 pass
 
     async def stop(self) -> None:
-        """Graceful drain: finish in-flight work, refuse new, close."""
+        """Graceful drain: finish in-flight work, refuse new, close.
+
+        Returns once every connection handler has finished (or the
+        drain grace expired): a handler still parked in ``readline()``
+        when the loop shuts down would be cancelled and log a traceback.
+        """
         self._draining = True
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self.serve_config.drain_grace_s
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         await self.coalescer.drain()
         if self._idle is not None and self._inflight > 0:
             try:
@@ -308,8 +307,13 @@ class ControlPlane:
                                        self.serve_config.drain_grace_s)
             except asyncio.TimeoutError:  # pragma: no cover — grace expired
                 pass
-        for conn in list(self._connections.values()):
-            conn.writer.close()
+        for writer in self._handlers.values():
+            writer.close()  # the handler reads EOF and returns
+        if self._handlers:
+            await asyncio.wait(list(self._handlers),
+                               timeout=max(0.0, deadline - loop.time()))
+        if self._server is not None:
+            await self._server.wait_closed()
 
     # -- accounting -----------------------------------------------------
 
@@ -412,6 +416,9 @@ class ControlPlane:
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        handler = asyncio.current_task()
+        self._handlers[handler] = writer
+        handler.add_done_callback(self._handlers.pop)
         try:
             first = await reader.readline()
         except (ConnectionError, ValueError):
@@ -443,8 +450,7 @@ class ControlPlane:
             return
         self._conn_seq += 1
         key = self._conn_seq
-        conn = _Connection(writer=writer,
-                           transport="ndjson" if is_ndjson else "http")
+        conn = _Connection(transport="ndjson" if is_ndjson else "http")
         self._connections[key] = conn
         self.registry.counter(
             "repro_serve_connections_total",

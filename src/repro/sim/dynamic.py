@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..core.ampdesign import AmppmDesigner
+from ..core.ampdesign import shared_designer
 from ..core.params import SystemConfig
 from ..lighting.ambient import AmbientProfile, BlindRampAmbient
 from ..lighting.controller import ControllerSample, SmartLightingController
@@ -100,9 +100,9 @@ class DynamicScenario:
         (blind near the top → more interference), which reproduces the
         slight right-side throughput dip of Fig. 19(a).
         """
-        designer = AmppmDesigner(self.config)
         smart = SmartLightingController(
-            target_sum=self.target_sum, config=self.config, designer=designer)
+            target_sum=self.target_sum, config=self.config,
+            designer=shared_designer(self.config))
         existing = SmartLightingController(
             target_sum=self.target_sum, config=self.config,
             designer=None, use_perception_domain=False)

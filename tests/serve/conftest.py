@@ -1,4 +1,4 @@
-"""Serve fixtures: one shared engine (designer tables are expensive)."""
+"""Serve fixtures: one engine over the process's shared designer."""
 
 from __future__ import annotations
 
@@ -8,6 +8,6 @@ from repro.serve import AdaptEngine
 
 
 @pytest.fixture(scope="session")
-def engine(config, designer) -> AdaptEngine:
-    """An engine over the session designer's tables (fresh memo)."""
-    return AdaptEngine(config, designer.fork())
+def engine(config) -> AdaptEngine:
+    """The default engine (designs are pure, so sharing is safe)."""
+    return AdaptEngine(config)

@@ -3,7 +3,8 @@
 The contract: N concurrent same-bucket requests cost exactly one
 designer call and every waiter receives the *same* result object (hence
 byte-identical once serialized); buckets never mix; designer failures
-reach exactly the waiters of the failing bucket.
+reach exactly the waiters of the failing bucket.  Over the real engine,
+the order of arrivals within a window never changes a reply.
 """
 
 import asyncio
@@ -12,8 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import AmppmDesigner
 from repro.obs import MetricsRegistry
-from repro.serve import AdaptCoalescer
+from repro.serve import (
+    AdaptCoalescer,
+    AdaptEngine,
+    AdaptRequest,
+    encode,
+    ok_response,
+)
 
 
 def bucket8(dimming: float) -> int:
@@ -176,3 +184,49 @@ class TestInstrumentation:
         batch = registry.get("repro_serve_coalesce_batch")
         assert batch.count() == 1
         assert batch.sum() == 4
+
+
+async def _serve_window(engine: AdaptEngine, requests: list) -> dict:
+    """Replies, by id, to ``requests`` coalesced into one window.
+
+    The window is flushed explicitly once every request is parked, so
+    the test never depends on the wall clock.
+    """
+    coalescer = AdaptCoalescer(engine.design, engine.bucket,
+                               window_s=3600.0, max_batch=len(requests) + 1)
+    waiters = [asyncio.ensure_future(coalescer.submit(r.dimming))
+               for r in requests]
+    await asyncio.sleep(0)
+    assert coalescer.pending == len(requests)
+    coalescer.flush()
+    designs = await asyncio.gather(*waiters)
+    return {r.id: encode(ok_response("adapt", engine.result(r, d), r.id))
+            for r, d in zip(requests, designs)}
+
+
+# Requests packed into a handful of neighbouring buckets, so windows
+# hold several requests per bucket at different offsets.
+window_requests = st.lists(
+    st.tuples(st.integers(150, 154), st.floats(-0.49, 0.49),
+              st.floats(0.0, 1.0), st.floats(0.5, 6.0)),
+    min_size=1, max_size=16)
+
+
+class TestWindowPermutation:
+    @settings(max_examples=10, deadline=None)
+    @given(drawn=window_requests, rnd=st.randoms(use_true_random=False))
+    def test_permuted_arrivals_get_byte_identical_replies(self, engine,
+                                                          drawn, rnd):
+        tau = engine.config.tau_perceived
+        requests = [AdaptRequest(round((key + offset) * tau, 9),
+                                 ambient=ambient, distance_m=distance,
+                                 id=f"r{i}")
+                    for i, (key, offset, ambient, distance)
+                    in enumerate(drawn)]
+        permuted = list(requests)
+        rnd.shuffle(permuted)
+        # The shared engine's memo is warm with earlier windows; the
+        # permuted window runs on a freshly built designer.
+        fresh = AdaptEngine(engine.config, AmppmDesigner(engine.config))
+        assert asyncio.run(_serve_window(fresh, permuted)) == \
+            asyncio.run(_serve_window(engine, requests))

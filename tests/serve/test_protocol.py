@@ -183,8 +183,8 @@ class TestAdaptResult:
                                angle_deg=15.0)
         design = engine.design(request.dimming)
         errors = engine.errors_for(request)
-        one = adapt_result(request, design, errors, engine.config)
-        two = adapt_result(request, design, errors, engine.config)
+        one = adapt_result(request, design, errors, engine.config, 0.5)
+        two = adapt_result(request, design, errors, engine.config, 0.5)
         assert encode(one) == encode(two)
         assert one["dimming"] == 0.5
         assert set(one["super_symbol"]) == {"n1", "k1", "m1", "n2", "k2",
@@ -197,8 +197,9 @@ class TestAdaptResult:
         request_far = AdaptRequest(0.5, distance_m=5.0)
         design = engine.design(0.5)
         near = adapt_result(request_near, design,
-                            engine.errors_for(request_near), engine.config)
+                            engine.errors_for(request_near), engine.config,
+                            0.5)
         far = adapt_result(request_far, design,
-                           engine.errors_for(request_far), engine.config)
+                           engine.errors_for(request_far), engine.config, 0.5)
         assert near["super_symbol"] == far["super_symbol"]
         assert near["data_rate_bps"] > far["data_rate_bps"]

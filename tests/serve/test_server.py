@@ -262,6 +262,34 @@ class TestNdjson:
         # requests is not guaranteed per-bucket here, but never more.
         assert designer_calls <= n
 
+    def test_dimming_error_is_measured_against_each_request(self, engine):
+        """Two requests of one bucket share its design, and each reply's
+        error is measured against that request's own dimming."""
+        tau = engine.config.tau_perceived
+        center = engine.bucket(0.337) * tau
+        levels = (center - 0.45 * tau, center + 0.45 * tau)
+        assert engine.bucket(levels[0]) == engine.bucket(levels[1])
+
+        async def run():
+            async with running(engine) as plane:
+                reader, writer = await connect(plane)
+                for i, level in enumerate(levels):
+                    writer.write(encode({"op": "adapt", "id": f"e{i}",
+                                         "dimming": level}))
+                await writer.drain()
+                replies = [json.loads(await reader.readline())
+                           for _ in levels]
+                writer.close()
+                return replies
+
+        results = [r["result"] for r in asyncio.run(run())]
+        assert results[0]["super_symbol"] == results[1]["super_symbol"]
+        assert results[0]["dimming"] != results[1]["dimming"]
+        for result in results:
+            assert result["dimming_error"] == abs(
+                result["achieved_dimming"] - result["dimming"])
+            assert result["dimming_error"] <= tau
+
 
 class TestOverload:
     def test_connection_queue_sheds_but_keeps_the_connection(self, engine):
@@ -386,6 +414,32 @@ class TestDrain:
         reply, draining = asyncio.run(run())
         assert reply["ok"] and reply["id"] == "last"
         assert draining
+
+    def test_connection_held_across_stop_closes_cleanly(self, engine):
+        """An idle client still connected when the drain starts: stop()
+        returns only after its handler saw EOF, so leaving the loop
+        cancels nothing and logs no traceback."""
+        unhandled = []
+
+        async def run():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            plane = ControlPlane(ServeConfig(), config=engine.config,
+                                 engine=engine)
+            await plane.start()
+            reader, writer = await connect(plane)
+            writer.write(encode({"op": "health", "id": "held"}))
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            await plane.stop()
+            open_after = plane.connection_count
+            writer.close()
+            return reply, open_after
+
+        reply, open_after = asyncio.run(run())
+        assert reply["ok"] and reply["id"] == "held"
+        assert open_after == 0
+        assert unhandled == []
 
     def test_draining_refuses_new_requests_with_a_structured_error(
             self, engine):
