@@ -18,6 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+#: Largest payload the frame's 2-byte Length field can carry (Table 1).
+MAX_PAYLOAD_BYTES = 0xFFFF
+
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -44,7 +47,9 @@ class SystemConfig:
             header packs each count in 4 bits.
         tau_perceived: Maximum perceived-domain brightness step (on the
             0..1 scale) that no volunteer could detect (paper: 0.003).
-        payload_bytes: Default MAC payload size (paper: 128 bytes).
+        payload_bytes: Default MAC payload size (paper: 128 bytes); the
+            frame's 2-byte Length field caps it at
+            :data:`MAX_PAYLOAD_BYTES`.
         oversampling: Receiver samples per slot (paper: 500 kHz / 125 kHz).
         adc_bits: Receiver ADC resolution (TI ADS7883 is a 12-bit part).
     """
@@ -81,8 +86,10 @@ class SystemConfig:
             raise ValueError("m_cap must fit the 4-bit header field (1..15)")
         if not 0 < self.tau_perceived < 1:
             raise ValueError("tau_perceived must lie in (0, 1)")
-        if self.payload_bytes < 0:
-            raise ValueError("payload_bytes must be non-negative")
+        if not 0 <= self.payload_bytes <= MAX_PAYLOAD_BYTES:
+            raise ValueError(
+                "payload_bytes must fit the 2-byte Length field "
+                f"(0..{MAX_PAYLOAD_BYTES})")
         if self.oversampling < 1:
             raise ValueError("oversampling must be at least 1")
         if self.adc_bits < 1:

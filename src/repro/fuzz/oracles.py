@@ -280,9 +280,9 @@ class RoundtripOracle:
             return _fail(f"CRC blind spot: single-bit flip at bit {flip} "
                          f"goes undetected")
 
-        from ..schemes import AmppmSchemeDesign
+        from ..schemes import shared_scheme_design
 
-        design = AmppmSchemeDesign(
+        design = shared_scheme_design(
             _designer().design_clamped(float(params["dimming"])), _config())
         slots = Transmitter(_config()).encode_frame(data, design)
         try:

@@ -14,7 +14,6 @@ from .frame import (
     PatternDescriptor,
     PreambleNotFoundError,
     compensation_run,
-    header_overhead_slots,
 )
 from .mac import MacStats, StopAndWaitMac, corrupt_slots
 from .receiver import DecodedFrame, Receiver, SampleSynchronizer
@@ -57,5 +56,4 @@ __all__ = [
     "corrupt_slots",
     "crc16",
     "descriptor_for_design",
-    "header_overhead_slots",
 ]

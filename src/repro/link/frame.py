@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.params import SystemConfig
+from ..core.params import MAX_PAYLOAD_BYTES
 from ..core.supersymbol import SuperSymbol
 from ..core.symbols import SymbolPattern
 from .bitstream import bits_to_bytes, bytes_to_bits
@@ -35,6 +35,9 @@ from .crc import append_crc, check_crc
 
 #: 3 bytes of alternating ON/OFF (Table 1's Preamble).
 PREAMBLE_SLOTS: tuple[bool, ...] = tuple(bool((i + 1) % 2) for i in range(24))
+#: ON and OFF slots of the preamble.
+PREAMBLE_ON_SLOTS = sum(PREAMBLE_SLOTS)
+PREAMBLE_OFF_SLOTS = len(PREAMBLE_SLOTS) - PREAMBLE_ON_SLOTS
 
 #: Length (2 B) + Pattern (4 B) encoded as OOK.
 HEADER_BYTES = 6
@@ -47,8 +50,6 @@ SCHEME_MPPM = 1  # covers MPPM, AMPPM and any super-symbol scheme
 SCHEME_VPPM = 2
 SCHEME_OPPM = 3
 SCHEME_DARKLIGHT = 4
-
-MAX_PAYLOAD_BYTES = 0xFFFF
 
 
 class FrameError(ValueError):
@@ -224,19 +225,6 @@ def compensation_run(header_on: int, header_total: int, dimming: float,
     else:
         count, on = 1, False
     return max(1, min(count, max_run)), on
-
-
-def header_overhead_slots(config: SystemConfig, dimming: float) -> int:
-    """Expected non-payload slots per frame at a dimming level.
-
-    Used by the analytic link model: preamble + OOK header + the
-    compensation run for a typical (half-ON) header + the sync slot.
-    """
-    header_on = len([s for s in PREAMBLE_SLOTS if s]) + HEADER_SLOTS // 2
-    header_total = len(PREAMBLE_SLOTS) + HEADER_SLOTS
-    count, _ = compensation_run(header_on, header_total, dimming,
-                                config.n_max_super)
-    return header_total + count + 1
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,12 @@ from ..baselines.base import SchemeDesign
 from ..core.errormodel import SlotErrorModel
 from ..core.params import SystemConfig
 from ..obs import metrics, span
-from .frame import FrameError
+from .frame import (
+    HEADER_SLOTS,
+    PREAMBLE_OFF_SLOTS,
+    PREAMBLE_ON_SLOTS,
+    FrameError,
+)
 from .receiver import Receiver
 from .supervision import BackoffPolicy, LinkSupervisor
 from .transmitter import Transmitter
@@ -73,13 +78,9 @@ def header_success_probability(errors: SlotErrorModel) -> float:
 
     Preamble slots alternate ON/OFF; header bits are equiprobable.
     """
-    from .frame import HEADER_SLOTS, PREAMBLE_SLOTS
-
     p_on_ok = 1.0 - errors.p_on_error
     p_off_ok = 1.0 - errors.p_off_error
-    n_pre_on = sum(1 for s in PREAMBLE_SLOTS if s)
-    n_pre_off = len(PREAMBLE_SLOTS) - n_pre_on
-    p_pre = p_on_ok ** n_pre_on * p_off_ok ** n_pre_off
+    p_pre = p_on_ok ** PREAMBLE_ON_SLOTS * p_off_ok ** PREAMBLE_OFF_SLOTS
     p_hdr_slot = 1.0 - 0.5 * (errors.p_on_error + errors.p_off_error)
     return p_pre * p_hdr_slot ** HEADER_SLOTS
 

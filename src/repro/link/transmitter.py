@@ -9,6 +9,7 @@ self-describing.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..baselines.base import SchemeDesign
@@ -23,6 +24,7 @@ from ..schemes import AmppmSchemeDesign
 from .bitstream import bytes_to_bits
 from .crc import append_crc
 from .frame import (
+    PREAMBLE_ON_SLOTS,
     PREAMBLE_SLOTS,
     SCHEME_OPPM,
     SCHEME_VPPM,
@@ -75,12 +77,9 @@ class Transmitter:
         """
         n_payload = (payload_bytes if payload_bytes is not None
                      else self.config.payload_bytes)
-        hdr = header_slots(FrameHeader(n_payload, descriptor_for_design(design)))
-        on_count = sum(PREAMBLE_SLOTS) + sum(hdr)
-        total = len(PREAMBLE_SLOTS) + len(hdr)
-        comp, _ = compensation_run(on_count, total, design.achieved_dimming,
-                                   self.config.n_max_super)
-        return total + comp + 1
+        return overhead_slots(descriptor_for_design(design),
+                              design.achieved_dimming, n_payload,
+                              self.config.n_max_super)
 
     def _assemble(self, frame: Frame, design: SchemeDesign) -> list[bool]:
         slots: list[bool] = list(PREAMBLE_SLOTS)
@@ -103,3 +102,22 @@ class Transmitter:
     def frame_duration(self, payload: bytes, design: SchemeDesign) -> float:
         """Airtime of one frame in seconds."""
         return len(self.encode_frame(payload, design)) * self.config.t_slot
+
+
+@functools.lru_cache(maxsize=4096)
+def overhead_slots(descriptor: PatternDescriptor, dimming: float,
+                   payload_bytes: int, n_max_super: int) -> int:
+    """Preamble + OOK header + compensation run + sync slots of a frame.
+
+    A pure function of the header's fields and the payload's dimming
+    level, so it is cached by value: every design of any scheme with
+    the same Pattern field, dimming level and payload size shares one
+    entry, and an entry equals the fresh computation.  The cache is
+    bounded because baseline schemes reach any dimming level; an
+    evicted entry is simply computed again.
+    """
+    hdr = header_slots(FrameHeader(payload_bytes, descriptor))
+    on_count = PREAMBLE_ON_SLOTS + sum(hdr)
+    total = len(PREAMBLE_SLOTS) + len(hdr)
+    comp, _ = compensation_run(on_count, total, dimming, n_max_super)
+    return total + comp + 1

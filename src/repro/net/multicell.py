@@ -43,7 +43,7 @@ from ..link.wifi import WifiUplink
 from ..phy.channel import VlcChannel, calibrated_channel
 from ..phy.optics import LinkGeometry
 from ..resilience.faults import FaultPlan, schedule_plan_events
-from ..schemes import AmppmSchemeDesign
+from ..schemes import AmppmSchemeDesign, shared_scheme_design
 from ..sim.linkmodel import expected_goodput
 from .feedback import Aggregation, AmbientReport, FeedbackCollector
 from .interference import Interferer, effective_slot_errors
@@ -735,7 +735,7 @@ class MulticellSimulation:
             fused = cell.plane.estimate(fallback=fallback)
             sample = cell.controller.tick(now, fused)
             cell.led = sample.led
-            cell.design = (AmppmSchemeDesign(sample.design, self.config)
+            cell.design = (shared_scheme_design(sample.design, self.config)
                            if sample.design is not None else None)
             journal.record(now, "control", cell.name, led=sample.led,
                            fused=fused, adjustments=sample.adjustments)

@@ -22,7 +22,7 @@ from ..lighting.ambient import AmbientProfile, StaticAmbient
 from ..lighting.controller import SmartLightingController
 from ..phy.channel import VlcChannel, calibrated_channel
 from ..phy.optics import LinkGeometry
-from ..schemes import AmppmSchemeDesign
+from ..schemes import shared_scheme_design
 from ..sim.linkmodel import expected_goodput
 from .feedback import AmbientReport, FeedbackCollector
 from .interference import effective_slot_errors
@@ -144,7 +144,7 @@ class RoomSimulation:
 
         # 3. lighting control + AMPPM design
         sample = self._controller.tick(t, fused)
-        design = AmppmSchemeDesign(sample.design, self.config)
+        design = shared_scheme_design(sample.design, self.config)
 
         # 4. per-receiver link evaluation at the receiver's own ambient
         #    (the shared multicell path, with zero interfering cells)

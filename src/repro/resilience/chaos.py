@@ -37,7 +37,7 @@ from ..link.supervision import BackoffPolicy, LinkState, LinkSupervisor
 from ..link.wifi import WifiUplink
 from ..phy.channel import VlcChannel, calibrated_channel
 from ..phy.optics import LinkGeometry
-from ..schemes import AmppmSchemeDesign
+from ..schemes import shared_scheme_design
 from ..sim.linkmodel import frame_slot_count, frame_success_probability
 from .faults import FaultSchedule, install_fault_events
 from .metrics import ResilienceReport, build_report
@@ -154,7 +154,6 @@ class ChaosScenario:
         # -- per-time channel state, memoized on (ambient, scale) -------
         error_cache: dict = {}
         frame_cache: dict = {}
-        design_cache: dict = {}
 
         def ambient_now(t: float) -> float:
             return self.schedule.ambient_at(t, self.ambient.intensity(t))
@@ -169,16 +168,14 @@ class ChaosScenario:
             return error_cache[key]
 
         def design_for(led: float, conservative: bool):
-            key = (round(led, 12), conservative)
-            if key not in design_cache:
-                raw = (controller.conservative_design(led) if conservative
-                       else designer.design_clamped(led))
-                design_cache[key] = (AmppmSchemeDesign(raw, self.config)
-                                     if raw is not None else None)
-            return design_cache[key]
+            raw = (controller.conservative_design(led) if conservative
+                   else designer.design_clamped(led))
+            return (shared_scheme_design(raw, self.config)
+                    if raw is not None else None)
 
-        def frame_params(design, design_key, n_payload, errors):
-            key = (design_key, n_payload, errors)
+        def frame_params(design, n_payload, errors):
+            # Keyed on the shared wrapper: one per bucket design.
+            key = (design, n_payload, errors)
             if key not in frame_cache:
                 t_frame = (frame_slot_count(design, self.config, n_payload)
                            * self.config.t_slot)
@@ -230,8 +227,7 @@ class ChaosScenario:
                         continue
                     counters.probes_sent += 1
                     errors = errors_now(now)
-                    t_probe, p_ok = frame_params(design, (round(led, 12),
-                                                          True), 0, errors)
+                    t_probe, p_ok = frame_params(design, 0, errors)
                     yield t_probe
                     sent_at = scheduler.now
                     decoded = rng.random() < p_ok
@@ -270,9 +266,7 @@ class ChaosScenario:
                     yield self.tick_s
                     continue
                 errors = errors_now(now)
-                t_frame, p_ok = frame_params(
-                    design, (round(led, 12), conservative),
-                    pending_bytes, errors)
+                t_frame, p_ok = frame_params(design, pending_bytes, errors)
                 counters.frames_sent += 1
                 if attempt > 0:
                     counters.retransmissions += 1

@@ -17,7 +17,7 @@ from ..core.params import SystemConfig
 from ..lighting.ambient import AmbientProfile, BlindRampAmbient
 from ..lighting.controller import ControllerSample, SmartLightingController
 from ..phy.optics import LinkGeometry
-from ..schemes import AmppmSchemeDesign
+from ..schemes import shared_scheme_design
 from .linkmodel import LinkEvaluator, expected_goodput
 
 
@@ -131,5 +131,5 @@ class DynamicScenario:
         if sample.design is None:
             return 0.0
         errors = evaluator.channel.slot_error_model(self.geometry, ambient)
-        design = AmppmSchemeDesign(sample.design, self.config)
+        design = shared_scheme_design(sample.design, self.config)
         return expected_goodput(design, errors, self.config)

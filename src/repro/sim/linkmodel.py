@@ -11,6 +11,12 @@ overheads (Table 1) included.  Two flavours:
   are lost).
 * :func:`stop_and_wait_goodput` — the conservative one-outstanding-
   frame variant (delegates to the MAC), for the ARQ-focused analyses.
+
+A design's frame structure is fixed: the header-plus-compensation
+overhead is cached by value (:func:`~repro.link.transmitter.overhead_slots`)
+and an AMPPM design plans its symbol walk once per payload size, so a
+link sample only evaluates the per-pattern symbol error rates.  Every
+result equals the per-symbol computation bit for bit.
 """
 
 from __future__ import annotations
@@ -19,18 +25,27 @@ from dataclasses import dataclass, field
 
 from ..baselines.base import ModulationScheme, SchemeDesign
 from ..core.errormodel import SlotErrorModel
-from ..core.params import SystemConfig
+from ..core.params import MAX_PAYLOAD_BYTES, SystemConfig
 from ..link.mac import StopAndWaitMac, header_success_probability
 from ..link.transmitter import Transmitter
 from ..phy.channel import VlcChannel, calibrated_channel
 from ..phy.optics import LinkGeometry
 
 
+def _payload_size(config: SystemConfig, payload_bytes: int | None) -> int:
+    """The payload size a frame carries, checked against the header."""
+    n_payload = payload_bytes if payload_bytes is not None else config.payload_bytes
+    if not 0 <= n_payload <= MAX_PAYLOAD_BYTES:
+        raise ValueError(f"payload of {n_payload} bytes does not fit the "
+                         f"2-byte Length field (0..{MAX_PAYLOAD_BYTES})")
+    return n_payload
+
+
 def frame_slot_count(design: SchemeDesign, config: SystemConfig,
                      payload_bytes: int | None = None) -> int:
     """Expected slots per frame: Table 1 overhead + modulated section."""
     tx = Transmitter(config)
-    n_payload = payload_bytes if payload_bytes is not None else config.payload_bytes
+    n_payload = _payload_size(config, payload_bytes)
     n_bits = 8 * (n_payload + 2)  # payload + CRC
     return (tx.frame_overhead_slots(design, n_payload)
             + design.payload_slots(n_bits))
@@ -40,7 +55,7 @@ def frame_success_probability(design: SchemeDesign, errors: SlotErrorModel,
                               config: SystemConfig,
                               payload_bytes: int | None = None) -> float:
     """Probability one frame survives: header and payload both clean."""
-    n_payload = payload_bytes if payload_bytes is not None else config.payload_bytes
+    n_payload = _payload_size(config, payload_bytes)
     n_bits = 8 * (n_payload + 2)
     return (header_success_probability(errors)
             * design.success_probability(n_bits, errors))
@@ -53,7 +68,7 @@ def expected_goodput(design: SchemeDesign, errors: SlotErrorModel,
 
     goodput = payload_bits · P(frame ok) / (frame_slots · t_slot)
     """
-    n_payload = payload_bytes if payload_bytes is not None else config.payload_bytes
+    n_payload = _payload_size(config, payload_bytes)
     slots = frame_slot_count(design, config, n_payload)
     p_ok = frame_success_probability(design, errors, config, n_payload)
     return 8 * n_payload * p_ok / (slots * config.t_slot)

@@ -76,6 +76,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             SystemConfig(**{field: value})
 
+    def test_payload_must_fit_the_length_field(self):
+        # The frame's 2-byte Length field carries at most 0xFFFF bytes.
+        assert SystemConfig(payload_bytes=0xFFFF).payload_bytes == 0xFFFF
+        with pytest.raises(ValueError, match="Length field"):
+            SystemConfig(payload_bytes=0x10000)
+
     def test_n_cap_below_n_min_rejected(self):
         with pytest.raises(ValueError):
             SystemConfig(n_min=10, n_cap=5)

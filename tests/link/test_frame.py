@@ -11,8 +11,8 @@ from repro.link import (
     Frame,
     FrameHeader,
     PatternDescriptor,
+    Transmitter,
     compensation_run,
-    header_overhead_slots,
 )
 from repro.link.frame import (
     SCHEME_MPPM,
@@ -23,6 +23,7 @@ from repro.link.frame import (
     header_slots,
     parse_header_slots,
 )
+from repro.schemes import AmppmScheme
 
 
 class TestPreamble:
@@ -147,6 +148,7 @@ class TestFrame:
             Frame.build(bytes(0x10001), PatternDescriptor.for_ook())
 
     def test_header_overhead_grows_at_extreme_dimming(self, config):
-        mid = header_overhead_slots(config, 0.5)
-        dark = header_overhead_slots(config, 0.05)
+        scheme, tx = AmppmScheme(config), Transmitter(config)
+        mid = tx.frame_overhead_slots(scheme.design(0.5))
+        dark = tx.frame_overhead_slots(scheme.design(0.05))
         assert dark > mid

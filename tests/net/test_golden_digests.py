@@ -1,0 +1,29 @@
+"""Golden journal digests: a fleet and a scenario pinned by value.
+
+The determinism tests elsewhere compare reruns of one build; these pin
+the bytes themselves, so any change to a result anywhere in the stack
+(designer, link model, DES kernel, sharding, scenario compiler) shows
+here.  A change that means to move them re-pins them on purpose.
+"""
+
+import pytest
+
+from repro.net import default_network
+from repro.scenarios import ScenarioRunner
+from repro.scenarios.shipped import shipped_scenarios
+
+
+@pytest.mark.parametrize("regions,digest", [
+    (1, "1fbf3c740ed2899f8d42e06fde16d7cd7644d9b340bafafab970ba09daf9eff1"),
+    (4, "5fdf390672e01d669690d6a75f0189dbd153d44a4c1cfdd766b46e6874757fba"),
+])
+def test_fleet_digest(regions, digest):
+    result = default_network(rows=4, cols=4, n_nodes=8, seed=11,
+                             regions=regions).run(20.0)
+    assert result.journal.digest() == digest
+
+
+def test_huddle_smoke_digest():
+    run = ScenarioRunner(shipped_scenarios()["huddle-smoke"]).run()
+    assert run.report.journal_digest == (
+        "b08aaf18f881fe8341f8cf8d74673a41f2fa73ad2ffa6aa0a8e7250f95f54028")
