@@ -8,10 +8,10 @@ The journal is simultaneously
   aggregate over entries, ``tail()`` shows the latest activity, and
   :func:`write_journal_jsonl` exports the full trace for external
   tooling; and
-* the *determinism witness*: entries compare exactly (dataclass
-  equality over exact floats) and :meth:`digest` collapses a whole run
-  into one hex string, so "two same-seed runs are identical" is a
-  one-line assertion.
+* the *determinism witness*: entries compare exactly (tuple equality
+  over exact floats) and :meth:`digest` collapses a whole run into one
+  hex string, so "two same-seed runs are identical" is a one-line
+  assertion.
 """
 
 from __future__ import annotations
@@ -21,12 +21,22 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
+
+#: The named columns of an entry; ``detail`` keys may not shadow them.
+_COLUMNS = frozenset({"seq", "time", "kind", "actor"})
+
+#: Entries hashed per ``update`` by :meth:`EventJournal.digest`: long
+#: enough to amortise the call, short enough to keep the buffer small.
+_DIGEST_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class JournalEntry:
-    """One journaled occurrence; ``detail`` is sorted ``(key, value)``."""
+class JournalEntry(NamedTuple):
+    """One journaled occurrence; ``detail`` is sorted ``(key, value)``.
+
+    An immutable named tuple: a run journals one per event, so it
+    stays as cheap as a tuple.
+    """
 
     seq: int
     time: float
@@ -60,9 +70,20 @@ class EventJournal:
 
     def record(self, time: float, kind: str, actor: str = "",
                **detail: Any) -> JournalEntry:
-        """Append one entry; ``detail`` keys are sorted for stability."""
-        entry = JournalEntry(seq=len(self.entries), time=time, kind=kind,
-                             actor=actor, detail=tuple(sorted(detail.items())))
+        """Append one entry; ``detail`` keys are sorted for stability.
+
+        A detail key may not be a column name (``seq``, ``time``,
+        ``kind``, ``actor``): the flat :meth:`JournalEntry.as_dict`
+        form, and with it the JSONL export, would overwrite the column.
+        """
+        if detail:
+            if not _COLUMNS.isdisjoint(detail):
+                clash = min(_COLUMNS.intersection(detail))
+                raise ValueError(f"detail key {clash!r} is a journal column")
+            packed = tuple(sorted(detail.items()))
+        else:
+            packed = ()
+        entry = JournalEntry(len(self.entries), time, kind, actor, packed)
         self.entries.append(entry)
         self._counts[kind] += 1
         return entry
@@ -116,13 +137,19 @@ class EventJournal:
         """A SHA-256 fingerprint of the entire trace.
 
         Floats are hashed through ``repr`` (exact, round-trippable), so
-        two digests agree iff the journals are bit-identical.
+        two digests agree iff the journals are bit-identical.  Each
+        entry contributes one ``seq|time|kind|actor|detail`` line; the
+        lines are hashed a chunk of entries per update, which digests
+        the same bytes as one update per line.
         """
         hasher = hashlib.sha256()
-        for e in self.entries:
-            hasher.update(
-                f"{e.seq}|{e.time!r}|{e.kind}|{e.actor}|{e.detail!r}\n"
-                .encode())
+        entries = self.entries
+        for start in range(0, len(entries), _DIGEST_CHUNK):
+            hasher.update("".join([
+                f"{seq}|{time!r}|{kind}|{actor}|{detail!r}\n"
+                for seq, time, kind, actor, detail
+                in entries[start:start + _DIGEST_CHUNK]
+            ]).encode())
         return hasher.hexdigest()
 
     def render(self, n_tail: int = 12) -> str:

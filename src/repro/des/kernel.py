@@ -11,29 +11,39 @@ instant.  This kernel gives every consumer one real clock:
   increasing insertion index; two events at the same time and priority
   therefore dispatch in the order they were scheduled, making same-seed
   runs bit-identical regardless of host or hash randomisation.
-* :class:`Event` — an immutable, typed record of one occurrence (kind,
-  actor, payload), also the unit the event journal traces.
+* :class:`Event` — an immutable named tuple recording one occurrence
+  (kind, actor, payload), also the unit the event journal traces.
 * :class:`ProcessHandle` — a cancellable handle on a spawned generator
   process (a coroutine that ``yield``-s delays between actions), the
   idiom the periodic sense/control/measure loops are written in.
+
+Every time an event is queued at — an absolute time, a delay, a
+process's yield — must be finite: NaN and infinity are rejected with
+``ValueError`` rather than queued.  A ``run`` bound may be infinite,
+but not NaN.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, NamedTuple
 
 from ..obs import metrics, span
 from .journal import EventJournal
 
+#: Payload keys that would collide with journal columns on dispatch.
+_RESERVED_PAYLOAD = frozenset({"seq", "time"})
 
-@dataclass(frozen=True)
-class Event:
+
+class Event(NamedTuple):
     """One scheduled occurrence on the simulation clock.
 
-    ``payload`` is a tuple of sorted ``(key, value)`` pairs rather than
-    a dict so events stay immutable and cheaply comparable.
+    An immutable named tuple: one is built per scheduled event, so it
+    stays as cheap as a tuple.  ``payload`` is a tuple of sorted
+    ``(key, value)`` pairs rather than a dict so events stay immutable
+    and cheaply comparable.
     """
 
     time: float
@@ -49,6 +59,14 @@ class Event:
             if name == key:
                 return value
         return default
+
+    def as_dict(self) -> dict[str, Any]:
+        """A flat dict form: the named fields, then the payload."""
+        row: dict[str, Any] = {"time": self.time, "kind": self.kind,
+                               "seq": self.seq, "priority": self.priority,
+                               "actor": self.actor}
+        row.update(self.payload)
+        return row
 
 
 class CancelledEventError(RuntimeError):
@@ -86,9 +104,9 @@ class EventHandle:
 class ProcessHandle:
     """A running generator process on the scheduler.
 
-    The generator yields non-negative delays; between yields it performs
-    its actions against the simulation state.  ``cancel()`` stops the
-    process before its next resume.
+    The generator yields finite non-negative delays; between yields it
+    performs its actions against the simulation state.  ``cancel()``
+    stops the process before its next resume.
     """
 
     __slots__ = ("name", "_alive", "_pending")
@@ -176,8 +194,9 @@ class EventScheduler:
                  priority: int = 0, actor: str = "",
                  **payload: Any) -> EventHandle:
         """Schedule ``kind`` to fire ``delay_s`` seconds from now."""
-        if delay_s < 0:
-            raise ValueError("delay_s must be non-negative")
+        if not 0.0 <= delay_s < math.inf:
+            raise ValueError(
+                f"delay_s must be finite and non-negative, got {delay_s}")
         return self.schedule_at(self._now + delay_s, kind, callback,
                                 priority=priority, actor=actor, **payload)
 
@@ -185,17 +204,33 @@ class EventScheduler:
                     callback: Callable[[Event], None] | None = None, *,
                     priority: int = 0, actor: str = "",
                     **payload: Any) -> EventHandle:
-        """Schedule ``kind`` at an absolute time (not before ``now``)."""
+        """Schedule ``kind`` at an absolute time (not before ``now``).
+
+        ``payload`` may not use the keys ``seq`` or ``time``: a
+        journaling scheduler records the payload beside those columns.
+        """
+        if not math.isfinite(time_s):
+            raise ValueError(f"time_s must be finite, got {time_s}")
         if time_s < self._now:
             raise ValueError(
                 f"cannot schedule at {time_s} before now={self._now}")
-        event = Event(time=time_s, kind=kind, seq=self._seq,
-                      priority=priority, actor=actor,
-                      payload=tuple(sorted(payload.items())))
-        handle = EventHandle(event, self)
-        heapq.heappush(self._heap,
-                       (time_s, priority, self._seq, handle, callback))
-        self._seq += 1
+        if not payload:
+            return self._push(time_s, kind, callback, priority, actor, ())
+        if not _RESERVED_PAYLOAD.isdisjoint(payload):
+            clash = min(_RESERVED_PAYLOAD.intersection(payload))
+            raise ValueError(f"payload key {clash!r} is a journal column")
+        return self._push(time_s, kind, callback, priority, actor,
+                          tuple(sorted(payload.items())))
+
+    def _push(self, time_s: float, kind: str,
+              callback: Callable[[Event], None] | None, priority: int,
+              actor: str, payload: tuple) -> EventHandle:
+        """Queue a validated event (the shared tail of every schedule)."""
+        seq = self._seq
+        handle = EventHandle(Event(time_s, kind, seq, priority, actor,
+                                   payload), self)
+        heapq.heappush(self._heap, (time_s, priority, seq, handle, callback))
+        self._seq = seq + 1
         return handle
 
     def spawn(self, generator: Generator[float, None, None],
@@ -203,8 +238,12 @@ class EventScheduler:
               priority: int = 0) -> ProcessHandle:
         """Run a generator as a process: each yielded value is the delay
         until its next resume; returning (or ``StopIteration``) ends it.
+
+        A negative or non-finite yield journals ``process-error`` and
+        raises ``ValueError`` out of :meth:`run`.
         """
         handle = ProcessHandle(name)
+        kind = f"resume:{name}"
 
         def fail(error: BaseException) -> None:
             # The resume event just dispatched, so its handle is spent:
@@ -229,15 +268,16 @@ class EventScheduler:
             except Exception as error:
                 fail(error)
                 raise
-            if delay < 0:
+            if not 0.0 <= delay < math.inf:
+                problem = "negative" if delay < 0 else "non-finite"
                 error = ValueError(
-                    f"process {name!r} yielded a negative delay ({delay})")
+                    f"process {name!r} yielded a {problem} delay ({delay})")
                 fail(error)
                 raise error
-            handle._pending = self.schedule(delay, f"resume:{name}", resume,
-                                            priority=priority, actor=name)
+            handle._pending = self._push(self._now + delay, kind, resume,
+                                         priority, name, ())
 
-        handle._pending = self.schedule(delay_s, f"resume:{name}", resume,
+        handle._pending = self.schedule(delay_s, kind, resume,
                                         priority=priority, actor=name)
         return handle
 
@@ -246,7 +286,7 @@ class EventScheduler:
         while self._heap:
             time_s, _priority, _seq, handle, callback = heapq.heappop(self._heap)
             handle._scheduler = None
-            if handle.cancelled:
+            if handle._cancelled:
                 self._cancelled_in_heap -= 1
                 continue
             self._now = time_s
@@ -264,11 +304,15 @@ class EventScheduler:
         """Dispatch events in order; returns the number dispatched.
 
         ``until_s`` stops before any event later than that time (the
-        clock then rests at the last dispatched event).  ``max_events``
-        bounds runaway event cascades.
+        clock then rests at the last dispatched event); it may be
+        infinite but not NaN.  ``max_events`` bounds runaway event
+        cascades.
         """
-        if until_s is not None and until_s < self._now:
-            raise ValueError("until_s lies in the past")
+        if until_s is not None:
+            if math.isnan(until_s):
+                raise ValueError("until_s must not be NaN")
+            if until_s < self._now:
+                raise ValueError("until_s lies in the past")
         dispatched = 0
         with span("des.run", until_s=until_s):
             while self._heap:

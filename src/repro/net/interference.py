@@ -39,14 +39,42 @@ class Interferer:
             raise ValueError("duty must lie in [0, 1]")
 
 
+def interference_variance(terms: Iterable[tuple[float, float]]) -> float:
+    """Summed slot-toggling variance of ``(duty, swing)`` pairs (amps²).
+
+    The one interference formula, accumulated in iteration order:
+    :func:`interference_sigma` feeds it :class:`Interferer` objects'
+    swings, the multicell kernel its per-sample cached swings.
+    """
+    variance = 0.0
+    for duty, swing in terms:
+        variance += duty * (1.0 - duty) * swing ** 2
+    return variance
+
+
 def interference_sigma(channel: VlcChannel,
                        interferers: Iterable[Interferer]) -> float:
     """RMS interference current from neighbouring luminaires (amps)."""
-    variance = 0.0
-    for interferer in interferers:
-        swing = channel.signal_swing(interferer.geometry)
-        variance += interferer.duty * (1.0 - interferer.duty) * swing ** 2
-    return math.sqrt(variance)
+    return math.sqrt(interference_variance(
+        (interferer.duty, channel.signal_swing(interferer.geometry))
+        for interferer in interferers))
+
+
+def swing_slot_errors(channel: VlcChannel, swing: float, ambient: float,
+                      interference: Iterable[tuple[float, float]] = (),
+                      extra_variance: float = 0.0) -> SlotErrorModel:
+    """:func:`effective_slot_errors` from precomputed swings.
+
+    ``swing`` is the serving link's OFF→ON swing and ``interference``
+    holds ``(duty, swing)`` per co-channel interferer; the result is
+    the same float-for-float as the geometry-based form.
+    """
+    if extra_variance < 0.0:
+        raise ValueError("extra_variance must be non-negative")
+    extra = math.sqrt(interference_variance(interference))
+    if extra_variance > 0.0:
+        extra = math.sqrt(extra ** 2 + extra_variance)
+    return channel.swing_error_model(swing, ambient, extra_noise_a=extra)
 
 
 def effective_slot_errors(channel: VlcChannel, geometry: LinkGeometry,
@@ -66,12 +94,11 @@ def effective_slot_errors(channel: VlcChannel, geometry: LinkGeometry,
     here.  At the default ``0.0`` the arithmetic (and therefore every
     journal digest) is bit-identical to the two-argument form.
     """
-    if extra_variance < 0.0:
-        raise ValueError("extra_variance must be non-negative")
-    extra = interference_sigma(channel, interferers) if interferers else 0.0
-    if extra_variance > 0.0:
-        extra = math.sqrt(extra ** 2 + extra_variance)
-    return channel.slot_error_model(geometry, ambient, extra_noise_a=extra)
+    return swing_slot_errors(
+        channel, channel.signal_swing(geometry), ambient,
+        [(interferer.duty, channel.signal_swing(interferer.geometry))
+         for interferer in interferers],
+        extra_variance)
 
 
 def sinr(channel: VlcChannel, geometry: LinkGeometry, ambient: float,

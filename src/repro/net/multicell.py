@@ -46,7 +46,7 @@ from ..resilience.faults import FaultPlan, schedule_plan_events
 from ..schemes import AmppmSchemeDesign, shared_scheme_design
 from ..sim.linkmodel import expected_goodput
 from .feedback import Aggregation, AmbientReport, FeedbackCollector
-from .interference import Interferer, effective_slot_errors
+from .interference import Interferer, effective_slot_errors, swing_slot_errors
 from .mobility import MobilityModel, RandomWaypoint, StaticPosition
 from .spatial import LuminaireIndex
 
@@ -249,8 +249,11 @@ class _TickSample:
     ambient: float
     #: luminaires inside the cull radius, in original tuple order
     nearby: tuple
-    offsets: dict[str, float]
-    geometry: dict[str, LinkGeometry]
+    #: horizontal offset (m) of each ``nearby`` luminaire, same order
+    offsets: list[float]
+    #: OFF→ON photocurrent swing (A) of each ``nearby`` luminaire
+    swings: list[float]
+    #: channel gain by ``nearby`` name (the association input)
     gains: dict[str, float]
 
 
@@ -585,33 +588,34 @@ class MulticellSimulation:
         """The node's per-tick sample, computed once per (node, tick).
 
         The sense loop (priority 0) populates it; the link loop
-        (priority 2) at the same instant reuses it, eliminating the
-        duplicate position/zone/ambient/geometry evaluation the two
-        loops historically performed per tick.
+        (priority 2) at the same instant reuses it.  One pass turns
+        each in-range luminaire's offset into its gain and swing —
+        the same floats as ``channel_gain(LinkGeometry.from_offsets(
+        ...))`` and ``signal_swing`` — and the zone is the nearest of
+        those offsets: whenever any luminaire is in range the nearest
+        one is too, so :meth:`LuminaireIndex.nearest` is only needed
+        when none is.
         """
         if state.tick_t == now and state.sample is not None:
             return state.sample
         position = state.node.mobility.position(now)
+        x, y = position
         nearby = tuple(self._index.within(position))
-        offsets = {
-            lum.name: math.hypot(position[0] - lum.x_m,
-                                 position[1] - lum.y_m)
-            for lum in nearby
-        }
-        geometry = {
-            name: LinkGeometry.from_offsets(offset, self.drop_m)
-            for name, offset in offsets.items()
-        }
-        gains = {
-            name: self.channel.optics.channel_gain(geom)
-            for name, geom in geometry.items()
-        }
-        zone = self._index.nearest(position).name
+        offsets = [math.hypot(x - lum.x_m, y - lum.y_m) for lum in nearby]
+        optics, drop = self.channel.optics, self.drop_m
+        gains = {lum.name: optics.offset_gain(offset, drop)
+                 for lum, offset in zip(nearby, offsets)}
+        swings = [self.channel.swing_from_gain(gain)
+                  for gain in gains.values()]
+        if nearby:
+            zone = min(zip(offsets, (lum.name for lum in nearby)))[1]
+        else:
+            zone = self._index.nearest(position).name
         level = self.ambient.level(now, zone)
         ambient = min(max(level * state.node.daylight_gain, 0.0), 1.0)
         sample = _TickSample(position=position, zone=zone, ambient=ambient,
-                            nearby=nearby, offsets=offsets,
-                            geometry=geometry, gains=gains)
+                            nearby=nearby, offsets=offsets, swings=swings,
+                            gains=gains)
         state.tick_t = now
         state.sample = sample
         return sample
@@ -660,9 +664,11 @@ class MulticellSimulation:
         Interferers beyond the cull radius contribute exactly ``0.0``
         variance, and surviving ones are visited in original luminaire
         order, so the accumulated float sums — and hence the journal —
-        are bit-identical to the all-pairs loop.  In a sharded run the
-        remote (other-region) interferers arrive pre-summed as a
-        variance through the view instead.
+        are bit-identical to the all-pairs loop.  Swings come from the
+        tick's sample; a serving cell outside it would have gain 0.0,
+        hence swing 0.0.  In a sharded run the remote (other-region)
+        interferers arrive pre-summed as a variance through the view
+        instead.
         """
         while True:
             now = view.now
@@ -676,17 +682,15 @@ class MulticellSimulation:
                 if state.serving is not None:
                     serving = view.serving_state(state.serving)
                     if serving.design is not None:
-                        geometry = sample.geometry[state.serving]
-                        interferers = [
-                            Interferer(sample.geometry[lum.name],
-                                       view.cells[lum.name].led)
-                            for lum in sample.nearby
-                            if lum.name != state.serving
-                            and lum.name in view.cells
-                        ]
-                        errors = effective_slot_errors(
-                            self.channel, geometry, sample.ambient,
-                            interferers,
+                        own, interference = 0.0, []
+                        for lum, swing in zip(sample.nearby, sample.swings):
+                            if lum.name == state.serving:
+                                own = swing
+                            elif lum.name in view.cells:
+                                interference.append(
+                                    (view.cells[lum.name].led, swing))
+                        errors = swing_slot_errors(
+                            self.channel, own, sample.ambient, interference,
                             extra_variance=view.remote_variance(
                                 state.serving, sample))
                         goodput = expected_goodput(serving.design, errors,
@@ -728,15 +732,22 @@ class MulticellSimulation:
             yield self.tick_s
 
     def _control_loop(self, scheduler, journal, cell):
-        """Per-cell process: fuse reports, relight, redesign."""
+        """Per-cell process: fuse reports, relight, redesign.
+
+        The controller hands back the same design object while the
+        level holds, so the cell re-wraps only when that object changes.
+        """
+        design = None
         while True:
             now = scheduler.now
             fallback = self.ambient.level(now, cell.name)
             fused = cell.plane.estimate(fallback=fallback)
             sample = cell.controller.tick(now, fused)
             cell.led = sample.led
-            cell.design = (shared_scheme_design(sample.design, self.config)
-                           if sample.design is not None else None)
+            if sample.design is not design:
+                design = sample.design
+                cell.design = (shared_scheme_design(design, self.config)
+                               if design is not None else None)
             journal.record(now, "control", cell.name, led=sample.led,
                            fused=fused, adjustments=sample.adjustments)
             yield self.tick_s

@@ -36,6 +36,7 @@ comparable to the unsharded run.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,20 +58,23 @@ def merge_journals(shards: list[EventJournal] | tuple[EventJournal, ...]
     """Merge journal shards into one globally ordered trace.
 
     Entries sort by ``(time, shard index, shard seq)`` and are
-    re-sequenced.  Within a shard, record times are non-decreasing in
-    sequence order (every consumer stamps the dispatch clock), so a
-    single shard merges to *itself* — sequence numbers included —
-    which is what makes the ``regions=1`` digest-parity guarantee
-    hold through this function rather than around it.
+    re-sequenced.  A shard need not be time-sorted: with a lookahead
+    longer than the sense tick, a cross-region ``report-arrival`` is
+    stamped with its arrival time, which can precede the clock of the
+    region that journals it.  A shard's seq is its entry's position
+    (journals are append-only), so concatenating the shards in index
+    order and stable-sorting on time alone yields exactly that order.
+    A single time-sorted shard — every ``regions=1`` run, where each
+    consumer stamps the dispatch clock — merges to *itself*, sequence
+    numbers included, which is what makes the ``regions=1``
+    digest-parity guarantee hold through this function rather than
+    around it.
     """
-    tagged = [(entry.time, idx, entry.seq, entry)
-              for idx, shard in enumerate(shards)
-              for entry in shard.entries]
-    tagged.sort(key=lambda item: (item[0], item[1], item[2]))
+    entries = [entry for shard in shards for entry in shard.entries]
+    entries.sort(key=itemgetter(1))  # JournalEntry.time
     return EventJournal(entries=[
-        JournalEntry(seq=i, time=entry.time, kind=entry.kind,
-                     actor=entry.actor, detail=entry.detail)
-        for i, (_time, _idx, _seq, entry) in enumerate(tagged)
+        JournalEntry(seq, time, kind, actor, detail)
+        for seq, (_seq, time, kind, actor, detail) in enumerate(entries)
     ])
 
 
@@ -232,18 +236,18 @@ class _ShardedRun:
         engine: one NumPy pass per link evaluation instead of a Python
         loop per remote cell.
         """
-        names = [lum.name for lum in sample.nearby
-                 if lum.name not in region.cells and lum.name != serving]
-        if not names:
+        remote = [(lum.name, offset)
+                  for lum, offset in zip(sample.nearby, sample.offsets)
+                  if lum.name not in region.cells and lum.name != serving]
+        if not remote:
             return 0.0
         channel = self.sim.channel
         gains = lambertian_gains(
-            channel.optics,
-            np.array([sample.offsets[name] for name in names]),
+            channel.optics, np.array([offset for _name, offset in remote]),
             self.sim.drop_m)
         swings = (channel.photodiode.responsivity_a_per_w
                   * channel.optics.tx_power_w * gains)
-        duty = np.array([self.snapshots[name].led for name in names])
+        duty = np.array([self.snapshots[name].led for name, _offset in remote])
         return float(np.sum(duty * (1.0 - duty) * swings ** 2))
 
     def _exchange(self) -> None:

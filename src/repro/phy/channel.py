@@ -72,8 +72,15 @@ class VlcChannel:
 
     def signal_swing(self, geometry: LinkGeometry) -> float:
         """Photocurrent swing between OFF and ON slots (amps)."""
-        return self.photodiode.signal_current(
-            self.optics.received_power_w(geometry))
+        return self.swing_from_gain(self.optics.channel_gain(geometry))
+
+    def swing_from_gain(self, gain: float) -> float:
+        """The OFF→ON photocurrent swing of a link of DC gain ``gain``.
+
+        R·(P·H): the photocurrent of
+        :meth:`~repro.phy.optics.OpticalFrontEnd.received_power_w`.
+        """
+        return self.photodiode.signal_current(self.optics.tx_power_w * gain)
 
     def snr(self, geometry: LinkGeometry, ambient: float) -> float:
         """Amplitude SNR: swing over RMS noise (0 when outside FoV)."""
@@ -92,9 +99,19 @@ class VlcChannel:
         neighbouring luminaires enters through (see
         :mod:`repro.net.interference`).
         """
+        return self.swing_error_model(self.signal_swing(geometry), ambient,
+                                      extra_noise_a)
+
+    def swing_error_model(self, swing: float,
+                          ambient: float = REFERENCE_AMBIENT,
+                          extra_noise_a: float = 0.0) -> SlotErrorModel:
+        """:meth:`slot_error_model` of a link whose swing is known.
+
+        The one swing → slot-error step: the geometry-based form and
+        the multicell kernel's per-sample link budget both end here.
+        """
         if extra_noise_a < 0:
             raise ValueError("extra_noise_a must be non-negative")
-        swing = self.signal_swing(geometry)
         sigma = math.hypot(self.photodiode.noise_sigma(ambient),
                            extra_noise_a)
         if swing <= 0.0:

@@ -19,6 +19,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+
+
+def offset_geometry(horizontal_m: float,
+                    vertical_m: float) -> tuple[float, float]:
+    """``(distance, angle)`` of a ceiling luminaire from a floor offset.
+
+    ``horizontal_m`` is the floor-plane offset from the point under the
+    luminaire, ``vertical_m`` the ceiling-to-photodiode drop.  With the
+    photodiode facing straight up the irradiance and incidence angles
+    coincide; the angle (degrees) is clamped at 89° so extreme offsets
+    stay constructible (the Lambertian gain there is negligible anyway).
+    Inputs are not validated: :meth:`LinkGeometry.from_offsets` is the
+    checked entry point.
+    """
+    distance = math.hypot(horizontal_m, vertical_m)
+    angle = math.degrees(math.atan2(horizontal_m, vertical_m))
+    return distance, min(angle, 89.0)
 
 
 @dataclass(frozen=True)
@@ -58,20 +76,14 @@ class LinkGeometry:
                      vertical_m: float) -> "LinkGeometry":
         """Geometry of a ceiling luminaire and an upward-facing receiver.
 
-        ``horizontal_m`` is the floor-plane offset from the point under
-        the luminaire, ``vertical_m`` the ceiling-to-photodiode drop.
-        With the photodiode facing straight up, the irradiance and
-        incidence angles coincide; the angle is clamped just below 90°
-        so extreme offsets stay constructible (the Lambertian gain
-        there is negligible anyway).
+        The validated form of :func:`offset_geometry`: ``horizontal_m``
+        must be non-negative and ``vertical_m`` positive.
         """
         if horizontal_m < 0:
             raise ValueError("horizontal_m must be non-negative")
         if vertical_m <= 0:
             raise ValueError("vertical_m must be positive")
-        distance = math.hypot(horizontal_m, vertical_m)
-        angle = math.degrees(math.atan2(horizontal_m, vertical_m))
-        angle = min(angle, 89.0)
+        distance, angle = offset_geometry(horizontal_m, vertical_m)
         return cls(distance, angle, angle)
 
 
@@ -97,21 +109,41 @@ class OpticalFrontEnd:
         if self.optical_filter_gain <= 0:
             raise ValueError("optical_filter_gain must be positive")
 
-    @property
+    @cached_property
     def lambertian_order(self) -> float:
-        """m = -ln 2 / ln cos(φ_1/2)."""
+        """m = -ln 2 / ln cos(φ_1/2), computed once per front end."""
         return -math.log(2.0) / math.log(math.cos(math.radians(self.semi_angle_deg)))
+
+    def gain(self, distance_m: float, irradiance_angle_deg: float,
+             incidence_angle_deg: float) -> float:
+        """H(0) at a distance and pair of angles; zero outside the FoV.
+
+        The one Lambertian formula: :meth:`channel_gain` and
+        :meth:`offset_gain` both evaluate it, so the object-based and
+        the per-sample link budgets agree bit for bit.
+        """
+        if incidence_angle_deg > self.rx_fov_deg:
+            return 0.0
+        m = self.lambertian_order
+        phi = math.radians(irradiance_angle_deg)
+        psi = math.radians(incidence_angle_deg)
+        radial = (m + 1.0) / (2.0 * math.pi * distance_m ** 2)
+        return (radial * math.cos(phi) ** m * self.rx_area_m2
+                * self.optical_filter_gain * math.cos(psi))
 
     def channel_gain(self, geometry: LinkGeometry) -> float:
         """Dimensionless DC gain H(0); zero outside the receiver FoV."""
-        if geometry.incidence_angle_deg > self.rx_fov_deg:
-            return 0.0
-        m = self.lambertian_order
-        phi = math.radians(geometry.irradiance_angle_deg)
-        psi = math.radians(geometry.incidence_angle_deg)
-        radial = (m + 1.0) / (2.0 * math.pi * geometry.distance_m ** 2)
-        return (radial * math.cos(phi) ** m * self.rx_area_m2
-                * self.optical_filter_gain * math.cos(psi))
+        return self.gain(geometry.distance_m, geometry.irradiance_angle_deg,
+                         geometry.incidence_angle_deg)
+
+    def offset_gain(self, horizontal_m: float, vertical_m: float) -> float:
+        """``channel_gain(LinkGeometry.from_offsets(h, v))``, unvalidated.
+
+        The per-sample path of the multicell kernel: no geometry object
+        is built, and the result is the same float.
+        """
+        distance, angle = offset_geometry(horizontal_m, vertical_m)
+        return self.gain(distance, angle, angle)
 
     def received_power_w(self, geometry: LinkGeometry) -> float:
         """Optical power collected by the photodiode for a full-ON LED."""

@@ -1,5 +1,6 @@
 """The event journal: counters, equality, digest, export."""
 
+import hashlib
 import json
 
 import pytest
@@ -37,6 +38,13 @@ class TestRecording:
         assert row == {"seq": 3, "time": 1.5, "kind": "handover",
                        "actor": "node-00", "source": "cell-r0c0",
                        "target": "cell-r0c1"}
+
+
+    def test_column_names_are_rejected_as_detail_keys(self):
+        j = EventJournal()
+        with pytest.raises(ValueError, match="'seq'"):
+            j.record(0.5, "x", "a", seq=99)
+        assert len(j) == 0 and j.count("x") == 0
 
 
 class TestAggregation:
@@ -111,6 +119,18 @@ class TestDeterminismWitness:
         a.record(0.1 + 0.2, "x")
         b.record(0.3, "x")
         assert a.digest() != b.digest()
+
+    def test_digest_hashes_one_line_per_entry_across_chunks(self):
+        j = EventJournal()
+        for i in range(2500):  # several digest chunks and a partial one
+            j.record(i * 0.1, f"k{i % 3}", f"a{i % 5}", value=i / 7, n=i)
+        reference = hashlib.sha256()
+        for e in j.entries:
+            reference.update(
+                f"{e.seq}|{e.time!r}|{e.kind}|{e.actor}|{e.detail!r}\n"
+                .encode())
+        assert j.digest() == reference.hexdigest()
+        assert EventJournal().digest() == hashlib.sha256().hexdigest()
 
     def test_render_mentions_counters(self):
         text = make_journal().render(n_tail=2)

@@ -1,5 +1,7 @@
 """The discrete-event kernel: ordering, determinism, processes."""
 
+import math
+
 import pytest
 
 from repro.des import EventJournal, EventScheduler
@@ -261,3 +263,85 @@ class TestProcessFailures:
             s.run()
         handle.cancel()  # must not blow up on the cleared pending event
         assert not handle.alive
+
+
+class TestNonFiniteTimes:
+    def test_schedule_rejects_a_nan_delay(self):
+        s = EventScheduler()
+        with pytest.raises(ValueError, match="finite"):
+            s.schedule(math.nan, "x")
+        assert s.pending == 0
+
+    def test_schedule_rejects_an_infinite_delay(self):
+        s = EventScheduler()
+        with pytest.raises(ValueError, match="finite"):
+            s.schedule(math.inf, "x")
+        assert s.pending == 0
+
+    def test_schedule_at_rejects_a_nan_time(self):
+        s = EventScheduler()
+        with pytest.raises(ValueError, match="finite"):
+            s.schedule_at(math.nan, "x")
+        assert s.pending == 0
+
+    def test_process_yielding_nan_fails_like_a_negative_delay(self):
+        journal = EventJournal()
+        s = EventScheduler(journal=journal)
+
+        def proc():
+            yield 1.0
+            yield math.nan
+
+        handle = s.spawn(proc(), name="nan-timer")
+        with pytest.raises(ValueError, match="nan-timer"):
+            s.run()
+        assert not handle.alive
+        assert s.now == 1.0
+        errors = journal.of_kind("process-error")
+        assert [e.actor for e in errors] == ["nan-timer"]
+        assert "non-finite delay" in errors[0].get("error")
+
+    def test_run_rejects_a_nan_bound(self):
+        s = EventScheduler()
+
+        def proc():
+            while True:
+                yield 1.0
+
+        s.spawn(proc())
+        with pytest.raises(ValueError, match="NaN"):
+            s.run(until_s=math.nan, max_events=1000)
+        assert s.now == 0.0
+
+
+class TestReservedPayloadKeys:
+    @pytest.mark.parametrize("key", ["seq", "time"])
+    def test_schedule_at_rejects_journal_columns(self, key):
+        s = EventScheduler()
+        with pytest.raises(ValueError, match=repr(key)):
+            s.schedule_at(1.0, "x", **{key: 5})
+        with pytest.raises(ValueError, match=repr(key)):
+            s.schedule(1.0, "x", **{key: 5})
+        assert s.pending == 0
+
+    def test_other_payload_keys_still_reach_the_journal(self):
+        journal = EventJournal()
+        s = EventScheduler(journal=journal)
+        s.schedule(0.5, "x", actor="a", value=3, when=2.0)
+        s.run()
+        assert journal.entries[0].as_dict() == {
+            "seq": 0, "time": 0.5, "kind": "x", "actor": "a",
+            "value": 3, "when": 2.0}
+
+
+class TestEventRecord:
+    def test_event_is_an_immutable_tuple(self):
+        s = EventScheduler()
+        event = s.schedule(1.5, "x", actor="a", b=2, a=1).event
+        assert event == (1.5, "x", 0, 0, "a", (("a", 1), ("b", 2)))
+        assert event.get("b") == 2 and event.get("c", 9) == 9
+        assert event.as_dict() == {"time": 1.5, "kind": "x", "seq": 0,
+                                   "priority": 0, "actor": "a",
+                                   "a": 1, "b": 2}
+        with pytest.raises(AttributeError):
+            event.kind = "y"

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from repro.core import SystemConfig
+from repro.core import SlotErrorModel, SystemConfig
 from repro.net import Interferer, effective_slot_errors, \
     interference_sigma, sinr
+from repro.net.interference import swing_slot_errors
 from repro.phy import LinkGeometry, calibrated_channel
 from repro.sim.linkmodel import expected_goodput
 from repro.schemes import AmppmScheme
@@ -113,6 +114,66 @@ class TestEffectiveSlotErrors:
                 config)
 
         assert goodput(1.0) < goodput(2.0) < goodput(4.0)
+
+
+class TestPerSampleLinkBudget:
+    """The multicell kernel's per-sample path — offset → gain → swing →
+    slot errors — against the object-based API, compared under ``==``."""
+
+    DROP_M = 2.0
+    #: neighbour offsets; 4.5 m lies outside the 60° FoV (≈3.46 m)
+    NEIGHBOURS = (0.9, 2.0, 3.3, 4.5)
+
+    def swing(self, channel, offset):
+        gain = channel.optics.offset_gain(offset, self.DROP_M)
+        return channel.swing_from_gain(gain)
+
+    def geometry(self, offset):
+        return LinkGeometry.from_offsets(offset, self.DROP_M)
+
+    def test_swing_matches_signal_swing(self, channel):
+        for offset in (0.0, 0.5, 2.0, 3.46, 5.0):
+            assert self.swing(channel, offset) == channel.signal_swing(
+                self.geometry(offset))
+
+    @pytest.mark.parametrize("duty", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("extra_scale", [0.0, 0.5])
+    @pytest.mark.parametrize("neighbours", [(), NEIGHBOURS],
+                             ids=["alone", "neighbours"])
+    @pytest.mark.parametrize("serving_offset", [0.5, 5.0],
+                             ids=["in-fov", "outside-fov"])
+    def test_slot_errors_match_interferer_objects(
+            self, channel, duty, extra_scale, neighbours, serving_offset):
+        duties = [duty, 0.37, 1.0 - duty, duty][:len(neighbours)]
+        extra_variance = extra_scale * self.swing(channel, 2.5) ** 2
+        via_swings = swing_slot_errors(
+            channel, self.swing(channel, serving_offset), 0.4,
+            [(d, self.swing(channel, offset))
+             for d, offset in zip(duties, neighbours)],
+            extra_variance=extra_variance)
+        via_objects = effective_slot_errors(
+            channel, self.geometry(serving_offset), 0.4,
+            [Interferer(self.geometry(offset), d)
+             for d, offset in zip(duties, neighbours)],
+            extra_variance=extra_variance)
+        assert via_swings == via_objects
+        # Both sum the variance in order, then fold the extra variance
+        # in as sqrt(sigma ** 2 + extra): the pre-refactor arithmetic.
+        variance = 0.0
+        for d, offset in zip(duties, neighbours):
+            variance += d * (1.0 - d) * channel.signal_swing(
+                self.geometry(offset)) ** 2
+        sigma = math.sqrt(variance)
+        if extra_variance > 0.0:
+            sigma = math.sqrt(sigma ** 2 + extra_variance)
+        assert via_objects == channel.slot_error_model(
+            self.geometry(serving_offset), 0.4, extra_noise_a=sigma)
+        if serving_offset > 3.5:
+            assert via_swings == SlotErrorModel(0.5, 0.5)
+
+    def test_negative_extra_variance_is_rejected(self, channel):
+        with pytest.raises(ValueError):
+            swing_slot_errors(channel, 1e-6, 0.4, extra_variance=-1e-15)
 
 
 class TestSinr:

@@ -6,12 +6,13 @@ trace does), interference monotonicity at network level, and fault
 injection all get pinned here.
 """
 
+import numpy as np
 import pytest
 
 from repro.lighting import BlindRampAmbient, StaticAmbient
-from repro.net import AmbientField, FaultPlan, LinearTrace, MobileNode, \
-    MulticellSimulation, StaticPosition, default_network, luminaire_grid, \
-    strongest_cell
+from repro.net import AmbientField, FaultPlan, LinearTrace, Luminaire, \
+    LuminaireIndex, MobileNode, MulticellSimulation, StaticPosition, \
+    default_network, luminaire_grid, strongest_cell
 from repro.net.mobility import RandomWaypoint
 
 
@@ -198,6 +199,58 @@ class TestAdaptation:
             result.node("ghost")
         with pytest.raises(KeyError):
             result.cell("ghost")
+
+
+class TestSensedZone:
+    """A node's ambient zone comes from its in-range offsets; it must
+    equal :meth:`LuminaireIndex.nearest` wherever the node stands."""
+
+    @staticmethod
+    def sensed_zones(luminaires, points):
+        """The zone each point's node sensed at t = 0, read back from a
+        per-luminaire ambient level in the ``sense`` journal entries."""
+        levels = {lum.name: (i + 1) / 1000.0
+                  for i, lum in enumerate(luminaires)}
+        ambient = AmbientField(
+            base=StaticAmbient(0.999),
+            zone_overrides=tuple((name, StaticAmbient(level))
+                                 for name, level in levels.items()))
+        nodes = tuple(MobileNode(f"n{i:03d}", StaticPosition(x, y))
+                      for i, (x, y) in enumerate(points))
+        sim = MulticellSimulation(luminaires=luminaires, nodes=nodes,
+                                  ambient=ambient, seed=3)
+        journal = sim.run(0.5).journal
+        zone_of_level = {level: name for name, level in levels.items()}
+        sensed = {e.actor: zone_of_level[e.get("ambient")]
+                  for e in journal.of_kind("sense")}
+        index = LuminaireIndex(luminaires, sim.drop_m, sim.channel.optics)
+        expected = {node.name: index.nearest(node.mobility.position(0.0)).name
+                    for node in nodes}
+        return sensed, expected, index
+
+    def test_seeded_random_points(self):
+        rng = np.random.default_rng(2017)
+        points = rng.uniform(-3.0, 13.0, size=(200, 2)).tolist()
+        sensed, expected, index = self.sensed_zones(
+            luminaire_grid(4, 4, 2.5), points)
+        assert sensed == expected
+        assert any(not index.within(p) for p in points)
+
+    def test_equidistant_tie_goes_to_the_smaller_name(self):
+        # "b-west" comes first in tuple order, "a-east" wins the tie.
+        luminaires = (Luminaire("b-west", 1.0, 1.0),
+                      Luminaire("a-east", 3.0, 1.0),
+                      Luminaire("c-north", 2.0, 3.0))
+        sensed, expected, _index = self.sensed_zones(
+            luminaires, [(2.0, 1.0), (2.0, 0.0), (2.0, 2.0)])
+        assert sensed == expected
+        assert sensed["n000"] == sensed["n001"] == "a-east"
+
+    def test_point_with_nothing_in_range(self):
+        sensed, expected, index = self.sensed_zones(
+            luminaire_grid(2, 2, 2.5), [(40.0, -7.0)])
+        assert index.within((40.0, -7.0)) == []
+        assert sensed == expected == {"n000": "cell-r0c1"}
 
 
 class TestValidation:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import journals_equal
+from repro.des import JournalEntry, journals_equal
 from repro.net import FaultPlan, default_network, merge_journals
 from repro.net.sharded import run_sharded
 
@@ -89,6 +89,26 @@ class TestShardedFleet:
                 if e.kind == "sense" and e.actor == "node-00"
                 and 2.0 < e.time < 6.0]
         assert down == []
+
+    def test_merge_orders_unsorted_shards_by_time_shard_seq(self):
+        # A lookahead longer than the sense tick delivers cross-region
+        # reports after the receiving region's clock has moved past
+        # their arrival stamp, so every shard journals out of time order.
+        result = default_network(rows=4, cols=4, n_nodes=12, seed=7,
+                                 regions=4, lookahead_s=5.0).run(40.0)
+        for shard in result.shards:
+            assert any(later.time < earlier.time for earlier, later
+                       in zip(shard.entries, shard.entries[1:]))
+        tagged = sorted(
+            ((entry.time, idx, entry.seq, entry)
+             for idx, shard in enumerate(result.shards)
+             for entry in shard.entries),
+            key=lambda item: item[:3])
+        expected = [JournalEntry(seq, entry.time, entry.kind, entry.actor,
+                                 entry.detail)
+                    for seq, (*_key, entry) in enumerate(tagged)]
+        assert result.journal.entries == expected
+        assert merge_journals(result.shards) == result.journal
 
 
 class TestValidation:

@@ -1,5 +1,6 @@
 """Lambertian propagation geometry."""
 
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,15 @@ class TestLambertianOrder:
         assert fe.lambertian_order == pytest.approx(
             -math.log(2) / math.log(math.cos(math.radians(15))))
         assert fe.lambertian_order > 15
+
+
+    def test_cached_order_is_a_pure_function_of_the_fields(self):
+        used, fresh = OpticalFrontEnd(), OpticalFrontEnd()
+        assert used.lambertian_order == -math.log(2.0) / math.log(
+            math.cos(math.radians(used.semi_angle_deg)))
+        assert used == fresh and hash(used) == hash(fresh)
+        wide = dataclasses.replace(used, semi_angle_deg=60.0)
+        assert wide.lambertian_order == pytest.approx(1.0)
 
 
 class TestChannelGain:
@@ -73,3 +83,36 @@ class TestGeometry:
             OpticalFrontEnd(semi_angle_deg=90.0)
         with pytest.raises(ValueError):
             OpticalFrontEnd(rx_area_m2=-1.0)
+
+
+DROP_M = 2.1
+
+
+def probe_offsets(optics: OpticalFrontEnd) -> list[float]:
+    """Offsets from on-axis to past the 89° clamp, with the FoV radius
+    and the clamp offset each flanked by their neighbouring floats."""
+    offsets = [0.0, 1e-9, 0.4, 1.0, DROP_M, 3.0, 6.5, 30.0, 500.0, 1e6]
+    for angle in (optics.rx_fov_deg, 89.0):
+        edge = DROP_M * math.tan(math.radians(angle))
+        offsets += [math.nextafter(edge, 0.0), edge,
+                    math.nextafter(edge, math.inf)]
+    return offsets
+
+
+@pytest.mark.parametrize("optics", [
+    OpticalFrontEnd(),
+    OpticalFrontEnd(rx_fov_deg=30.0),
+    OpticalFrontEnd(rx_fov_deg=89.0),
+    OpticalFrontEnd(rx_fov_deg=90.0),
+    OpticalFrontEnd(semi_angle_deg=30.0),
+], ids=["default", "fov30", "fov89", "fov90", "semi30"])
+def test_offset_gain_equals_the_geometry_path(optics):
+    gains = []
+    for offset in probe_offsets(optics):
+        reference = optics.channel_gain(
+            LinkGeometry.from_offsets(offset, DROP_M))
+        assert optics.offset_gain(offset, DROP_M) == reference, offset
+        gains.append(reference)
+    assert gains[0] > 0.0
+    if optics.rx_fov_deg < 89.0:
+        assert 0.0 in gains
