@@ -3,9 +3,10 @@
 Races the memoised adapt path (a designer composes each dimming
 bucket's design once, then answers from its memo) against the
 one-composition-per-request baseline a stateless handler would pay,
-and pins the speedup floor the coalescer promises (>= 3x).  A second
-bench runs the real daemon end to end under the seeded synthetic fleet
-and records throughput and tail latency.  Everything lands in
+and pins the speedup floor the designer's memo gives (>= 3x): the
+daemon answers each request on arrival, so this memo is all the
+dedup it does.  A second bench runs the real daemon end to end under
+the seeded synthetic fleet and records throughput and tail latency.  Everything lands in
 ``BENCH_serve.json`` at the repository root, and the timed sections
 flow into ``BENCH_HISTORY.jsonl`` through the shared bench fixture.
 """
@@ -83,7 +84,7 @@ def test_bench_serve_coalescing(bench, config):
           f"uncoalesced {t_uncoalesced * 1e3:.0f} ms, "
           f"coalesced {t_coalesced * 1e3:.0f} ms -> {speedup:.1f}x")
 
-    # The acceptance floor for the coalescing work.
+    # The acceptance floor for the memo's dedup.
     assert speedup >= 3.0
 
 
@@ -94,18 +95,16 @@ def test_bench_serve_adapt(bench, config):
 
     def fleet():
         async def run():
-            plane = ControlPlane(ServeConfig(coalesce_window_s=0.002),
-                                 config=config)
+            plane = ControlPlane(ServeConfig(), config=config)
             await plane.start()
             try:
-                report = await run_loadgen(plane.host, plane.port, profile)
+                return await run_loadgen(plane.host, plane.port, profile)
             finally:
                 await plane.stop()
-            return report, plane
 
         return asyncio.run(run())
 
-    report, plane = bench(fleet)
+    report = bench(fleet)
 
     assert report.sent == profile.total_requests
     assert report.dropped_connections == 0
@@ -115,13 +114,10 @@ def test_bench_serve_adapt(bench, config):
     payload["fleet"] = {
         "clients": profile.clients,
         "requests_per_client": profile.requests_per_client,
-        "coalesce_window_ms": 2.0,
-        "coalesce_ratio": round(plane.coalescer.coalesce_ratio, 3),
         **{k: (round(v, 3) if isinstance(v, float) else v)
            for k, v in report.summary().items()},
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\nserve fleet: {report.ok}/{report.sent} ok at "
           f"{report.throughput_rps:.0f} adapt/s, "
-          f"p95 {report.latency_percentile(95) * 1e3:.1f} ms, "
-          f"coalesce ratio {plane.coalescer.coalesce_ratio:.2f}")
+          f"p95 {report.latency_percentile(95) * 1e3:.1f} ms")

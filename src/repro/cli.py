@@ -259,10 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="bind address (default 127.0.0.1)")
     serve_cmd.add_argument("--port", type=int, default=0,
                            help="TCP port (default 0: ephemeral)")
-    serve_cmd.add_argument("--coalesce-window", type=float, default=2.0,
-                           metavar="MS",
-                           help="adapt coalescing window in milliseconds; "
-                                "0 disables batching (default 2.0)")
     serve_cmd.add_argument("--max-connections", type=int, default=1024,
                            metavar="N",
                            help="connection cap (default 1024)")
@@ -816,23 +812,19 @@ def _cmd_scenario_run(name: str, from_file: bool, regions: int,
     return 0 if run.report.passed else 1
 
 
-def _cmd_serve(host: str, port: int, coalesce_window_ms: float,
-               max_connections: int, queue_limit: int, max_inflight: int,
-               drain_grace: float, load: bool, clients: int, requests: int,
-               seed: int, telemetry: str | None, out, err) -> int:
+def _cmd_serve(host: str, port: int, max_connections: int,
+               queue_limit: int, max_inflight: int, drain_grace: float,
+               load: bool, clients: int, requests: int, seed: int,
+               telemetry: str | None, out, err) -> int:
     import asyncio
 
     from .serve import ControlPlane, LoadProfile, ServeConfig, run_loadgen
     from .serve.server import run_daemon
 
-    if coalesce_window_ms < 0:
-        return _fail(err, f"--coalesce-window cannot be negative, "
-                          f"got {coalesce_window_ms}")
     try:
         serve_config = ServeConfig(
             host=host, port=port, max_connections=max_connections,
             queue_limit=queue_limit, max_inflight=max_inflight,
-            coalesce_window_s=coalesce_window_ms * 1e-3,
             drain_grace_s=drain_grace)
         profile = (LoadProfile(clients=clients, requests_per_client=requests,
                                seed=seed) if load else None)
@@ -862,10 +854,7 @@ def _cmd_serve(host: str, port: int, coalesce_window_ms: float,
                 code = 0
         except OSError as exc:
             return _fail(err, f"cannot serve on {host}:{port}: {exc}")
-        coalescer = plane.coalescer
-        print(f"serve: {coalescer.requests} adapt requests, "
-              f"{coalescer.designer_calls} designer calls "
-              f"(coalesce ratio {coalescer.coalesce_ratio:.2f}), "
+        print(f"serve: {plane.coalescer.requests} adapt requests, "
               f"{plane.shed_count} shed", file=out)
     if telemetry is not None:
         path = write_telemetry_jsonl(session, telemetry)
@@ -967,11 +956,10 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
         raise AssertionError(
             f"unhandled scenario command {args.scenario_command!r}")
     if args.command == "serve":
-        return _cmd_serve(args.host, args.port, args.coalesce_window,
-                          args.max_connections, args.queue_limit,
-                          args.max_inflight, args.drain_grace, args.load,
-                          args.clients, args.requests, args.seed,
-                          args.telemetry, out, err)
+        return _cmd_serve(args.host, args.port, args.max_connections,
+                          args.queue_limit, args.max_inflight,
+                          args.drain_grace, args.load, args.clients,
+                          args.requests, args.seed, args.telemetry, out, err)
     if args.command == "stats":
         return _cmd_stats(args.file, args.prometheus, args.profile, out, err)
     if args.command == "info":

@@ -116,8 +116,9 @@ class AmppmDesigner:
         Two requests share a design exactly when their clamped dimming
         levels round to the same multiple of the perceived resolution
         ``tau_perceived`` — the same key :meth:`design` memoises under.
-        Exposed so batching layers (the serve coalescer) can dedupe
-        requests without re-deriving the quantization rule.
+        Exposed so callers (the serve engine, the fuzz oracles) can
+        group requests by bucket without re-deriving the quantization
+        rule.
         """
         lo, hi = self.supported_range
         return round(min(max(dimming, lo), hi) / self.config.tau_perceived)

@@ -351,26 +351,15 @@ class DesignOracle:
             yield {**base, "dimming": dimming}
 
 
-# -- serve: coalesced serving path vs the direct designer --------------
+# -- serve: the daemon's adapt path vs the direct designer -------------
 
 
-async def _coalesced(engine, dimmings: list[float], by_size: bool) -> list:
-    """Designs for ``dimmings`` through one coalescing window.
-
-    The window never expires on its own: it flushes when the last
-    request fills it (``by_size``) or on an explicit :meth:`flush`.
-    """
-    import asyncio
-
+async def _served(engine, dimmings: list[float]) -> list:
+    """Designs for ``dimmings`` through the daemon's adapt seam, in order."""
     from ..serve.coalescer import AdaptCoalescer
 
-    coalescer = AdaptCoalescer(
-        engine.design, engine.bucket, window_s=3600.0,
-        max_batch=len(dimmings) + (0 if by_size else 1))
-    waiters = [asyncio.ensure_future(coalescer.submit(d)) for d in dimmings]
-    await asyncio.sleep(0)  # every request parks in the window
-    coalescer.flush()       # a no-op once the size trigger flushed
-    return list(await asyncio.gather(*waiters))
+    coalescer = AdaptCoalescer(engine.design)
+    return [await coalescer.submit(d) for d in dimmings]
 
 
 class ServeOracle:
@@ -416,15 +405,14 @@ class ServeOracle:
         forward = list(range(len(requests)))
         for order, indices in (("generated", forward),
                                ("reversed", forward[::-1])):
-            designs = asyncio.run(_coalesced(
-                engine, [requests[i].dimming for i in indices],
-                by_size=order == "generated"))
+            designs = asyncio.run(_served(
+                engine, [requests[i].dimming for i in indices]))
             for i, design in zip(indices, designs):
                 r = requests[i]
                 if encode(ok_response("adapt", engine.result(r, design),
                                       r.id)) != direct[i]:
                     return _fail(f"served-vs-direct divergence at request "
-                                 f"{i} ({order} order): the coalesced "
+                                 f"{i} ({order} order): the served "
                                  f"reply differs from the direct designer "
                                  f"answer")
         buckets = {engine.bucket(r.dimming) for r in requests}

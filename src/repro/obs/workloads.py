@@ -84,8 +84,7 @@ def bench_workloads(config: SystemConfig | None = None
             run_loadgen
 
         async def fleet():
-            plane = ControlPlane(ServeConfig(coalesce_window_s=0.002),
-                                 config=config)
+            plane = ControlPlane(ServeConfig(), config=config)
             await plane.start()
             try:
                 return await run_loadgen(

@@ -7,9 +7,9 @@ plane.  ``repro.serve`` is that daemon, stdlib-only on top of asyncio:
 * :mod:`~repro.serve.protocol` — the versioned JSON wire protocol
   (``adapt`` / ``link`` / ``health`` / ``metrics``) shared by both
   transports, with strict validation and structured errors;
-* :mod:`~repro.serve.coalescer` — deadline-driven micro-batching that
-  folds concurrent ``adapt`` requests into one designer call per
-  quantized dimming bucket;
+* :mod:`~repro.serve.coalescer` — the adapt seam: each admitted
+  ``adapt`` request is answered on arrival from the shared designer,
+  whose memo composes each quantized dimming bucket once;
 * :mod:`~repro.serve.server` — the dual-protocol listener (minimal
   HTTP/1.1 + persistent NDJSON) with bounded queues, overload
   shedding, live ``repro.obs`` metrics and graceful SIGTERM drain;

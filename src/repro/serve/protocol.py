@@ -25,6 +25,7 @@ tests pin against the direct :class:`~repro.core.AmppmDesigner` path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -74,9 +75,11 @@ class AdaptRequest:
     """One validated ``adapt`` request.
 
     ``dimming`` is the required dimming level; ``ambient`` the ambient
-    light level relative to the paper's reference (1.0 = the measured
-    worst case); ``distance_m``/``angle_deg`` place the receiver on a
-    constant-distance arc, as in Figs. 16-17.
+    light level relative to the paper's reference, in [0, 1] (1.0 = the
+    measured worst case, the most the photodiode model represents);
+    ``distance_m``/``angle_deg`` place the receiver on a
+    constant-distance arc, as in Figs. 16-17.  Every field is a finite
+    number.
     """
 
     dimming: float
@@ -124,7 +127,15 @@ def _require_number(obj: Mapping[str, Any], field: str, default: float,
     value = obj.get(field, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(E_BAD_REQUEST, f"{field} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal too large for a float
+        value = math.inf
+    if not math.isfinite(value):
+        # Every comparison with NaN is false, so the range check below
+        # would let it through to the model.
+        raise ProtocolError(E_BAD_REQUEST,
+                            f"{field} must be a finite number, got {value}")
     below = value <= lo if lo_open else value < lo
     above = value >= hi if hi_open else value > hi
     if below or above:
@@ -174,7 +185,7 @@ def parse_request(obj: Any) -> "AdaptRequest | LinkRequest | SimpleRequest":
         return AdaptRequest(
             dimming=_require_number(obj, "dimming", 0.5, lo=0.0, hi=1.0,
                                     lo_open=True, hi_open=True),
-            ambient=_require_number(obj, "ambient", 1.0, lo=0.0, hi=1e6),
+            ambient=_require_number(obj, "ambient", 1.0, lo=0.0, hi=1.0),
             distance_m=_require_number(obj, "distance_m", 3.0,
                                        lo=0.0, hi=1e3, lo_open=True),
             angle_deg=_require_number(obj, "angle_deg", 0.0,
@@ -214,19 +225,25 @@ def parse_request(obj: Any) -> "AdaptRequest | LinkRequest | SimpleRequest":
     return SimpleRequest(op=op, id=request_id)
 
 
-def parse_line(line: bytes) -> "AdaptRequest | LinkRequest | SimpleRequest":
-    """Parse one NDJSON request line (bytes, trailing newline allowed)."""
+def decode_json(raw: bytes | str) -> Any:
+    """One decoded JSON document, or a ``bad-request`` ProtocolError."""
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(E_BAD_REQUEST, f"not JSON: {exc}") from exc
+        return json.loads(raw)
     except UnicodeDecodeError as exc:
         # json.loads(bytes) decodes before parsing; invalid UTF-8 is a
         # client framing error, not a server fault.
         raise ProtocolError(E_BAD_REQUEST,
                             f"not UTF-8: {exc.reason} at byte "
                             f"{exc.start}") from exc
-    return parse_request(obj)
+    except ValueError as exc:
+        # A JSONDecodeError, or an integer literal past the interpreter's
+        # digit limit, which json.loads reports as a bare ValueError.
+        raise ProtocolError(E_BAD_REQUEST, f"not JSON: {exc}") from exc
+
+
+def parse_line(line: bytes) -> "AdaptRequest | LinkRequest | SimpleRequest":
+    """Parse one NDJSON request line (bytes, trailing newline allowed)."""
+    return parse_request(decode_json(line))
 
 
 # -- responses ---------------------------------------------------------

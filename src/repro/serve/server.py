@@ -14,22 +14,24 @@ the first line:
   client correlation ids, for streaming clients that pipeline.
 
 Load discipline, in order: per-connection bounded queues (a pipelining
-client that outruns the coalescer gets structured ``overloaded``
+client that outruns the daemon gets structured ``overloaded``
 replies, its connection stays up), a global in-flight cap, and a
 connection cap.  ``SIGTERM``/``SIGINT`` trigger a graceful drain: the
 listener closes, in-flight requests finish, new ones are refused with
 ``draining``, and the process exits 0.
 
-Adapt requests flow through the :class:`~repro.serve.coalescer.
-AdaptCoalescer` into the shared designer; everything is
-instrumented live through ``repro.obs`` counters/gauges/histograms,
-which is exactly what ``/metrics`` exposes.
+Each admitted adapt request is answered on arrival through the
+:class:`~repro.serve.coalescer.AdaptCoalescer` seam from the shared
+designer, whose memo composes each dimming bucket once; no request
+waits on a timer.  Everything is instrumented live through
+``repro.obs`` counters/gauges/histograms, which is exactly what
+``/metrics`` exposes.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
+import math
 import signal
 import sys
 from dataclasses import dataclass, field
@@ -55,6 +57,7 @@ from .protocol import (
     ProtocolError,
     SimpleRequest,
     adapt_result,
+    decode_json,
     encode,
     error_response,
     ok_response,
@@ -100,8 +103,6 @@ class ServeConfig:
     max_connections: int = 1024
     queue_limit: int = 64             # per-connection in-flight adapt cap
     max_inflight: int = 4096          # global in-flight adapt cap
-    coalesce_window_s: float = 0.002  # 0 disables coalescing
-    max_batch: int = 512
     drain_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
@@ -111,12 +112,9 @@ class ServeConfig:
             raise ValueError("queue_limit must be positive")
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be positive")
-        if self.coalesce_window_s < 0:
-            raise ValueError("coalesce_window_s cannot be negative")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be positive")
-        if self.drain_grace_s < 0:
-            raise ValueError("drain_grace_s cannot be negative")
+        if not 0.0 <= self.drain_grace_s < math.inf:
+            raise ValueError("drain_grace_s must be finite and "
+                             "non-negative")
 
 
 class AdaptEngine:
@@ -127,8 +125,8 @@ class AdaptEngine:
     budget, exactly as :class:`~repro.sim.linkmodel.LinkEvaluator`
     works — while the *reported* performance of a design is evaluated
     under the request's actual placement and ambient level.  That split
-    is what makes coalescing sound: same bucket, same design, whichever
-    request of the window arrived first.
+    is what lets requests share a design: same bucket, same design,
+    whichever request arrived first.
     """
 
     def __init__(self, config: SystemConfig | None = None,
@@ -157,7 +155,7 @@ class AdaptEngine:
                             self.config, self.designer.clamp(request.dimming))
 
     def adapt_direct(self, request: AdaptRequest) -> dict:
-        """The uncoalesced reference path: one designer call, one reply."""
+        """The reference path: one designer call, one reply."""
         return self.result(request, self.design(request.dimming))
 
 
@@ -196,7 +194,7 @@ class _Connection:
 
 
 class ControlPlane:
-    """The daemon: listener, dispatcher, coalescer, supervisor, metrics.
+    """The daemon: listener, dispatcher, adapt seam, supervisor, metrics.
 
     Construct, ``await start()``, and either ``await serve_until()`` a
     shutdown event (the CLI path, with signal handlers) or drive it
@@ -218,11 +216,8 @@ class ControlPlane:
         self.supervisor = (supervisor if supervisor is not None
                            else LinkSupervisor())
         self.backoff = backoff if backoff is not None else BackoffPolicy()
-        self.coalescer = AdaptCoalescer(
-            self.engine.design, self.engine.bucket,
-            window_s=self.serve_config.coalesce_window_s,
-            max_batch=self.serve_config.max_batch,
-            registry=self.registry)
+        self.coalescer = AdaptCoalescer(self.engine.design,
+                                        registry=self.registry)
         self._server: asyncio.Server | None = None
         self._bound_port: int | None = None
         self._connections: dict[int, _Connection] = {}
@@ -300,7 +295,6 @@ class ControlPlane:
         deadline = loop.time() + self.serve_config.drain_grace_s
         if self._server is not None:
             self._server.close()
-        await self.coalescer.drain()
         if self._idle is not None and self._inflight > 0:
             try:
                 await asyncio.wait_for(self._idle.wait(),
@@ -365,7 +359,6 @@ class ControlPlane:
             "connections": len(self._connections),
             "inflight": self._inflight,
             "shed": self.shed_count,
-            "coalesce_ratio": round(self.coalescer.coalesce_ratio, 3),
         }
 
     def _link_payload(self, request: LinkRequest) -> dict:
@@ -504,25 +497,13 @@ class ControlPlane:
         started = loop.time()
         obj = None
         try:
-            obj = json.loads(raw)
+            obj = decode_json(raw)
             request = parse_request(obj)
         except ProtocolError as exc:
             self._write_soon(writer, conn,
                             encode(error_response(
                                 exc.code, exc.message,
                                 request_id=_salvage_id(obj))))
-            return None
-        except json.JSONDecodeError as exc:
-            self._write_soon(writer, conn,
-                            encode(error_response(E_BAD_REQUEST,
-                                                  f"not JSON: {exc}")))
-            return None
-        except UnicodeDecodeError as exc:
-            self._write_soon(writer, conn,
-                            encode(error_response(
-                                E_BAD_REQUEST,
-                                f"not UTF-8: {exc.reason} at byte "
-                                f"{exc.start}")))
             return None
         if isinstance(request, AdaptRequest):
             refusal = self._admission_error(conn, request.id)
@@ -660,9 +641,10 @@ class ControlPlane:
         if path == "/v1/adapt" and method == "POST":
             return await self._http_adapt(body, conn, started)
         if path == "/v1/link" and method in ("GET", "POST"):
+            obj = None
             try:
-                obj = json.loads(body) if body else {"v": PROTOCOL_VERSION,
-                                                     "op": "link"}
+                obj = decode_json(body) if body else {"v": PROTOCOL_VERSION,
+                                                      "op": "link"}
                 if isinstance(obj, dict):
                     obj.setdefault("op", "link")
                 request = parse_request(obj)
@@ -673,15 +655,6 @@ class ControlPlane:
                 return 400, JSON_CONTENT_TYPE, encode(
                     error_response(exc.code, exc.message, op="link",
                                    request_id=_salvage_id(obj)))
-            except json.JSONDecodeError as exc:
-                return 400, JSON_CONTENT_TYPE, encode(
-                    error_response(E_BAD_REQUEST, f"not JSON: {exc}",
-                                   op="link"))
-            except UnicodeDecodeError as exc:
-                return 400, JSON_CONTENT_TYPE, encode(
-                    error_response(E_BAD_REQUEST,
-                                   f"not UTF-8: {exc.reason} at byte "
-                                   f"{exc.start}", op="link"))
             payload = self._link_payload(request)
             self._observe("link", "http", loop.time() - started)
             return 200, JSON_CONTENT_TYPE, encode(
@@ -696,8 +669,9 @@ class ControlPlane:
     async def _http_adapt(self, body: bytes, conn: _Connection,
                           started: float) -> tuple[int, str, bytes]:
         loop = asyncio.get_running_loop()
+        obj = None
         try:
-            obj = json.loads(body)
+            obj = decode_json(body)
             if isinstance(obj, dict):
                 obj.setdefault("op", "adapt")
             request = parse_request(obj)
@@ -707,14 +681,6 @@ class ControlPlane:
             return HTTP_STATUS.get(exc.code, 400), JSON_CONTENT_TYPE, encode(
                 error_response(exc.code, exc.message, op="adapt",
                                request_id=_salvage_id(obj)))
-        except json.JSONDecodeError as exc:
-            return 400, JSON_CONTENT_TYPE, encode(
-                error_response(E_BAD_REQUEST, f"not JSON: {exc}", op="adapt"))
-        except UnicodeDecodeError as exc:
-            return 400, JSON_CONTENT_TYPE, encode(
-                error_response(E_BAD_REQUEST,
-                               f"not UTF-8: {exc.reason} at byte "
-                               f"{exc.start}", op="adapt"))
         refusal = self._admission_error(conn, request.id)
         if refusal is not None:
             return 503, JSON_CONTENT_TYPE, encode(refusal)
@@ -750,8 +716,6 @@ async def run_daemon(serve_config: ServeConfig | None = None,
     await plane.start()
     plane.install_signal_handlers(shutdown)
     print(f"repro serve: listening on {plane.host}:{plane.port} "
-          f"(HTTP/1.1 + NDJSON, coalesce window "
-          f"{plane.serve_config.coalesce_window_s * 1e3:g} ms)",
-          file=out, flush=True)
+          f"(HTTP/1.1 + NDJSON)", file=out, flush=True)
     await plane.serve_until(shutdown)
     return plane

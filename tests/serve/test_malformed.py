@@ -287,3 +287,41 @@ class TestHttpMalformed:
         assert ok_status == 200
         assert reply["ok"] is True
         assert unhandled == []
+
+
+class TestUnmodelledNumbers:
+    def test_nan_is_a_bad_request_on_both_transports(self, engine):
+        """NaN passes every range comparison, so it must be rejected as
+        non-finite before it reaches the designer (it used to come back
+        as an ``internal`` error, HTTP 500)."""
+        async def run():
+            async with watched(engine) as (plane, unhandled):
+                reader, writer = await connect(plane)
+                status, _, body = await http_exchange(
+                    reader, writer, "POST", "/v1/adapt",
+                    b'{"dimming": NaN}')
+                writer.close()
+                reader, writer = await connect(plane)
+                writer.write(b'{"op": "adapt", "id": "n", "dimming": NaN}\n')
+                # An integer past the interpreter's digit limit used to
+                # kill the connection handler.
+                writer.write(b'{"op": "adapt", "id": "big", "dimming": 1'
+                             + b"0" * 5000 + b"}\n")
+                await writer.drain()
+                replies = [json.loads(await reader.readline())
+                           for _ in range(2)]
+                probe = await ndjson_roundtrip(reader, writer, VALID)
+                writer.close()
+                return status, json.loads(body), replies, probe, unhandled
+
+        status, http_reply, replies, probe, unhandled = asyncio.run(run())
+        assert status == 400
+        assert http_reply["error"]["code"] == E_BAD_REQUEST
+        assert "dimming" in http_reply["error"]["message"]
+        nan_reply, big_reply = replies
+        assert nan_reply["id"] == "n"
+        assert nan_reply["error"]["code"] == E_BAD_REQUEST
+        assert "dimming" in nan_reply["error"]["message"]
+        assert big_reply["error"]["code"] == E_BAD_REQUEST
+        assert probe["ok"] is True
+        assert unhandled == []

@@ -1,6 +1,7 @@
 """The wire protocol: strict validation, stable errors, canonical bytes."""
 
 import json
+import math
 
 import pytest
 
@@ -45,7 +46,7 @@ class TestParseAdapt:
         assert "dimming" in exc.value.message
 
     @pytest.mark.parametrize("dimming", [0.0, 1.0, -0.2, 1.5, "0.5", True,
-                                         None])
+                                         None, math.nan])
     def test_bad_dimming_rejected(self, dimming):
         with pytest.raises(ProtocolError):
             parse_request({"op": "adapt", "dimming": dimming})
@@ -53,10 +54,35 @@ class TestParseAdapt:
     @pytest.mark.parametrize("field,value", [
         ("ambient", -0.1), ("distance_m", 0.0), ("distance_m", -1.0),
         ("angle_deg", 90.0), ("angle_deg", -5.0), ("ambient", "bright"),
+        ("ambient", math.nan), ("ambient", 1.5), ("distance_m", math.nan),
+        ("angle_deg", math.nan),
     ])
     def test_bad_optionals_rejected(self, field, value):
         with pytest.raises(ProtocolError):
             parse_request({"op": "adapt", "dimming": 0.5, field: value})
+
+    @pytest.mark.parametrize("field", ["dimming", "ambient", "distance_m",
+                                       "angle_deg"])
+    @pytest.mark.parametrize("literal", ["NaN", "1" + "0" * 400],
+                             ids=["nan", "huge-int"])
+    def test_unmodelled_numbers_are_bad_requests_naming_the_field(
+            self, field, literal):
+        line = ('{"op": "adapt", "dimming": 0.5, "%s": %s}'
+                % (field, literal)).encode()
+        with pytest.raises(ProtocolError) as exc:
+            parse_line(line)
+        assert exc.value.code == "bad-request"
+        assert exc.value.message.startswith(field)
+
+    def test_ambient_is_bounded_by_the_photodiode_model(self):
+        for ambient in (0.0, 0.25, 1.0):
+            assert parse_request({"op": "adapt", "dimming": 0.5,
+                                  "ambient": ambient}).ambient == ambient
+        for ambient in (1.0000001, 2.0, 1e6):
+            with pytest.raises(ProtocolError) as exc:
+                parse_request({"op": "adapt", "dimming": 0.5,
+                               "ambient": ambient})
+            assert "ambient must lie in [0, 1]" in exc.value.message
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ProtocolError) as exc:
@@ -146,6 +172,14 @@ class TestParseLine:
     def test_not_json_is_a_protocol_error(self):
         with pytest.raises(ProtocolError) as exc:
             parse_line(b"GET / HTTP/1.1\n")
+        assert exc.value.code == "bad-request"
+
+    def test_integer_past_the_digit_limit_is_a_protocol_error(self):
+        # Where the interpreter limits int digits, json.loads raises a
+        # bare ValueError here, not a JSONDecodeError.
+        with pytest.raises(ProtocolError) as exc:
+            parse_line(b'{"op": "adapt", "dimming": 1' + b"0" * 5000
+                       + b"}\n")
         assert exc.value.code == "bad-request"
 
 

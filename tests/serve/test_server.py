@@ -10,6 +10,7 @@ a 200-client synthetic fleet with zero dropped connections.
 import asyncio
 import contextlib
 import json
+import math
 
 import pytest
 
@@ -64,6 +65,35 @@ async def http_exchange(reader, writer, method, path, body=b""):
 
 async def connect(plane):
     return await asyncio.open_connection(plane.host, plane.port)
+
+
+def hold_adapts(plane, wait):
+    """Make every adapt request ``await wait()`` before its design.
+
+    Adapt requests are answered on arrival, so the overload and drain
+    tests hold them in flight through this test-local gate.
+    """
+    submit = plane.coalescer.submit
+
+    async def held(dimming):
+        await wait()
+        return await submit(dimming)
+
+    plane.coalescer.submit = held
+
+
+async def admitted(plane, count):
+    """Wait until ``count`` adapt requests are in flight."""
+    while plane.inflight < count:
+        await asyncio.sleep(0.001)
+
+
+class TestServeConfig:
+    def test_drain_grace_must_be_finite(self):
+        for grace in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="drain_grace_s"):
+                ServeConfig(drain_grace_s=grace)
+        assert ServeConfig(drain_grace_s=0.0).drain_grace_s == 0.0
 
 
 class TestHttp:
@@ -253,14 +283,12 @@ class TestNdjson:
                 replies = [json.loads(await reader.readline())
                            for _ in range(n)]
                 writer.close()
-                return replies, plane.coalescer.designer_calls
+                return replies, plane.coalescer.requests
 
-        replies, designer_calls = asyncio.run(run())
+        replies, submitted = asyncio.run(run())
         assert {r["id"] for r in replies} == {f"r{i}" for i in range(n)}
         assert all(r["ok"] for r in replies)
-        # Concurrent requests coalesced: far fewer designer calls than
-        # requests is not guaranteed per-bucket here, but never more.
-        assert designer_calls <= n
+        assert submitted == n
 
     def test_dimming_error_is_measured_against_each_request(self, engine):
         """Two requests of one bucket share its design, and each reply's
@@ -294,42 +322,47 @@ class TestNdjson:
 class TestOverload:
     def test_connection_queue_sheds_but_keeps_the_connection(self, engine):
         async def run():
-            async with running(engine, queue_limit=1,
-                               coalesce_window_s=0.2) as plane:
+            async with running(engine, queue_limit=1) as plane:
+                release = asyncio.Event()
+                hold_adapts(plane, release.wait)
                 reader, writer = await connect(plane)
                 for i in range(3):
                     writer.write(encode({"op": "adapt", "id": f"q{i}",
                                          "dimming": 0.5}))
                 await writer.drain()
-                replies = [json.loads(await reader.readline())
-                           for _ in range(3)]
+                # q0 is held in flight, so q1 and q2 find the queue full.
+                dropped = [json.loads(await reader.readline())
+                           for _ in range(2)]
+                release.set()
+                served = json.loads(await reader.readline())
                 # The connection still serves after shedding.
                 writer.write(encode({"op": "health", "id": "h"}))
                 await writer.drain()
                 health = json.loads(await reader.readline())
                 writer.close()
-                return replies, health, plane.shed_count
+                return dropped, served, health, plane.shed_count
 
-        replies, health, shed = asyncio.run(run())
-        ok = [r for r in replies if r["ok"]]
-        dropped = [r for r in replies if not r["ok"]]
-        assert len(ok) == 1 and len(dropped) == 2
+        dropped, served, health, shed = asyncio.run(run())
+        assert {r["id"] for r in dropped} == {"q1", "q2"}
         assert all(r["error"]["code"] == "overloaded" for r in dropped)
+        assert served["ok"] and served["id"] == "q0"
         assert health["ok"]
         assert shed == 2
 
     def test_global_inflight_cap_sheds_across_connections(self, engine):
         async def run():
-            async with running(engine, max_inflight=1,
-                               coalesce_window_s=0.3) as plane:
+            async with running(engine, max_inflight=1) as plane:
+                release = asyncio.Event()
+                hold_adapts(plane, release.wait)
                 r1, w1 = await connect(plane)
                 w1.write(encode({"op": "adapt", "id": "a", "dimming": 0.4}))
                 await w1.drain()
-                await asyncio.sleep(0.05)    # let the first one be admitted
+                await admitted(plane, 1)
                 r2, w2 = await connect(plane)
                 w2.write(encode({"op": "adapt", "id": "b", "dimming": 0.6}))
                 await w2.drain()
                 reply_b = json.loads(await r2.readline())
+                release.set()
                 reply_a = json.loads(await r1.readline())
                 # The shed connection still works once load clears.
                 w2.write(encode({"op": "adapt", "id": "c", "dimming": 0.6}))
@@ -347,16 +380,18 @@ class TestOverload:
 
     def test_http_overload_is_a_structured_503(self, engine):
         async def run():
-            async with running(engine, max_inflight=1,
-                               coalesce_window_s=0.3) as plane:
+            async with running(engine, max_inflight=1) as plane:
+                release = asyncio.Event()
+                hold_adapts(plane, release.wait)
                 r1, w1 = await connect(plane)
                 w1.write(encode({"op": "adapt", "id": "a", "dimming": 0.4}))
                 await w1.drain()
-                await asyncio.sleep(0.05)
+                await admitted(plane, 1)
                 r2, w2 = await connect(plane)
                 status, _, body = await http_exchange(
                     r2, w2, "POST", "/v1/adapt", b'{"dimming": 0.6}')
                 # Same connection, after load clears: served.
+                release.set()
                 await r1.readline()
                 status_after, _, _ = await http_exchange(
                     r2, w2, "POST", "/v1/adapt", b'{"dimming": 0.6}')
@@ -395,14 +430,19 @@ class TestOverload:
 class TestDrain:
     def test_graceful_drain_finishes_inflight_work(self, engine):
         async def run():
-            async with running(engine, coalesce_window_s=0.5) as plane:
+            async with running(engine) as plane:
+                release = asyncio.Event()
+                hold_adapts(plane, release.wait)
                 reader, writer = await connect(plane)
                 writer.write(encode({"op": "adapt", "id": "last",
                                      "dimming": 0.5}))
                 await writer.drain()
-                await asyncio.sleep(0.05)    # parked in the window
-                assert plane.coalescer.pending == 1
+                await admitted(plane, 1)
                 stopper = asyncio.ensure_future(plane.stop())
+                await asyncio.sleep(0.05)
+                # The drain waits for the request it holds in flight.
+                assert plane.draining and not stopper.done()
+                release.set()
                 reply = json.loads(await reader.readline())
                 await stopper
                 # The listener is closed: new connections are refused.
@@ -477,14 +517,14 @@ class TestFleet:
         async def run():
             async with running(engine) as plane:
                 report = await run_loadgen(plane.host, plane.port, profile)
-                return report, plane.coalescer.coalesce_ratio
+                return report, plane.coalescer.requests
 
-        report, ratio = asyncio.run(run())
+        report, submitted = asyncio.run(run())
         assert report.sent == 600
         assert report.dropped_connections == 0
         assert report.ok == 600
         assert report.errors == 0
-        assert ratio >= 1.0
+        assert submitted == 600
         assert report.latency_percentile(50) < 1.0
 
     def test_overloaded_fleet_sheds_without_dropping(self, engine):
@@ -493,8 +533,10 @@ class TestFleet:
                               seed=5)
 
         async def run():
-            async with running(engine, queue_limit=2,
-                               coalesce_window_s=0.05) as plane:
+            async with running(engine, queue_limit=2) as plane:
+                # Each design takes 50 ms, so pipelining clients outrun
+                # their two-request queues.
+                hold_adapts(plane, lambda: asyncio.sleep(0.05))
                 return await run_loadgen(plane.host, plane.port, profile)
 
         report = asyncio.run(run())

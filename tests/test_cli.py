@@ -353,7 +353,7 @@ class TestServe:
         assert "listening on 127.0.0.1:" in text
         assert "12 sent" not in text          # totals, not per-client
         assert "36 sent, 36 ok, 0 shed, 0 errors, 0 dropped" in text
-        assert "coalesce ratio" in text
+        assert "serve: 36 adapt requests, 0 shed" in text
 
     def test_load_mode_writes_telemetry(self, tmp_path):
         target = tmp_path / "serve.jsonl"
@@ -370,19 +370,25 @@ class TestServe:
         assert code == 0
         assert "repro_serve_adapt_requests_total" in text
 
-    def test_zero_window_disables_coalescing(self):
-        code, text, _ = run_cli("serve", "--load", "--clients", "4",
-                                "--requests", "2",
-                                "--coalesce-window", "0")
-        assert code == 0
-        assert "8 adapt requests, 8 designer calls" in text
+    def test_bad_window_rejected(self, capsys):
+        # Adapt requests are answered on arrival: the window flag is
+        # gone, and argparse refuses it as a usage error.
+        for window in ("-1", "0", "2.0"):
+            with pytest.raises(SystemExit) as exc:
+                run_cli("serve", "--coalesce-window", window, "--load")
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert "unrecognized arguments: --coalesce-window" in \
+                captured.err
+            assert captured.out == ""
 
-    def test_bad_window_rejected(self):
-        code, text, err = run_cli("serve", "--coalesce-window", "-1",
-                                  "--load")
-        assert code == 2
-        assert "--coalesce-window" in err
-        assert text == ""
+    def test_bad_drain_grace_rejected(self):
+        for grace in ("nan", "inf", "-1"):
+            code, text, err = run_cli("serve", "--drain-grace", grace,
+                                      "--load")
+            assert code == 2
+            assert "drain_grace_s" in err
+            assert text == ""
 
     def test_bad_queue_limit_rejected(self):
         code, _, err = run_cli("serve", "--queue-limit", "0", "--load")
