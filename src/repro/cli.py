@@ -49,6 +49,7 @@ and returns exit code 2; ``stdout`` carries results only.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -554,9 +555,9 @@ def _cmd_journal(grid: str, nodes: int, duration: float, seed: int,
         rows, cols = int(rows_str), int(cols_str)
     except ValueError:
         return _fail(err, f"--grid expects RxC (e.g. 2x3), got {grid!r}")
-    if rows < 1 or cols < 1 or nodes < 1 or duration <= 0:
+    if rows < 1 or cols < 1 or nodes < 1 or not 0 < duration < math.inf:
         return _fail(err, "grid dimensions and --nodes must be positive, "
-                          "--duration > 0")
+                          "--duration finite and > 0")
     if tail < 0:
         return _fail(err, f"--tail must be non-negative, got {tail}")
     if regions < 1 or regions > rows * cols:

@@ -30,10 +30,11 @@ The oracles:
   in reversed order, against the direct per-request path, canonical
   response bytes compared per request.
 * ``journal`` — differential, over the multicell DES kernel: the
-  sharded kernel at ``regions=1`` and the spatial index are
-  bit-identical to the reference kernel, ``regions=R`` runs are
-  replay-deterministic with shard merge as identity, under randomized
-  grids, mobility, ambient profiles, and fault schedules.
+  sharded kernel at ``regions=1`` is bit-identical to the reference
+  kernel, the spatial index agrees with a brute-force scan over every
+  luminaire at every position the run sensed, and ``regions=R`` runs
+  are replay-deterministic with shard merge as identity, under
+  randomized grids, mobility, ambient profiles, and fault schedules.
 * ``scenario`` — differential, over the scenario engine: a random
   small :class:`~repro.scenarios.dsl.Scenario` document round-trips
   the strict loader, replays digest-identically at ``regions=1`` with
@@ -52,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Protocol
@@ -443,10 +445,13 @@ class JournalOracle:
     """Multicell kernel differentials under randomized scenarios.
 
     Checks the invariants the sharded kernel actually guarantees:
-    ``run_sharded`` at ``regions=1`` and the spatial-index path are
-    bit-identical to the reference kernel; ``regions=R`` runs are
-    same-seed deterministic with ``merge_journals`` as the identity on
-    their shards and aggregate handovers matching the unsharded run.
+    ``run_sharded`` at ``regions=1`` is bit-identical to the reference
+    kernel; at every ``sense`` position of the reference run the
+    :class:`~repro.net.spatial.LuminaireIndex` agrees with a
+    brute-force scan over every luminaire (see :meth:`_index_miss`);
+    ``regions=R`` runs are same-seed deterministic with
+    ``merge_journals`` as the identity on their shards and aggregate
+    handovers matching the unsharded run.
     (``regions=R`` journals legitimately differ from ``regions=1`` in
     event interleaving — the conservative-lookahead rounds re-time
     boundary reports — so raw digest equality across R is *not* an
@@ -516,16 +521,16 @@ class JournalOracle:
         from ..net.sharded import merge_journals, run_sharded
 
         duration = float(params["duration"])
-        reference = self._build(params).run(duration)
+        simulation = self._build(params)
+        reference = simulation.run(duration)
         degenerate = run_sharded(self._build(params), duration)
         if degenerate.journal.digest() != reference.journal.digest():
             return _fail("regions=1 degeneracy: the sharded machinery "
                          "at one region diverges from the reference "
                          "kernel")
-        allpairs = self._build(params, use_spatial_index=False).run(duration)
-        if allpairs.journal.digest() != reference.journal.digest():
-            return _fail("spatial-index parity: culling changed the "
-                         "journal")
+        miss = self._index_miss(simulation, reference.journal)
+        if miss is not None:
+            return _fail(f"spatial-index exactness: {miss}")
         observation = {
             "digest": reference.journal.digest()[:16],
             "events": len(reference.journal),
@@ -549,6 +554,35 @@ class JournalOracle:
                              f"reference kernel {reference.total_handovers}")
             observation["sharded_digest"] = first.journal.digest()[:16]
         return _ok(**observation)
+
+    @staticmethod
+    def _index_miss(simulation, journal) -> str | None:
+        """The first sensed position where the index disagrees with a
+        brute-force scan, or ``None``.
+
+        ``within`` must list, in luminaire order, every luminaire whose
+        channel gain is positive (a zero-gain extra changes no float
+        sum), and ``nearest`` must be the minimum by ``(distance,
+        name)``.  These are the two facts that make the indexed loops
+        journal what a scan over every luminaire would.
+        """
+        from ..phy.optics import LinkGeometry
+
+        index, optics = simulation._index, simulation.channel.optics
+        for entry in journal.of_kind("sense"):
+            position = (entry.get("x"), entry.get("y"))
+            offsets = [(math.hypot(position[0] - lum.x_m,
+                                   position[1] - lum.y_m), lum.name)
+                       for lum in simulation.luminaires]
+            lit = [name for offset, name in offsets
+                   if optics.channel_gain(LinkGeometry.from_offsets(
+                       offset, simulation.drop_m)) > 0.0]
+            found = [lum.name for lum in index.within(position)]
+            if [name for name in found if name in lit] != lit:
+                return f"within() at {position}"
+            if index.nearest(position).name != min(offsets)[1]:
+                return f"nearest() at {position}"
+        return None
 
     def shrink_candidates(self, params: Mapping) -> Iterator[dict]:
         base = dict(params)

@@ -43,7 +43,7 @@ from ..sim.sweep import SweepRunner
 from .generators import DEFAULT_WEIGHTS, FuzzCase, generate_case
 from .oracles import (DEFECT_ENV, DEFECT_N_THRESHOLD,
                       DEFECT_SYMBOLS_THRESHOLD, ORACLES, CaseResult,
-                      execute_params, result_digest)
+                      _designer, execute_params, result_digest)
 from .shrinker import ShrinkOutcome, ShrinkStats, shrink
 
 #: Per-case wall-clock deadline (seconds) before a case counts as hung.
@@ -278,6 +278,10 @@ def run_campaign(config: CampaignConfig,
     started = time.monotonic()
     with span("fuzz.campaign", seed=config.seed, budget=config.budget,
               jobs=config.jobs):
+        if runner.parallel:
+            # Forked workers, re-isolation pools included, inherit the
+            # parent's designer instead of each building their own.
+            _designer()
         executed = 0
         for chunk in _chunks(cases, config.chunk):
             jobs = [{**case.as_dict(), "timeout_s": config.timeout_s}

@@ -11,6 +11,7 @@ aggregation policy and a staleness cut-off.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -59,8 +60,8 @@ class FeedbackCollector:
     max_nodes: int | None = None
 
     def __post_init__(self) -> None:
-        if self.staleness_s <= 0:
-            raise ValueError("staleness_s must be positive")
+        if not 0 < self.staleness_s < math.inf:
+            raise ValueError("staleness_s must be finite and positive")
         if self.max_nodes is not None and self.max_nodes < 1:
             raise ValueError("max_nodes must be positive when set")
         # Per node: (arrival_time, report); in-flight as (arrival, report).

@@ -6,15 +6,17 @@ the single-luminaire :class:`~repro.net.room.RoomSimulation` to that
 story on top of the :mod:`repro.des` event kernel:
 
 * each :class:`Luminaire` cell runs its own
-  :class:`~repro.lighting.controller.SmartLightingController` and
-  :class:`~repro.core.ampdesign.AmppmDesigner`, fed by its own Wi-Fi
-  feedback plane;
+  :class:`~repro.lighting.controller.SmartLightingController`, fed by
+  its own Wi-Fi feedback plane; every cell designs through the
+  process's one :func:`~repro.core.ampdesign.shared_designer`;
 * :class:`MobileNode` receivers follow :mod:`~repro.net.mobility`
   traces, associate with the strongest cell
   (:func:`strongest_cell`, hysteresis in dB so ties do not flap), and
   hand over as they move;
-* co-channel interference from every other luminaire degrades the
-  serving link through :mod:`~repro.net.interference`;
+* co-channel interference from every luminaire in the receiver's
+  field of view degrades the serving link through
+  :mod:`~repro.net.interference`; a :class:`~repro.net.spatial.
+  LuminaireIndex` finds those luminaires;
 * faults (:class:`FaultPlan`) — receiver churn, uplink outages, and
   per-window blind ramps via :class:`AmbientField` zone overrides —
   are ordinary events on the same clock;
@@ -34,19 +36,18 @@ from typing import Mapping
 
 import numpy as np
 
-from ..core.ampdesign import AmppmDesigner, shared_designer
+from ..core.ampdesign import shared_designer
 from ..core.params import SystemConfig
 from ..des import DesFeedbackPlane, EventJournal, EventScheduler
 from ..lighting.ambient import AmbientProfile, StaticAmbient
 from ..lighting.controller import SmartLightingController
 from ..link.wifi import WifiUplink
 from ..phy.channel import VlcChannel, calibrated_channel
-from ..phy.optics import LinkGeometry
 from ..resilience.faults import FaultPlan, schedule_plan_events
 from ..schemes import AmppmSchemeDesign, shared_scheme_design
 from ..sim.linkmodel import expected_goodput
 from .feedback import Aggregation, AmbientReport, FeedbackCollector
-from .interference import Interferer, effective_slot_errors, swing_slot_errors
+from .interference import swing_slot_errors
 from .mobility import MobilityModel, RandomWaypoint, StaticPosition
 from .spatial import LuminaireIndex
 
@@ -59,6 +60,11 @@ class Luminaire:
     x_m: float
     y_m: float
 
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.x_m) and math.isfinite(self.y_m)):
+            raise ValueError(f"luminaire {self.name!r}: x_m and y_m must "
+                             f"be finite")
+
 
 def luminaire_grid(rows: int, cols: int,
                    spacing_m: float = 2.5) -> tuple[Luminaire, ...]:
@@ -69,8 +75,8 @@ def luminaire_grid(rows: int, cols: int,
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one row and one column")
-    if spacing_m <= 0:
-        raise ValueError("spacing_m must be positive")
+    if not 0 < spacing_m < math.inf:
+        raise ValueError("spacing_m must be finite and positive")
     return tuple(
         Luminaire(f"cell-r{r}c{c}",
                   (c + 0.5) * spacing_m, (r + 0.5) * spacing_m)
@@ -101,8 +107,8 @@ def strongest_cell(gains: Mapping[str, float], serving: str | None,
     ``hysteresis_db`` decibels — the standard ping-pong suppression.
     Returns ``None`` when no cell has positive gain (out of coverage).
     """
-    if hysteresis_db < 0:
-        raise ValueError("hysteresis_db must be non-negative")
+    if not 0 <= hysteresis_db < math.inf:
+        raise ValueError("hysteresis_db must be finite and non-negative")
     covered = {name: gain for name, gain in gains.items() if gain > 0.0}
     if not covered:
         return None
@@ -343,10 +349,6 @@ class MulticellSimulation:
     lookahead_s: float | None = None
     #: cull luminaires whose gain falls below this (0 = exact FoV cull)
     gain_floor: float = 0.0
-    #: False preserves the pre-index all-pairs evaluation (the
-    #: benchmark baseline); journals are bit-identical either way at
-    #: ``gain_floor == 0``.
-    use_spatial_index: bool = True
 
     def __post_init__(self) -> None:
         if not self.luminaires:
@@ -359,70 +361,31 @@ class MulticellSimulation:
         names = [node.name for node in self.nodes]
         if len(set(names)) != len(names):
             raise ValueError("node names must be unique")
-        if self.drop_m <= 0:
-            raise ValueError("drop_m must be positive")
-        if self.tick_s <= 0:
-            raise ValueError("tick_s must be positive")
-        if self.hysteresis_db < 0:
-            raise ValueError("hysteresis_db must be non-negative")
+        if not 0 < self.tick_s < math.inf:
+            raise ValueError("tick_s must be finite and positive")
+        if not 0 <= self.hysteresis_db < math.inf:
+            raise ValueError("hysteresis_db must be finite and non-negative")
+        if not 0 < self.staleness_s < math.inf:
+            raise ValueError("staleness_s must be finite and positive")
         if self.regions < 1:
             raise ValueError("regions must be positive")
         if self.regions > len(self.luminaires):
             raise ValueError("cannot have more regions than luminaires")
-        if self.regions > 1 and not self.use_spatial_index:
-            raise ValueError("sharded runs require the spatial index")
-        if self.lookahead_s is not None and self.lookahead_s <= 0:
-            raise ValueError("lookahead_s must be positive")
-        if self.gain_floor < 0:
-            raise ValueError("gain_floor must be non-negative")
+        if self.lookahead_s is not None and not 0 < self.lookahead_s < math.inf:
+            raise ValueError("lookahead_s must be finite and positive")
         if self.channel is None:
             self.channel = calibrated_channel(self.config)
         known = {node.name for node in self.nodes}
         for name, _start, _end in self.faults.node_downtime:
             if name not in known:
                 raise ValueError(f"downtime names unknown node {name!r}")
-        self._index = (LuminaireIndex(self.luminaires, self.drop_m,
-                                      self.channel.optics, self.gain_floor)
-                       if self.use_spatial_index else None)
-
-    # -- geometry helpers (shared with RoomSimulation) ------------------
-
-    def geometry_to(self, luminaire: Luminaire,
-                    position: tuple[float, float]) -> LinkGeometry:
-        """Link geometry from a luminaire to a floor position."""
-        horizontal = math.hypot(position[0] - luminaire.x_m,
-                                position[1] - luminaire.y_m)
-        return LinkGeometry.from_offsets(horizontal, self.drop_m)
-
-    def gains_at(self, position: tuple[float, float]) -> dict[str, float]:
-        """Per-cell Lambertian channel gain at a floor position.
-
-        With the spatial index active, only luminaires inside the cull
-        radius appear; everything omitted has gain exactly ``0.0``
-        (when ``gain_floor == 0``), so consumers that filter positive
-        gains — association does — see identical results either way.
-        """
-        if self._index is not None:
-            return {
-                lum.name: self.channel.optics.channel_gain(
-                    self.geometry_to(lum, position))
-                for lum in self._index.within(position)
-            }
-        return {
-            lum.name: self.channel.optics.channel_gain(
-                self.geometry_to(lum, position))
-            for lum in self.luminaires
-        }
+        # The index validates drop_m and gain_floor.
+        self._index = LuminaireIndex(self.luminaires, self.drop_m,
+                                     self.channel.optics, self.gain_floor)
 
     def zone_of(self, position: tuple[float, float]) -> str:
         """The ambient zone (nearest luminaire) of a floor position."""
-        if self._index is not None:
-            return self._index.nearest(position).name
-        return min(
-            self.luminaires,
-            key=lambda lum: (math.hypot(position[0] - lum.x_m,
-                                        position[1] - lum.y_m), lum.name),
-        ).name
+        return self._index.nearest(position).name
 
     # -- the run --------------------------------------------------------
 
@@ -435,8 +398,8 @@ class MulticellSimulation:
         kernel below runs everything, and a sharded run degenerates to
         a bit-identical journal.
         """
-        if duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not 0 < duration_s < math.inf:
+            raise ValueError("duration_s must be finite and positive")
         if self.regions > 1:
             from .sharded import run_sharded
             return run_sharded(self, duration_s)
@@ -450,30 +413,16 @@ class MulticellSimulation:
         states = {node.name: _NodeState(node=node) for node in self.nodes}
 
         self._schedule_faults(scheduler, journal, cells, states)
-        if self._index is not None:
-            view = _LocalView(scheduler, journal, rng, cells)
-            for node in self.nodes:
-                scheduler.spawn(
-                    self._sense_loop_indexed(view, states[node.name]),
-                    name=f"sense:{node.name}", priority=0)
-        else:
-            for node in self.nodes:
-                scheduler.spawn(self._sense_loop(scheduler, journal, rng,
-                                                 cells, states[node.name]),
-                                name=f"sense:{node.name}", priority=0)
+        view = _LocalView(scheduler, journal, rng, cells)
+        for node in self.nodes:
+            scheduler.spawn(self._sense_loop(view, states[node.name]),
+                            name=f"sense:{node.name}", priority=0)
         for cell in cells.values():
             scheduler.spawn(self._control_loop(scheduler, journal, cell),
                             name=f"control:{cell.name}", priority=1)
-        if self._index is not None:
-            for node in self.nodes:
-                scheduler.spawn(
-                    self._link_loop_indexed(view, states[node.name]),
-                    name=f"link:{node.name}", priority=2)
-        else:
-            for node in self.nodes:
-                scheduler.spawn(self._link_loop(scheduler, journal,
-                                                cells, states[node.name]),
-                                name=f"link:{node.name}", priority=2)
+        for node in self.nodes:
+            scheduler.spawn(self._link_loop(view, states[node.name]),
+                            name=f"link:{node.name}", priority=2)
 
         scheduler.run(until_s=duration_s + 1e-9)
         return self._collect(duration_s, states, cells, journal)
@@ -482,22 +431,20 @@ class MulticellSimulation:
                      names: set[str] | None = None) -> dict[str, _CellState]:
         """Per-cell runtime state, in luminaire order.
 
-        ``names`` restricts to a region's cells (sharded runs).  On
-        the indexed path every controller shares the process's
+        ``names`` restricts to a region's cells (sharded runs).  Every
+        controller shares the process's
         :func:`~repro.core.ampdesign.shared_designer`: designs are pure
         in the config and the dimming bucket, so one designer serves
-        every cell.  The all-pairs path keeps per-cell construction,
-        matching the historical cost profile it exists to benchmark.
+        every cell.
         """
-        shared = shared_designer(self.config) if self._index is not None \
-            else None
+        designer = shared_designer(self.config)
         cells: dict[str, _CellState] = {}
         for lum in self.luminaires:
             if names is not None and lum.name not in names:
                 continue
             controller = SmartLightingController(
                 target_sum=self.target_sum, config=self.config,
-                designer=shared or AmppmDesigner(self.config))
+                designer=designer)
             collector = FeedbackCollector(
                 uplink=self.uplink, aggregation=self.aggregation,
                 staleness_s=self.staleness_s)
@@ -578,12 +525,6 @@ class MulticellSimulation:
                              on_node_change=on_node_change,
                              on_uplink_change=on_uplink_change)
 
-    def _local_ambient(self, t: float, position: tuple[float, float],
-                       node: MobileNode) -> float:
-        """Daylight at a node: zone profile scaled by its window gain."""
-        level = self.ambient.level(t, self.zone_of(position))
-        return min(max(level * node.daylight_gain, 0.0), 1.0)
-
     def _sensed_state(self, now: float, state: _NodeState) -> _TickSample:
         """The node's per-tick sample, computed once per (node, tick).
 
@@ -620,13 +561,13 @@ class MulticellSimulation:
         state.sample = sample
         return sample
 
-    def _sense_loop_indexed(self, view: "_LocalView", state: _NodeState):
-        """Index-backed :meth:`_sense_loop`: same journal, one sample.
+    def _sense_loop(self, view: "_LocalView", state: _NodeState):
+        """Per-node process: move, (re)associate, sense, report.
 
-        Journals the exact entries of the all-pairs loop — the culled
-        luminaires have gain exactly 0.0 and never influence
-        association — while touching only the 3×3 bucket neighbourhood
-        and trimming the mobility trace behind the clock.
+        Association sees only the luminaires the tick's sample found in
+        range; every culled one has gain exactly 0.0, which association
+        ignores.  The loop also trims the mobility trace behind the
+        clock.
         """
         while True:
             now = view.now
@@ -658,17 +599,16 @@ class MulticellSimulation:
                                               sensed_at=now))
             yield self.tick_s
 
-    def _link_loop_indexed(self, view: "_LocalView", state: _NodeState):
-        """Index-backed :meth:`_link_loop`: culled, cached, shard-aware.
+    def _link_loop(self, view: "_LocalView", state: _NodeState):
+        """Per-node process: evaluate the serving link with interference.
 
-        Interferers beyond the cull radius contribute exactly ``0.0``
-        variance, and surviving ones are visited in original luminaire
-        order, so the accumulated float sums — and hence the journal —
-        are bit-identical to the all-pairs loop.  Swings come from the
-        tick's sample; a serving cell outside it would have gain 0.0,
-        hence swing 0.0.  In a sharded run the remote (other-region)
-        interferers arrive pre-summed as a variance through the view
-        instead.
+        Interferers beyond the cull radius would contribute exactly
+        ``0.0`` variance, and the ones in range are visited in original
+        luminaire order, so the float sums equal those of a scan over
+        every luminaire.  Swings come from the tick's sample; a serving
+        cell outside it would have gain 0.0, hence swing 0.0.  In a
+        sharded run the remote (other-region) interferers arrive
+        pre-summed as a variance through the view instead.
         """
         while True:
             now = view.now
@@ -701,36 +641,6 @@ class MulticellSimulation:
                                     goodput_bps=goodput)
             yield self.tick_s
 
-    def _sense_loop(self, scheduler, journal, rng, cells, state):
-        """Per-node process: move, (re)associate, sense, report."""
-        while True:
-            now = scheduler.now
-            if not state.down:
-                position = state.node.mobility.position(now)
-                gains = self.gains_at(position)
-                target = strongest_cell(gains, state.serving,
-                                        self.hysteresis_db)
-                if target != state.serving:
-                    if state.serving is None:
-                        journal.record(now, "associate", state.node.name,
-                                       cell=target)
-                    elif target is None:
-                        journal.record(now, "coverage-lost",
-                                       state.node.name)
-                    else:
-                        state.handovers += 1
-                        journal.record(now, "handover", state.node.name,
-                                       source=state.serving, target=target)
-                    state.serving = target
-                local = self._local_ambient(now, position, state.node)
-                journal.record(now, "sense", state.node.name,
-                               ambient=local, x=position[0], y=position[1])
-                if state.serving is not None:
-                    cells[state.serving].plane.submit(
-                        AmbientReport(state.node.name, local, sensed_at=now),
-                        rng)
-            yield self.tick_s
-
     def _control_loop(self, scheduler, journal, cell):
         """Per-cell process: fuse reports, relight, redesign.
 
@@ -750,41 +660,6 @@ class MulticellSimulation:
                                if design is not None else None)
             journal.record(now, "control", cell.name, led=sample.led,
                            fused=fused, adjustments=sample.adjustments)
-            yield self.tick_s
-
-    def _link_loop(self, scheduler, journal, cells, state):
-        """Per-node process: evaluate the serving link with interference."""
-        while True:
-            now = scheduler.now
-            state.samples += 1
-            if state.down:
-                state.down_samples += 1
-                journal.record(now, "link-down", state.node.name)
-            else:
-                position = state.node.mobility.position(now)
-                goodput = 0.0
-                if state.serving is not None:
-                    serving = cells[state.serving]
-                    if serving.design is not None:
-                        geometry = self.geometry_to(serving.luminaire,
-                                                    position)
-                        interferers = [
-                            Interferer(self.geometry_to(other.luminaire,
-                                                        position),
-                                       other.led)
-                            for other in cells.values()
-                            if other.name != state.serving
-                        ]
-                        errors = effective_slot_errors(
-                            self.channel, geometry,
-                            self._local_ambient(now, position, state.node),
-                            interferers)
-                        goodput = expected_goodput(serving.design, errors,
-                                                   self.config)
-                state.goodput_sum_bps += goodput
-                journal.record(now, "link", state.node.name,
-                               cell=state.serving or "",
-                               goodput_bps=goodput)
             yield self.tick_s
 
 

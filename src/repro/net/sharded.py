@@ -193,7 +193,7 @@ class _ShardedRun:
         for node in sim.nodes:
             if node.name in region.states:
                 region.scheduler.spawn(
-                    sim._sense_loop_indexed(view, region.states[node.name]),
+                    sim._sense_loop(view, region.states[node.name]),
                     name=f"sense:{node.name}", priority=0)
         for cell in region.cells.values():
             region.scheduler.spawn(
@@ -202,7 +202,7 @@ class _ShardedRun:
         for node in sim.nodes:
             if node.name in region.states:
                 region.scheduler.spawn(
-                    sim._link_loop_indexed(view, region.states[node.name]),
+                    sim._link_loop(view, region.states[node.name]),
                     name=f"link:{node.name}", priority=2)
 
     def submit_remote(self, region: _Region, cell_name: str,

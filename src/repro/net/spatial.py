@@ -1,9 +1,8 @@
 """Uniform-grid spatial index over the luminaire plane.
 
-The all-pairs loops of the multicell simulator evaluate the Lambertian
-channel from *every* luminaire to every receiver every tick — O(cells)
-per query, which is what caps the fleet at a few thousand events per
-second.  Physically almost all of those evaluations are exactly zero:
+A brute-force scan evaluates the Lambertian channel from *every*
+luminaire to a receiver — O(cells) per query, every tick, for every
+receiver.  Physically almost all of those evaluations are exactly zero:
 an upward-facing photodiode under a ``drop_m`` ceiling stops seeing a
 luminaire the moment the incidence angle exceeds its field of view,
 i.e. beyond the horizontal radius ``drop_m · tan(rx_fov)``.
@@ -13,7 +12,7 @@ radius so queries touch at most a 3×3 neighbourhood:
 
 * :meth:`within` — the luminaires whose horizontal offset is inside
   the cull radius, **in original tuple order** (so downstream float
-  sums accumulate in the same order as the all-pairs scan and stay
+  sums accumulate in the same order as a brute-force scan and stay
   bit-identical — culled luminaires would have contributed exactly
   ``0.0``).
 * :meth:`nearest` — the exact nearest luminaire by ``(distance,
@@ -23,7 +22,7 @@ radius so queries touch at most a 3×3 neighbourhood:
 With the default ``gain_floor = 0.0`` the cull radius is the exact
 zero-gain boundary (inflated by one part in 10⁹ so an ulp of
 ``atan2``/``tan`` disagreement can never flip a boundary luminaire the
-wrong way): indexed results are bit-identical to all-pairs results.  A
+wrong way): indexed results are bit-identical to a brute-force scan.  A
 positive ``gain_floor`` shrinks the radius to where the gain falls
 below the floor — a genuine approximation that trades journal-digest
 stability for speed on dense fleets.
@@ -97,10 +96,10 @@ class LuminaireIndex:
                  optics: OpticalFrontEnd, gain_floor: float = 0.0):
         if not luminaires:
             raise ValueError("an index needs at least one luminaire")
-        if drop_m <= 0:
-            raise ValueError("drop_m must be positive")
-        if gain_floor < 0:
-            raise ValueError("gain_floor must be non-negative")
+        if not 0 < drop_m < math.inf:
+            raise ValueError("drop_m must be finite and positive")
+        if not 0 <= gain_floor < math.inf:
+            raise ValueError("gain_floor must be finite and non-negative")
         self.luminaires = tuple(luminaires)
         self.radius = _fov_radius(drop_m, optics)
         if gain_floor > 0.0:

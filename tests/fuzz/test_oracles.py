@@ -1,5 +1,7 @@
 """The oracles themselves: determinism, clean passes, armed defects."""
 
+import math
+
 import pytest
 
 from repro.fuzz import ORACLES, execute_params, generate_cases, result_digest
@@ -49,6 +51,50 @@ class TestCleanTree:
         case = generate_cases(4, 1, oracles=("journal",))[0]
         result = execute_params("journal", case.params)
         assert result.status == "ok", (case.params, result.detail)
+
+
+class TestSpatialIndexMutation:
+    """The ``journal`` oracle catches an index that disagrees with the
+    brute-force scan, even though both of its runs share the defect."""
+
+    def test_within_dropping_a_lit_luminaire_fails(self, monkeypatch):
+        from repro.net import LuminaireIndex, default_network
+        from repro.phy import LinkGeometry
+
+        sim = default_network()
+        optics, drop = sim.channel.optics, sim.drop_m
+        within = LuminaireIndex.within
+
+        def lossy(self, position):
+            found = within(self, position)
+            lit = [i for i, lum in enumerate(found)
+                   if optics.channel_gain(LinkGeometry.from_offsets(
+                       math.hypot(position[0] - lum.x_m,
+                                  position[1] - lum.y_m), drop)) > 0.0]
+            if lit:
+                del found[lit[-1]]
+            return found
+
+        monkeypatch.setattr(LuminaireIndex, "within", lossy)
+        case = generate_cases(4, 1, oracles=("journal",))[0]
+        result = execute_params("journal", case.params)
+        assert result.status == "fail"
+        assert result.detail.startswith(
+            "spatial-index exactness: within() at (")
+
+    def test_nearest_returning_the_farthest_fails(self, monkeypatch):
+        from repro.net import LuminaireIndex
+
+        def farthest(self, position):
+            return max(self.luminaires, key=lambda lum: math.hypot(
+                position[0] - lum.x_m, position[1] - lum.y_m))
+
+        monkeypatch.setattr(LuminaireIndex, "nearest", farthest)
+        case = generate_cases(4, 1, oracles=("journal",))[0]
+        result = execute_params("journal", case.params)
+        assert result.status == "fail"
+        assert result.detail.startswith(
+            "spatial-index exactness: nearest() at (")
 
 
 class TestShrinkCandidates:

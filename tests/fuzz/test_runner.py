@@ -47,6 +47,18 @@ class TestCampaignDeterminism:
         with pytest.raises(ValueError):
             CampaignConfig(timeout_s=0.0)
 
+    def test_parallel_campaign_builds_the_designer_before_forking(self):
+        # Workers forked from the parent inherit its designer; a codec
+        # campaign never designs in the parent, so only the pre-fork
+        # build can fill the cache there.
+        from repro.core.ampdesign import _designer_for
+
+        _designer_for.cache_clear()
+        report = run_campaign(CampaignConfig(seed=0, budget=2, jobs=2,
+                                             oracles=("codec",)))
+        assert report.clean
+        assert _designer_for.cache_info().currsize == 1
+
 
 class TestFindingsPipeline:
     def test_fail_finding_is_shrunk_and_journaled(self, monkeypatch,

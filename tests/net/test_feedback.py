@@ -181,6 +181,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             FeedbackCollector(staleness_s=0.0)
 
+    @pytest.mark.parametrize("staleness", [float("nan"), float("inf")])
+    def test_staleness_finite(self, staleness):
+        with pytest.raises(ValueError, match="staleness_s"):
+            FeedbackCollector(staleness_s=staleness)
+
     def test_max_nodes_positive_when_set(self):
         with pytest.raises(ValueError):
             FeedbackCollector(max_nodes=0)

@@ -6,9 +6,13 @@ trace does), interference monotonicity at network level, and fault
 injection all get pinned here.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.core import shared_designer
+from repro.des import EventJournal, EventScheduler
 from repro.lighting import BlindRampAmbient, StaticAmbient
 from repro.net import AmbientField, FaultPlan, LinearTrace, Luminaire, \
     LuminaireIndex, MobileNode, MulticellSimulation, StaticPosition, \
@@ -30,6 +34,16 @@ class TestLuminaireGrid:
             luminaire_grid(0, 2)
         with pytest.raises(ValueError):
             luminaire_grid(1, 1, spacing_m=0.0)
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf])
+    def test_non_finite_spacing_is_rejected(self, spacing):
+        with pytest.raises(ValueError, match="spacing_m"):
+            luminaire_grid(2, 2, spacing)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.inf)])
+    def test_non_finite_luminaire_position_is_rejected(self, x, y):
+        with pytest.raises(ValueError, match="x_m and y_m"):
+            Luminaire("cell", x, y)
 
 
 class TestStrongestCell:
@@ -64,6 +78,8 @@ class TestStrongestCell:
     def test_validation(self):
         with pytest.raises(ValueError):
             strongest_cell({"a": 1.0}, None, hysteresis_db=-1.0)
+        with pytest.raises(ValueError, match="hysteresis_db"):
+            strongest_cell({"a": 1.0}, None, hysteresis_db=math.nan)
 
 
 def small_network(**kwargs):
@@ -273,6 +289,37 @@ class TestValidation:
             small_network().run(0.0)
         with pytest.raises(ValueError):
             default_network(n_nodes=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("drop_m", math.nan), ("drop_m", math.inf),
+        ("tick_s", math.nan), ("tick_s", math.inf),
+        ("hysteresis_db", math.nan), ("hysteresis_db", math.inf),
+        ("staleness_s", math.nan), ("staleness_s", math.inf),
+        ("lookahead_s", math.nan), ("lookahead_s", math.inf),
+        ("gain_floor", math.nan), ("gain_floor", math.inf),
+    ])
+    def test_non_finite_fields_are_rejected_at_construction(self, field,
+                                                            value):
+        with pytest.raises(ValueError, match=field):
+            small_network(**{field: value})
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf])
+    def test_non_finite_duration_is_rejected_before_scheduling(
+            self, monkeypatch, duration):
+        def never(*args, **kwargs):
+            raise AssertionError("a non-finite run reached the kernel")
+
+        monkeypatch.setattr(EventScheduler, "run", never)
+        with pytest.raises(ValueError, match="duration_s"):
+            small_network().run(duration)
+
+    def test_every_cell_shares_the_process_designer(self):
+        sim = default_network(rows=2, cols=3, n_nodes=1)
+        cells = sim._build_cells(EventScheduler(), EventJournal())
+        assert len(cells) == 6
+        designer = shared_designer(sim.config)
+        assert all(cell.controller.designer is designer
+                   for cell in cells.values())
 
     def test_default_network_scales_the_floor(self):
         sim = default_network(rows=3, cols=2, spacing_m=2.0, n_nodes=2)

@@ -24,27 +24,6 @@ class TestDegeneracy:
         assert unsharded.metrics() == sharded.metrics()
         assert len(sharded.shards) == 1
 
-    def test_indexed_path_matches_the_all_pairs_baseline(self):
-        indexed = network().run(30.0)
-        allpairs = network(use_spatial_index=False).run(30.0)
-        assert journals_equal(indexed.journal, allpairs.journal)
-        assert indexed.metrics() == allpairs.metrics()
-
-    def test_parity_holds_under_a_time_varying_ambient(self):
-        # Regression guard: with a ramping ambient the per-cell dimming
-        # requests diverge, which is exactly where a designer whose
-        # memo were shared across cells would leak one cell's design
-        # into another's (the memo key quantizes the request).
-        from repro.lighting.ambient import BlindRampAmbient
-
-        kw = dict(profile=BlindRampAmbient(duration_s=30.0))
-        indexed = default_network(rows=2, cols=2, n_nodes=4, seed=2018,
-                                  **kw).run(30.0)
-        allpairs = default_network(rows=2, cols=2, n_nodes=4, seed=2018,
-                                   use_spatial_index=False, **kw).run(30.0)
-        assert indexed.journal.digest() == allpairs.journal.digest()
-        assert indexed.metrics() == allpairs.metrics()
-
     def test_merge_of_a_single_shard_is_the_identity(self):
         result = run_sharded(network(), 10.0)
         merged = merge_journals(result.shards)
@@ -117,10 +96,6 @@ class TestValidation:
             network(regions=5)
         with pytest.raises(ValueError):
             network(regions=0)
-
-    def test_sharding_requires_the_spatial_index(self):
-        with pytest.raises(ValueError):
-            fleet(regions=2, use_spatial_index=False)
 
     def test_sharding_requires_a_finite_cull_radius(self):
         from repro.phy import OpticalFrontEnd, calibrated_channel

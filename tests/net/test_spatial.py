@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from repro.net import LuminaireIndex, luminaire_grid
+from repro.lighting import BlindRampAmbient, StaticAmbient
+from repro.net import LuminaireIndex, default_network, luminaire_grid
 from repro.net.spatial import _fov_radius
 from repro.phy import LinkGeometry, OpticalFrontEnd
 
@@ -91,6 +92,34 @@ class TestNearest:
             assert index.nearest(point) is brute_nearest(luminaires, point)
 
 
+class TestAtRunPositions:
+    """The index against a brute-force scan wherever a fleet sensed."""
+
+    @pytest.mark.parametrize("profile", [
+        StaticAmbient(0.4), BlindRampAmbient(duration_s=30.0)],
+        ids=["static", "blind-ramp"])
+    def test_every_sensed_position_matches_the_scan(self, profile):
+        sim = default_network(rows=4, cols=4, n_nodes=8, seed=7,
+                              profile=profile)
+        journal = sim.run(30.0).journal
+        luminaires, optics = sim.luminaires, sim.channel.optics
+        index = LuminaireIndex(luminaires, sim.drop_m, optics)
+
+        def lit(found, point):
+            return [lum for lum in found if optics.channel_gain(
+                LinkGeometry.from_offsets(
+                    math.hypot(point[0] - lum.x_m, point[1] - lum.y_m),
+                    sim.drop_m)) > 0.0]
+
+        points = [(e.get("x"), e.get("y")) for e in journal.of_kind("sense")]
+        assert len(points) == 8 * 31
+        for point in points:
+            found = index.within(point)
+            assert found == brute_within(luminaires, point, index.radius)
+            assert lit(found, point) == lit(luminaires, point)
+            assert index.nearest(point) is brute_nearest(luminaires, point)
+
+
 class TestRadii:
     def test_fov_radius_is_the_zero_gain_boundary(self):
         radius = _fov_radius(DROP, OPTICS)
@@ -120,3 +149,12 @@ class TestRadii:
             LuminaireIndex(luminaires, 0.0, OPTICS)
         with pytest.raises(ValueError):
             LuminaireIndex(luminaires, DROP, OPTICS, gain_floor=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("drop_m", math.nan), ("drop_m", math.inf),
+        ("gain_floor", math.nan), ("gain_floor", math.inf)])
+    def test_non_finite_inputs_are_rejected(self, field, value):
+        kwargs = {"drop_m": DROP, "gain_floor": 0.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            LuminaireIndex(luminaire_grid(2, 2, 2.0), optics=OPTICS,
+                           **kwargs)

@@ -191,6 +191,20 @@ class TestJournal:
         assert code == 2
         assert "--tail" in err
 
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_rejected(self, monkeypatch, duration):
+        from repro.des import EventScheduler
+
+        def never(*args, **kwargs):
+            raise AssertionError("a non-finite run reached the kernel")
+
+        monkeypatch.setattr(EventScheduler, "run", never)
+        code, text, err = run_cli("journal", "--grid", "1x1",
+                                  "--duration", duration)
+        assert code == 2
+        assert "--duration" in err
+        assert text == ""
+
 
 class TestChaos:
     def test_prints_the_resilience_report(self):
