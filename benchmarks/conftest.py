@@ -1,35 +1,20 @@
-"""Benchmark fixtures.
+"""Perf-floor fixtures and the one timing helper.
 
-Every bench regenerates one of the paper's artefacts through the same
-registry the tests use, asserts its headline shape, and times the
-regeneration through the shared :class:`repro.obs.bench.BenchRunner`:
-warmup calls first, then best-of-k timing, so a single cold run can
-never masquerade as a regression (or an improvement).  At the end of
-the session every record is appended to ``BENCH_HISTORY.jsonl`` at the
-repository root — the same append-only store ``repro bench`` gates
-against.
-
-Environment knobs: ``REPRO_BENCH_REPEATS`` / ``REPRO_BENCH_WARMUP``
-override the timing discipline (defaults 3 and 1), and
-``REPRO_BENCH_HISTORY`` points the history somewhere else (set it
-empty to skip recording).
+Every test here asserts a speed floor or a determinism contract and
+writes no file: the end-to-end performance record is perfbench
+(``python3 perfbench/run.py``).  Timings go through the ``best_of``
+fixture: warmup calls first, then the best of ``k`` timed calls, so a
+single cold run can never pass or fail a floor on its own.
 """
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
+import math
+import time
 
 import pytest
 
 from repro.core import SystemConfig
-from repro.obs.bench import BenchRunner, append_history
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
-WARMUP = int(os.environ.get("REPRO_BENCH_WARMUP", "1"))
-HISTORY = os.environ.get("REPRO_BENCH_HISTORY",
-                         str(REPO_ROOT / "BENCH_HISTORY.jsonl"))
 
 
 @pytest.fixture(scope="session")
@@ -38,39 +23,22 @@ def config() -> SystemConfig:
 
 
 @pytest.fixture(scope="session")
-def bench_runner():
-    """One BenchRunner per session; records flush to the history file."""
-    runner = BenchRunner(repeats=REPEATS, warmup=WARMUP)
-    yield runner
-    if HISTORY and runner.records:
-        append_history(runner.records, HISTORY)
+def best_of():
+    """Best-of-``k`` wall time of ``func`` after ``warmup`` untimed calls.
 
-
-@pytest.fixture
-def bench(bench_runner, request):
-    """Time ``func`` warmup + best-of-k; returns the last call's result.
-
-    The workload name defaults to the test name with the
-    ``test_bench_`` prefix stripped, underscores dotted, and a
-    ``suite.`` namespace prepended (``test_bench_fig04`` times
-    workload ``suite.fig04``) — the key its history is filed under.
-    The namespace keeps pytest-derived labels from ever colliding
-    with the ``repro bench`` CLI workloads, which share the history
-    file.  Per-call ``repeats``/``warmup`` override the session
-    defaults for workloads that need more samples (or, for the very
-    heavy ones, fewer); an explicit ``name=`` is used verbatim.
+    ``setup``, when given, builds ``func``'s one argument afresh before
+    every call, outside the timed section.  Returns ``(best_s, result)``
+    with the result of the last call.
     """
-    def run(func, *args, name=None, repeats=None, warmup=None, **kwargs):
-        label = name
-        if label is None:
-            label = request.node.name
-            for prefix in ("test_bench_", "test_"):
-                if label.startswith(prefix):
-                    label = label[len(prefix):]
-                    break
-            label = "suite." + label.replace("_", ".")
-        _, result = bench_runner.run(label, func, *args, repeats=repeats,
-                                     warmup=warmup, **kwargs)
-        return result
+    def run(func, *, k=3, warmup=1, setup=None):
+        best, result = math.inf, None
+        for i in range(warmup + k):
+            args = () if setup is None else (setup(),)
+            t0 = time.perf_counter()
+            result = func(*args)
+            elapsed = time.perf_counter() - t0
+            if i >= warmup:
+                best = min(best, elapsed)
+        return best, result
 
     return run

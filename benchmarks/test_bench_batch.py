@@ -7,8 +7,6 @@ must be at least an order of magnitude faster through
 counts under the same seed.
 """
 
-import time
-
 import numpy as np
 import pytest
 
@@ -22,38 +20,22 @@ SEED = 21
 
 
 @pytest.mark.perf
-def test_bench_batch_ser_speedup(bench, config):
+def test_bench_batch_ser_speedup(best_of, config):
     scalar = MonteCarloValidator(config)
     batch = BatchMonteCarloValidator(config)
 
-    def run_scalar():
-        return scalar.symbol_error_rate(PATTERN, ERRORS,
-                                        np.random.default_rng(SEED),
-                                        n_symbols=N_SYMBOLS)
+    def run(validator, n_symbols=N_SYMBOLS, seed=SEED):
+        return validator.symbol_error_rate(PATTERN, ERRORS,
+                                           np.random.default_rng(seed),
+                                           n_symbols=n_symbols)
 
-    def run_batch():
-        return batch.symbol_error_rate(PATTERN, ERRORS,
-                                       np.random.default_rng(SEED),
-                                       n_symbols=N_SYMBOLS)
-
-    # Warm both paths: the first NumPy dispatch pays one-off setup
-    # costs that would otherwise masquerade as engine time.
-    scalar.symbol_error_rate(PATTERN, ERRORS, np.random.default_rng(0),
-                             n_symbols=500)
-    batch.symbol_error_rate(PATTERN, ERRORS, np.random.default_rng(0),
-                            n_symbols=500)
-
-    t0 = time.perf_counter()
-    scalar_estimate = run_scalar()
-    t_scalar = time.perf_counter() - t0
-
-    t_batch = min(
-        (lambda s: (run_batch(), time.perf_counter() - s)[1])(
-            time.perf_counter())
-        for _ in range(3)
-    )
-
-    batch_estimate = bench(run_batch)
+    # Warm the scalar path on a short run: the first NumPy dispatch
+    # pays one-off setup costs that would otherwise masquerade as
+    # engine time, and a full-length warmup would double the slowest
+    # call of the suite.
+    run(scalar, n_symbols=500, seed=0)
+    t_scalar, scalar_estimate = best_of(lambda: run(scalar), k=1, warmup=0)
+    t_batch, batch_estimate = best_of(lambda: run(batch))
     print(f"\n{N_SYMBOLS} symbols S({PATTERN.n_slots},{PATTERN.n_on}): "
           f"scalar {t_scalar * 1e3:.0f} ms, batch {t_batch * 1e3:.1f} ms "
           f"({t_scalar / t_batch:.1f}x)")

@@ -3,18 +3,12 @@
 The permanent instrumentation in :mod:`repro.sim.batch` is only
 acceptable if it is effectively free.  This bench times the batched
 SER validator with telemetry off (the default null path) and again
-under an active session — both through the shared
-:class:`~repro.obs.bench.BenchRunner` discipline (warmup, then
-best-of-k) — asserts the identical estimate both ways, and guards the
-overhead ratio at < 5%.  The ratio is clamped at zero: timing jitter
-can make the instrumented run measure *faster* than the null path,
-and a negative "overhead" is noise, not a speedup.  Emits
-``BENCH_obs.json`` at the repository root so the overhead trajectory
-is recorded run over run.
+under an active session, both best-of-k after a warmup, asserts the
+identical estimate both ways, and guards the overhead ratio at < 5%.
+The ratio is clamped at zero: timing jitter can make the instrumented
+run measure *faster* than the null path, and a negative "overhead" is
+noise, not a speedup.
 """
-
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +16,7 @@ import pytest
 from repro.core.errormodel import SlotErrorModel
 from repro.core.symbols import SymbolPattern
 from repro.obs import render_prometheus, telemetry_session
-from repro.obs.bench import BenchRunner
 from repro.sim.batch import BatchMonteCarloValidator
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 N_SYMBOLS = 50_000
 PATTERN = SymbolPattern(30, 15)
@@ -40,26 +31,16 @@ def _run_ser(validator):
 
 
 @pytest.mark.perf
-def test_bench_obs_overhead(bench, config):
+def test_bench_obs_overhead(best_of, config):
     validator = BatchMonteCarloValidator(config=config)
-
-    # The off/on comparison needs a matched pair of best-of-k timings,
-    # so measure both legs on a local runner with the same discipline
-    # (the shared session runner still records the off leg for the
-    # history file, via the ``bench`` fixture below).
-    pair = BenchRunner(repeats=REPEATS, warmup=1)
-    off_record, baseline = pair.measure("obs.overhead.off",
-                                        _run_ser, validator)
 
     def traced():
         with telemetry_session() as session:
             estimate = _run_ser(validator)
         return estimate, session
 
-    on_record, (traced_estimate, session) = pair.measure(
-        "obs.overhead.on", traced)
-    t_off, t_on = off_record.min_s, on_record.min_s
-    bench(_run_ser, validator, name="suite.obs.overhead", repeats=REPEATS)
+    t_off, baseline = best_of(lambda: _run_ser(validator), k=REPEATS)
+    t_on, (traced_estimate, session) = best_of(traced, k=REPEATS)
 
     # Telemetry observes — the estimate must be bit-identical either way.
     assert traced_estimate == baseline
@@ -70,21 +51,8 @@ def test_bench_obs_overhead(bench, config):
 
     # Clamp at zero: min-of-k jitter can dip below the null path.
     overhead = max(0.0, t_on / t_off - 1.0)
-    payload = {
-        "bench": "obs",
-        "n_symbols": N_SYMBOLS,
-        "pattern": f"S({PATTERN.n_slots},{PATTERN.n_on})",
-        "telemetry_off_s": round(t_off, 5),
-        "telemetry_on_s": round(t_on, 5),
-        "overhead_fraction": round(overhead, 4),
-        "symbols_per_s_off": round(N_SYMBOLS / t_off, 0),
-        "symbols_per_s_on": round(N_SYMBOLS / t_on, 0),
-        "measured_ser": baseline.measured_ser,
-    }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"\nobs: batched SER {N_SYMBOLS} symbols — off {t_off * 1e3:.1f} ms,"
-          f" on {t_on * 1e3:.1f} ms ({overhead * 100:+.1f}%) "
-          f"-> {BENCH_JSON.name}")
+          f" on {t_on * 1e3:.1f} ms ({overhead * 100:+.1f}%)")
 
     # The guard: an enabled session must cost < 5% on the hot path.
     assert overhead < 0.05, (

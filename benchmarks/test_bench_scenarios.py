@@ -1,34 +1,22 @@
 """Bench: the trace-driven scenario engine.
 
-Times the smallest shipped scenario (the CI smoke day) end to end —
-compile, sharded-DES run, journal fold, SLO verdict — and reports the
-engine's throughput in simulated room-hours per wall second, the unit
-scenario capacity plans are written in.  A second bench runs the same
-day sharded to pin the ``regions`` path.  Everything lands in
-``BENCH_scenarios.json`` at the repository root, and the timed
-sections flow into ``BENCH_HISTORY.jsonl`` through the shared bench
-fixture.
+Runs the smallest shipped scenario (the CI smoke day) end to end —
+compile, DES run, journal fold, SLO verdict — checks that a rerun
+reproduces its journal digest, and reports the engine's throughput in
+simulated room-hours per wall second, the unit scenario capacity plans
+are written in.  A second bench runs the same day sharded to pin the
+``regions`` path.
 """
 
-import json
 import time
-from pathlib import Path
 
 import pytest
 
 from repro.scenarios import SMOKE_SCENARIO, ScenarioRunner, shipped_scenarios
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
-
-
-def _write(section: str, payload: dict) -> None:
-    record = json.loads(BENCH_JSON.read_text()) if BENCH_JSON.exists() else {}
-    record[section] = payload
-    BENCH_JSON.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
 
 @pytest.mark.perf
-def test_bench_scenario_smoke(bench, config):
+def test_bench_scenario_smoke(config):
     """The CI smoke day end to end: room-hours per wall second."""
     scenario = shipped_scenarios()[SMOKE_SCENARIO]
 
@@ -38,31 +26,19 @@ def test_bench_scenario_smoke(bench, config):
     t0 = time.perf_counter()
     reference = day()
     cold_s = time.perf_counter() - t0
-    run = bench(day, name="suite.scenario.smoke")
+    run = day()
 
     report = run.report
     assert report.passed, report.violations
     assert report.journal_digest == reference.report.journal_digest
     assert report.metrics()["flicker_violations"] == 0.0
-
-    _write("smoke", {
-        "scenario": scenario.name,
-        "duration_s": scenario.duration_s,
-        "rooms": len(report.rooms),
-        "occupants": scenario.population,
-        "room_hours": round(report.scenario_hours, 3),
-        "wall_s": round(cold_s, 3),
-        "room_hours_per_s": round(report.scenario_hours / cold_s, 3),
-        "journal_digest": report.journal_digest[:16],
-        "slo": "PASS" if report.passed else "FAIL",
-    })
     print(f"\nscenario smoke: {scenario.name}, "
           f"{report.scenario_hours:.2f} room-hours in {cold_s:.2f} s "
           f"-> {report.scenario_hours / cold_s:.2f} room-hours/s")
 
 
 @pytest.mark.perf
-def test_bench_scenario_sharded(bench, config):
+def test_bench_scenario_sharded(config):
     """The same day on the sharded kernel: determinism + conservation."""
     scenario = shipped_scenarios()[SMOKE_SCENARIO]
     regions = min(2, scenario.n_luminaires)
@@ -72,20 +48,12 @@ def test_bench_scenario_sharded(bench, config):
                               config=config).run()
 
     reference = ScenarioRunner(scenario, config=config).run()
-    run = bench(sharded_day, name="suite.scenario.sharded")
+    run = sharded_day()
 
     assert run.report.passed, run.report.violations
     assert run.result.total_handovers == reference.result.total_handovers
     rerun = sharded_day()
     assert rerun.report.journal_digest == run.report.journal_digest
-
-    _write("sharded", {
-        "scenario": scenario.name,
-        "regions": regions,
-        "handovers": run.result.total_handovers,
-        "journal_digest": run.report.journal_digest[:16],
-        "replay_identical": True,
-    })
     print(f"\nscenario sharded: regions={regions}, "
           f"{run.result.total_handovers} handovers, digest "
           f"{run.report.journal_digest[:12]} (replay identical)")

@@ -12,12 +12,6 @@ Commands:
   exports the span tree as Chrome trace-event JSON (open it in
   ``chrome://tracing`` or https://ui.perfetto.dev), and ``--profile``
   prints the inclusive/exclusive hot-path table afterwards.
-* ``bench run [name ...]`` — time the built-in benchmark workloads
-  (warmup + best-of-k), append the records to the append-only
-  ``BENCH_HISTORY.jsonl``, and gate against the historical baseline
-  with a noise-aware threshold (exit code 1 on regression);
-  ``bench diff`` re-judges the latest recorded run against the earlier
-  history, ``bench history`` lists recorded runs.
 * ``design <dimming>`` — ask the AMPPM designer for the best
   super-symbol at a dimming level and print its properties.
 * ``journal`` — run a multicell network scenario and show its event
@@ -100,55 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--profile", action="store_true",
                          help="print the inclusive/exclusive hot-path table "
                               "after the run")
-
-    bench_cmd = sub.add_parser(
-        "bench", help="perf benchmarks: run + regression gate, diff, history")
-    bench_sub = bench_cmd.add_subparsers(dest="bench_command", required=True)
-    bench_run = bench_sub.add_parser(
-        "run", help="time the built-in workloads and gate against history")
-    bench_run.add_argument("names", nargs="*", metavar="NAME",
-                           help="workload names (default: all)")
-    bench_run.add_argument("--repeats", type=int, default=5, metavar="K",
-                           help="timed repeats per workload (default 5)")
-    bench_run.add_argument("--warmup", type=int, default=1, metavar="W",
-                           help="untimed warmup calls per workload "
-                                "(default 1)")
-    bench_run.add_argument("--history", metavar="FILE",
-                           default="BENCH_HISTORY.jsonl",
-                           help="append-only history file "
-                                "(default BENCH_HISTORY.jsonl)")
-    bench_run.add_argument("--slowdown", type=float, default=1.0, metavar="X",
-                           help="multiply measured samples by X — a "
-                                "synthetic slowdown for exercising the "
-                                "regression gate; the scaled records are "
-                                "judged but not recorded (default 1.0)")
-    bench_run.add_argument("--rel-floor", type=float, default=0.10,
-                           metavar="F",
-                           help="always-tolerated relative band above the "
-                                "baseline min (default 0.10)")
-    bench_run.add_argument("--iqr-mult", type=float, default=2.0, metavar="M",
-                           help="tolerated IQRs above the worst historical "
-                                "q3 (default 2.0)")
-    bench_diff = bench_sub.add_parser(
-        "diff", help="re-judge the latest recorded run against history")
-    bench_diff.add_argument("--history", metavar="FILE",
-                            default="BENCH_HISTORY.jsonl",
-                            help="history file (default BENCH_HISTORY.jsonl)")
-    bench_diff.add_argument("--rel-floor", type=float, default=0.10,
-                            metavar="F", help="see bench run --rel-floor")
-    bench_diff.add_argument("--iqr-mult", type=float, default=2.0,
-                            metavar="M", help="see bench run --iqr-mult")
-    bench_history = bench_sub.add_parser(
-        "history", help="list recorded bench runs")
-    bench_history.add_argument("name", nargs="?", default=None,
-                               metavar="NAME",
-                               help="show one workload only")
-    bench_history.add_argument("--history", metavar="FILE",
-                               default="BENCH_HISTORY.jsonl",
-                               help="history file "
-                                    "(default BENCH_HISTORY.jsonl)")
-    bench_history.add_argument("--tail", type=int, default=10, metavar="K",
-                               help="records to print (default 10)")
 
     design_cmd = sub.add_parser("design",
                                 help="design a super-symbol for a dimming level")
@@ -375,155 +320,6 @@ def _cmd_run(ids: Sequence[str], csv_dir: str | None, json_dir: str | None,
         print(f"[trace] {path}", file=out)
     if profile:
         print(ProfileSession.from_session(session).render(), file=out)
-    return 0
-
-
-def _bench_policy(rel_floor: float, iqr_mult: float, err):
-    from .obs.bench import RegressionPolicy
-
-    if rel_floor < 0 or iqr_mult < 0:
-        return None, _fail(err, "--rel-floor and --iqr-mult cannot be "
-                                "negative")
-    return RegressionPolicy(rel_floor=rel_floor, iqr_mult=iqr_mult), 0
-
-
-def _describe_record(record, baseline) -> str:
-    """One aligned report line for a fresh bench record."""
-    line = (f"  {record.name:<18} min {record.min_s * 1e3:>9.3f} ms  "
-            f"median {record.median_s * 1e3:>9.3f} ms  "
-            f"iqr {record.iqr_s * 1e3:>8.3f} ms")
-    if baseline:
-        base_min = min(r.min_s for r in baseline)
-        if base_min > 0:
-            delta = (record.median_s / base_min - 1.0) * 100.0
-            line += f"  vs best {delta:+6.1f}%"
-    return line
-
-
-def _cmd_bench_run(names: Sequence[str], repeats: int, warmup: int,
-                   history: str, slowdown: float, rel_floor: float,
-                   iqr_mult: float, out, err) -> int:
-    import os
-    import time
-
-    from .obs.bench import (BenchRunner, append_history, detect_regressions,
-                            deterministic_timer, group_by_name, load_history)
-    from .obs.workloads import bench_workloads
-
-    if repeats < 1:
-        return _fail(err, f"--repeats must be a positive integer, "
-                          f"got {repeats}")
-    if warmup < 0:
-        return _fail(err, f"--warmup cannot be negative, got {warmup}")
-    if slowdown <= 0:
-        return _fail(err, f"--slowdown must be positive, got {slowdown}")
-    policy, code = _bench_policy(rel_floor, iqr_mult, err)
-    if policy is None:
-        return code
-    workloads = bench_workloads()
-    requested = list(names) or list(workloads)
-    unknown = sorted(set(requested) - set(workloads))
-    if unknown:
-        return _fail(err, f"unknown workloads: {unknown}; "
-                          f"known: {sorted(workloads)}")
-    try:
-        prior = load_history(history)
-    except ValueError as exc:
-        return _fail(err, f"corrupt history file: {exc}")
-    baseline = group_by_name(prior)
-    # REPRO_BENCH_TIMER=fake swaps wall-clock timing for a
-    # deterministic step clock, for tests that exercise the
-    # run/record/gate plumbing rather than the host's performance.
-    timer_mode = os.environ.get("REPRO_BENCH_TIMER", "wall") or "wall"
-    if timer_mode == "fake":
-        timer = deterministic_timer()
-    elif timer_mode == "wall":
-        timer = time.perf_counter
-    else:
-        return _fail(err, f"REPRO_BENCH_TIMER must be 'wall' or 'fake', "
-                          f"got {timer_mode!r}")
-    runner = BenchRunner(repeats=repeats, warmup=warmup, scale=slowdown,
-                         timer=timer)
-    print(f"bench run {runner.run_id}: {len(requested)} workloads, "
-          f"{warmup} warmup + {repeats} repeats", file=out)
-    for name in requested:
-        record, _ = runner.run(name, workloads[name])
-        print(_describe_record(record, baseline.get(name)), file=out)
-    regressions = detect_regressions(runner.records, prior, policy)
-    if slowdown == 1.0:
-        path = append_history(runner.records, history)
-        print(f"[history] {path} (+{len(runner.records)} records)", file=out)
-    else:
-        # Synthetic slowdowns exercise the gate; recording them would
-        # poison the baseline's noise band.
-        print(f"[history] not recorded (synthetic slowdown "
-              f"{slowdown:g}x)", file=out)
-    if not regressions:
-        print("no regressions against recorded history", file=out)
-        return 0
-    for regression in regressions:
-        print(regression.describe(), file=out)
-    return 1
-
-
-def _cmd_bench_diff(history: str, rel_floor: float, iqr_mult: float,
-                    out, err) -> int:
-    from .obs.bench import (detect_regressions, group_by_name, last_run,
-                            load_history)
-
-    policy, code = _bench_policy(rel_floor, iqr_mult, err)
-    if policy is None:
-        return code
-    try:
-        records = load_history(history)
-    except ValueError as exc:
-        return _fail(err, f"corrupt history file: {exc}")
-    if not records:
-        return _fail(err, f"no bench history at {history}")
-    current, earlier = last_run(records)
-    if not earlier:
-        print(f"only one recorded run ({current[0].run_id}) — "
-              f"nothing to diff against", file=out)
-        return 0
-    baseline = group_by_name(earlier)
-    print(f"bench diff: run {current[0].run_id} vs "
-          f"{len(earlier)} earlier records", file=out)
-    for record in current:
-        print(_describe_record(record, baseline.get(record.name)), file=out)
-    regressions = detect_regressions(current, earlier, policy)
-    if not regressions:
-        print("no regressions against recorded history", file=out)
-        return 0
-    for regression in regressions:
-        print(regression.describe(), file=out)
-    return 1
-
-
-def _cmd_bench_history(name: str | None, history: str, tail: int,
-                       out, err) -> int:
-    from .obs.bench import load_history
-
-    if tail < 0:
-        return _fail(err, f"--tail must be non-negative, got {tail}")
-    try:
-        records = load_history(history)
-    except ValueError as exc:
-        return _fail(err, f"corrupt history file: {exc}")
-    if not records:
-        return _fail(err, f"no bench history at {history}")
-    if name is not None:
-        records = [r for r in records if r.name == name]
-        if not records:
-            return _fail(err, f"no records for workload {name!r}")
-    shown = records[-tail:] if tail else []
-    print(f"bench history: {len(records)} records "
-          f"({len({r.run_id for r in records})} runs), "
-          f"showing {len(shown)}", file=out)
-    for record in shown:
-        print(f"  {record.run_id:<28} {record.name:<18} "
-              f"min {record.min_s * 1e3:>9.3f} ms  "
-              f"median {record.median_s * 1e3:>9.3f} ms  "
-              f"iqr {record.iqr_s * 1e3:>8.3f} ms", file=out)
     return 0
 
 
@@ -915,19 +711,6 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
         return _cmd_run(args.ids, args.csv, args.json, out, err,
                         jobs=args.jobs, telemetry=args.telemetry,
                         trace=args.trace, profile=args.profile)
-    if args.command == "bench":
-        if args.bench_command == "run":
-            return _cmd_bench_run(args.names, args.repeats, args.warmup,
-                                  args.history, args.slowdown,
-                                  args.rel_floor, args.iqr_mult, out, err)
-        if args.bench_command == "diff":
-            return _cmd_bench_diff(args.history, args.rel_floor,
-                                   args.iqr_mult, out, err)
-        if args.bench_command == "history":
-            return _cmd_bench_history(args.name, args.history, args.tail,
-                                      out, err)
-        raise AssertionError(
-            f"unhandled bench command {args.bench_command!r}")
     if args.command == "design":
         return _cmd_design(args.dimming, out, err)
     if args.command == "journal":

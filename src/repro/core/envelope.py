@@ -164,7 +164,7 @@ def upper_concave_envelope(patterns: Sequence[SymbolPattern],
                            errors: SlotErrorModel | None = None) -> Envelope:
     """Reference construction: monotone-chain upper hull.
 
-    Used by the ablation benchmark to validate the slope walk; both
+    Used by the tests to validate the slope walk; both
     constructions must return the same vertex chain.
     """
     points = score_points(patterns, errors)

@@ -24,19 +24,6 @@ never in result values, journals, or determinism digests — so
 enabling a session cannot change any golden-seed artefact.
 """
 
-from .bench import (
-    BenchRecord,
-    BenchRunner,
-    Regression,
-    RegressionPolicy,
-    append_history,
-    detect_regressions,
-    deterministic_timer,
-    group_by_name,
-    last_run,
-    load_history,
-    regression_threshold,
-)
 from .export import (
     PROMETHEUS_CONTENT_TYPE,
     read_telemetry_jsonl,
@@ -75,8 +62,6 @@ from .trace import (
 )
 
 __all__ = [
-    "BenchRecord",
-    "BenchRunner",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",
@@ -88,8 +73,6 @@ __all__ = [
     "PROMETHEUS_CONTENT_TYPE",
     "ProfileEntry",
     "ProfileSession",
-    "Regression",
-    "RegressionPolicy",
     "RunManifest",
     "SpanRecord",
     "SpanRecorder",
@@ -97,20 +80,13 @@ __all__ = [
     "active",
     "active_span",
     "aggregate_spans",
-    "append_history",
     "chrome_trace",
     "config_digest",
-    "detect_regressions",
-    "deterministic_timer",
     "enabled",
-    "group_by_name",
-    "last_run",
-    "load_history",
     "merge",
     "metrics",
     "read_telemetry_jsonl",
     "record_manifest",
-    "regression_threshold",
     "render_prometheus",
     "render_text",
     "span",

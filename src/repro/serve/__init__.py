@@ -14,7 +14,7 @@ plane.  ``repro.serve`` is that daemon, stdlib-only on top of asyncio:
   HTTP/1.1 + persistent NDJSON) with bounded queues, overload
   shedding, live ``repro.obs`` metrics and graceful SIGTERM drain;
 * :mod:`~repro.serve.loadgen` — a seeded synthetic client fleet for
-  the tests and the ``serve.adapt`` benchmark.
+  the tests and ``repro serve --load``.
 
 Start one from the CLI with ``repro serve`` (add ``--load`` to point
 the synthetic fleet at it and exit with a report).

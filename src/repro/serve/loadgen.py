@@ -15,7 +15,7 @@ mixed by ``ndjson_fraction``:
 Everything random flows from ``LoadProfile.seed`` through per-client
 :class:`random.Random` instances, so a load run is replayable.  The
 :class:`LoadReport` totals are what the overload tests and the
-``serve.adapt`` benchmark assert against — in particular
+serve perf floor assert against — in particular
 ``dropped_connections``, which a healthy server keeps at zero no
 matter how hard it sheds.
 """
@@ -108,7 +108,7 @@ class LoadReport:
         return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
     def summary(self) -> dict:
-        """A JSON-able digest (what the serve bench records)."""
+        """A JSON-able digest of the run."""
         return {
             "sent": self.sent,
             "ok": self.ok,

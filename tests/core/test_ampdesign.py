@@ -40,12 +40,17 @@ class TestDesign:
         assert design.super_symbol.m2 == 0
 
     def test_rate_tracks_envelope(self, designer):
-        # Between vertices the design's rate is close to the chord.
-        for level in (0.3, 0.45, 0.62, 0.8):
+        # Between vertices the design's rate is close to the chord, and
+        # never above the chord at the dimming it achieves: mixing three
+        # or more candidate patterns is still a convex combination of
+        # hull points, so two patterns suffice.
+        for level in (0.15, 0.3, 0.45, 0.6, 0.62, 0.75, 0.8):
             design = designer.design(level)
             envelope_rate = designer.envelope.rate_at(level)
             achieved = design.normalized_rate(designer.errors)
             assert achieved >= 0.93 * envelope_rate
+            assert achieved <= designer.envelope.rate_at(
+                design.achieved_dimming) + 1e-9
 
     def test_rate_peaks_at_half(self, designer):
         mid = designer.design(0.5).normalized_rate()
@@ -74,6 +79,9 @@ class TestDesign:
 
     def test_cache_returns_same_object(self, designer):
         assert designer.design(0.42) is designer.design(0.42)
+
+    def test_candidate_set_is_large(self, designer):
+        assert len(designer.candidates) > 1000
 
     def test_candidates_are_copies(self, designer):
         candidates = designer.candidates

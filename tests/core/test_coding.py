@@ -47,7 +47,7 @@ class TestEncodeSymbol:
         # N=50, K=25 would need a 126 TB lookup table (Section 4.4);
         # the arithmetic codec handles it directly.
         n, k = 50, 25
-        for value in (0, 1, 10**9, symbol_capacity(n, k) - 1):
+        for value in (0, 1, 10**9, 2**40 + 12345, symbol_capacity(n, k) - 1):
             assert decode_symbol(encode_symbol(value, n, k), k) == value
 
     def test_out_of_range_value_rejected(self):

@@ -30,6 +30,8 @@ class TestBinomial:
     def test_large_exact(self):
         # The paper's 126 TB example: C(50, 25).
         assert binomial(50, 25) == 126410606437752
+        # A lookup table of 4-byte codewords would exceed 500 TB.
+        assert binomial(50, 25) * 4 > 500e12
 
 
 class TestBitsPerSymbol:

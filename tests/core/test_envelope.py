@@ -55,6 +55,15 @@ class TestSlopeWalk:
             x = lo + (hi - lo) * i / 100
             assert walk.rate_at(x) == pytest.approx(hull.rate_at(x), abs=1e-9)
 
+    def test_matches_reference_hull_on_designer_candidates(self, designer,
+                                                           paper_errors):
+        walk = slope_walk_envelope(designer.candidates, paper_errors)
+        hull = upper_concave_envelope(designer.candidates, paper_errors)
+        lo, hi = walk.dimming_range
+        for i in range(51):
+            x = lo + (hi - lo) * i / 50
+            assert walk.rate_at(x) == pytest.approx(hull.rate_at(x), abs=1e-9)
+
     def test_envelope_dominates_every_point(self):
         patterns = _patterns(range(2, 25))
         env = slope_walk_envelope(patterns)

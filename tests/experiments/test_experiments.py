@@ -50,6 +50,7 @@ class TestFig04:
         assert 5e-3 < max(n120.y) < 2e-2
         n10 = fig.get("N=10")
         assert max(n10.y) < 1e-3
+        assert max(n10.y) < min(n120.y)
 
 
 class TestFig06:
@@ -186,6 +187,8 @@ class TestFig17:
                               if r >= 0.9 * peak), default=0.0)
         assert cutoffs[1.3] >= cutoffs[2.3] >= cutoffs[3.3]
         assert cutoffs[3.3] < 16.0
+        far = fig.get("distance=3.3m")
+        assert min(far.y) < 0.5 * far.y_max
 
     def test_short_distance_holds_throughout(self):
         fig = run_experiment("fig17")
@@ -242,6 +245,12 @@ class TestHeadline:
         assert 3.2 <= numbers.knee_distance_m <= 3.8
         assert numbers.safe_resolution_direct >= 0.003
         assert 0.4 <= numbers.adaptation_reduction <= 0.6
+
+    def test_table_reports_positive_average_gains(self):
+        table = run_experiment("headline")
+        measured = {row[0]: row[2] for row in table.rows}
+        assert measured["avg gain vs OOK-CT"].startswith("+")
+        assert measured["avg gain vs MPPM"].startswith("+")
 
     def test_custom_config_threads_through(self):
         table = run_experiment("headline", config=SystemConfig(n_cap=40))

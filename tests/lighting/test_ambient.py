@@ -7,6 +7,8 @@ from repro.lighting import (
     LUX_FULL_SCALE,
     BlindRampAmbient,
     CloudyDayAmbient,
+    DaylightAmbient,
+    ScheduledAmbient,
     StaticAmbient,
     StepAmbient,
 )
@@ -103,3 +105,56 @@ class TestStepProfile:
             StepAmbient(steps=((5.0, 0.1),))
         with pytest.raises(ValueError):
             StepAmbient(steps=((0.0, 0.1), (1.0, 1.5)))
+
+
+
+class TestScheduled:
+    def test_override_pins_then_releases_to_the_base(self):
+        base = StaticAmbient(0.4)
+        profile = ScheduledAmbient(base=base,
+                                   steps=((10.0, 0.05), (20.0, None)))
+        assert profile.intensity(9.99) == 0.4
+        assert profile.intensity(10.0) == 0.05
+        assert profile.intensity(19.99) == 0.05
+        assert profile.intensity(20.0) == 0.4
+        assert profile.intensity(1e6) == 0.4
+
+# One case per guard: the profile, the offending fields, the message naming them.
+OUT_OF_RANGE = [
+    pytest.param(BlindRampAmbient, dict(start_level=-0.1), "start_level",
+                 id="ramp-start-level"),
+    pytest.param(BlindRampAmbient, dict(end_level=1.1), "end_level",
+                 id="ramp-end-level"),
+    pytest.param(BlindRampAmbient, dict(wobble=-0.01), "wobble",
+                 id="ramp-wobble"),
+    pytest.param(CloudyDayAmbient, dict(day_length_s=0.0), "time scales",
+                 id="cloudy-day-length"),
+    pytest.param(CloudyDayAmbient, dict(cloud_time_scale_s=0.0),
+                 "time scales", id="cloudy-cloud-time-scale"),
+    pytest.param(CloudyDayAmbient, dict(peak_level=0.0), "peak_level",
+                 id="cloudy-peak-level"),
+    pytest.param(DaylightAmbient, dict(sunrise_s=100.0, sunset_s=50.0),
+                 "sunrise_s", id="daylight-sun-order"),
+    pytest.param(DaylightAmbient, dict(night_level=0.9, peak_level=0.5),
+                 "night_level", id="daylight-level-order"),
+    pytest.param(DaylightAmbient, dict(shape=0.0), "shape",
+                 id="daylight-shape"),
+    pytest.param(DaylightAmbient, dict(cloud_depth=1.0), "cloud_depth",
+                 id="daylight-cloud-depth"),
+    pytest.param(DaylightAmbient, dict(cloud_time_scale_s=0.0),
+                 "cloud_time_scale_s", id="daylight-cloud-time-scale"),
+    pytest.param(ScheduledAmbient,
+                 dict(base=StaticAmbient(0.3), steps=((5.0, 0.1), (1.0, 0.2))),
+                 "non-decreasing", id="scheduled-step-order"),
+    pytest.param(ScheduledAmbient,
+                 dict(base=StaticAmbient(0.3), steps=((1.0, 1.5),)),
+                 "step levels", id="scheduled-step-level"),
+    pytest.param(StepAmbient, dict(steps=((0.0, 0.1), (5.0, 0.2), (1.0, 0.3))),
+                 "non-decreasing", id="step-order"),
+]
+
+
+@pytest.mark.parametrize("profile, fields, message", OUT_OF_RANGE)
+def test_out_of_range_parameter_rejected(profile, fields, message):
+    with pytest.raises(ValueError, match=message):
+        profile(**fields)

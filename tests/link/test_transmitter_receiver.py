@@ -34,6 +34,13 @@ class TestRoundTrip:
         assert frame.payload == PAYLOAD
         assert frame.header.payload_length == len(PAYLOAD)
 
+    def test_long_amppm_frame(self, stack):
+        config, tx, rx = stack
+        payload = bytes(range(128))
+        slots = tx.encode_frame(payload, AmppmScheme(config).design(0.5))
+        assert len(slots) > 1000
+        assert rx.decode_frame(slots).payload == payload
+
     def test_empty_payload(self, stack):
         config, tx, rx = stack
         design = OokCt(config).design(0.5)

@@ -100,6 +100,63 @@ class TestValidation:
             SloSpec(max_flicker_violations=-1)
 
 
+# One case per guard: the spec, the offending fields, the message naming them.
+OUT_OF_BOUNDS = [
+    pytest.param(DaylightSpec, dict(cloud_depth=1.0), "cloud_depth",
+                 id="daylight-cloud-depth"),
+    pytest.param(DaylightSpec, dict(cloud_time_scale_s=0.0),
+                 "cloud_time_scale_s", id="daylight-cloud-time-scale"),
+    pytest.param(OccupancySpec, dict(population=0), "population",
+                 id="occupancy-population"),
+    pytest.param(OccupancySpec, dict(depart_lo_s=0.0, depart_hi_s=0.0),
+                 "departures must end after arrivals",
+                 id="occupancy-empty-presence"),
+    pytest.param(OccupancySpec, dict(break_probability=1.5),
+                 "break_probability", id="occupancy-break-probability"),
+    pytest.param(OccupancySpec, dict(break_duration_s=-1.0),
+                 "break_duration_s", id="occupancy-break-duration"),
+    pytest.param(OccupancySpec,
+                 dict(arrive_hi_s=100.0, break_probability=0.5,
+                      break_lo_s=50.0, break_hi_s=200.0,
+                      break_duration_s=10.0),
+                 "arrive_hi_s <= break_lo_s", id="occupancy-break-before-arrival"),
+    pytest.param(OccupancySpec,
+                 dict(break_probability=0.5, break_lo_s=3500.0,
+                      break_hi_s=3550.0, break_duration_s=100.0),
+                 "breaks must end before departures",
+                 id="occupancy-break-past-departure"),
+    pytest.param(OccupancySpec, dict(speed_min_mps=0.0), "speed_min_mps",
+                 id="occupancy-standstill"),
+    pytest.param(OccupancySpec, dict(speed_min_mps=2.0, speed_max_mps=1.0),
+                 "speed_min_mps", id="occupancy-speed-order"),
+    pytest.param(OccupancySpec, dict(pause_s=-1.0), "pause_s",
+                 id="occupancy-pause"),
+    pytest.param(RoomSpec, dict(id="a", rows=0), "at least one luminaire",
+                 id="room-rows"),
+    pytest.param(RoomSpec, dict(id="a", cols=0), "at least one luminaire",
+                 id="room-cols"),
+    pytest.param(RoomSpec, dict(id="a", spacing_m=0.0), "spacing_m",
+                 id="room-zero-spacing"),
+    pytest.param(RoomSpec, dict(id="a", spacing_m=4.5), "spacing_m",
+                 id="room-wide-spacing"),
+    pytest.param(ChaosSpec, dict(intensity=1.5), "intensity",
+                 id="chaos-intensity"),
+    pytest.param(SloSpec, dict(max_illumination_error=-0.1),
+                 "max_illumination_error", id="slo-illumination-error"),
+]
+
+
+class TestFieldBounds:
+    @pytest.mark.parametrize("spec, fields, message", OUT_OF_BOUNDS)
+    def test_out_of_bounds_field_rejected(self, spec, fields, message):
+        with pytest.raises(ValueError, match=message):
+            spec(**fields)
+
+    def test_empty_scenario_name_rejected(self):
+        with pytest.raises(ValueError, match="scenario name"):
+            tiny_scenario(name="")
+
+
 class TestLoader:
     def test_unknown_scenario_key_rejected(self):
         row = tiny_scenario().to_dict()

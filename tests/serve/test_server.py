@@ -95,6 +95,13 @@ class TestServeConfig:
                 ServeConfig(drain_grace_s=grace)
         assert ServeConfig(drain_grace_s=0.0).drain_grace_s == 0.0
 
+    @pytest.mark.parametrize("cap", ["max_connections", "queue_limit",
+                                     "max_inflight"])
+    def test_caps_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match=cap):
+            ServeConfig(**{cap: 0})
+        assert getattr(ServeConfig(**{cap: 1}), cap) == 1
+
 
 class TestHttp:
     def test_healthz(self, engine):

@@ -485,122 +485,14 @@ class TestTraceAndProfile:
         assert "experiment.fig04" in text
 
 
-class TestBench:
-    """The perf harness: run / diff / history against a JSONL store."""
-
-    WORKLOAD = "codec.roundtrip"
-
-    def _run(self, history, *extra):
-        return run_cli("bench", "run", self.WORKLOAD, "--repeats", "2",
-                       "--warmup", "0", "--history", str(history), *extra)
-
-    def test_first_run_records_without_flags(self, tmp_path):
-        history = tmp_path / "hist.jsonl"
-        code, text, err = self._run(history)
-        assert code == 0
-        assert err == ""
-        assert self.WORKLOAD in text
-        assert "no regressions" in text
-        assert history.exists()
-
-    def test_identical_reruns_never_flag(self, tmp_path, monkeypatch):
-        # The fake timer makes both runs byte-identical: this pins the
-        # run/record/gate plumbing, while the gate's tolerance to real
-        # timing noise is covered by the unit and property tests in
-        # tests/obs/test_bench.py.
-        monkeypatch.setenv("REPRO_BENCH_TIMER", "fake")
-        history = tmp_path / "hist.jsonl"
-        assert self._run(history)[0] == 0
-        code, text, _ = self._run(history)
-        assert code == 0
-        assert "no regressions" in text
-
-    def test_synthetic_slowdown_is_flagged_but_not_recorded(
-            self, tmp_path, monkeypatch):
-        from repro.obs.bench import load_history
-
-        monkeypatch.setenv("REPRO_BENCH_TIMER", "fake")
-        history = tmp_path / "hist.jsonl"
-        assert self._run(history)[0] == 0
-        before = len(load_history(history))
-        code, text, _ = self._run(history, "--slowdown", "2.0")
-        assert code == 1
-        assert f"REGRESSION {self.WORKLOAD}:" in text
-        assert "not recorded" in text
-        assert len(load_history(history)) == before
-
-    def test_unknown_timer_mode_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_TIMER", "sundial")
-        code, text, err = self._run(tmp_path / "hist.jsonl")
-        assert code == 2
-        assert "REPRO_BENCH_TIMER" in err
-
-    def test_unknown_workload_lists_known(self, tmp_path):
-        code, text, err = run_cli("bench", "run", "nope",
-                                  "--history", str(tmp_path / "h.jsonl"))
-        assert code == 2
-        assert text == ""
-        assert "unknown workloads" in err
-        assert self.WORKLOAD in err
-
-    def test_bad_arguments_exit_2(self, tmp_path):
-        history = str(tmp_path / "h.jsonl")
-        for argv in (("bench", "run", "--repeats", "0"),
-                     ("bench", "run", "--warmup", "-1"),
-                     ("bench", "run", "--slowdown", "0"),
-                     ("bench", "run", "--rel-floor", "-0.1"),
-                     ("bench", "diff", "--iqr-mult", "-1")):
-            code, _, err = run_cli(*argv, "--history", history)
-            assert code == 2, argv
-            assert err != ""
-
-    def test_diff_needs_two_runs(self, tmp_path):
-        history = tmp_path / "hist.jsonl"
-        code, _, err = run_cli("bench", "diff", "--history", str(history))
-        assert code == 2
-        assert "no bench history" in err
-        self._run(history)
-        code, text, _ = run_cli("bench", "diff", "--history", str(history))
-        assert code == 0
-        assert "nothing to diff" in text
-
-    def test_diff_rejudges_the_last_run(self, tmp_path):
-        from repro.obs.bench import (BenchRecord, append_history,
-                                     load_history)
-
-        history = tmp_path / "hist.jsonl"
-        self._run(history)
-        # Append a genuinely slow later run by hand (the CLI refuses to
-        # record synthetic ones), then re-judge it.
-        slow = [BenchRecord.from_samples(
-            r.name, [3.0 * s for s in r.samples_s], warmup=r.warmup,
-            run_id="slow-run", recorded_at_utc=r.recorded_at_utc)
-            for r in load_history(history)]
-        append_history(slow, history)
-        code, text, _ = run_cli("bench", "diff", "--history", str(history))
-        assert code == 1
-        assert f"REGRESSION {self.WORKLOAD}:" in text
-
-    def test_history_lists_and_filters(self, tmp_path):
-        history = tmp_path / "hist.jsonl"
-        self._run(history)
-        code, text, _ = run_cli("bench", "history",
-                                "--history", str(history))
-        assert code == 0
-        assert self.WORKLOAD in text
-        code, _, err = run_cli("bench", "history", "other.workload",
-                               "--history", str(history))
-        assert code == 2
-        assert "no records" in err
-
-    def test_history_missing_file(self, tmp_path):
-        code, _, err = run_cli("bench", "history",
-                               "--history", str(tmp_path / "none.jsonl"))
-        assert code == 2
-        assert "no bench history" in err
-
-
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_unknown_command_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "bench" in err
