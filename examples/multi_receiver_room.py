@@ -12,43 +12,45 @@ opens with.
 Run:  python examples/multi_receiver_room.py
 """
 
+import math
+
 from repro.lighting import BlindRampAmbient, energy_report
 from repro.link import WifiUplink
-from repro.net import Aggregation, FeedbackCollector, RoomSimulation
+from repro.net import Aggregation, desk_room
+from repro.phy import LinkGeometry
 from repro.sim import Series, ascii_plot
 
-room = RoomSimulation(
+room = desk_room(
     profile=BlindRampAmbient(duration_s=67.0),
-    collector=FeedbackCollector(
-        uplink=WifiUplink(latency_s=2e-3, jitter_s=0.5e-3,
-                          loss_probability=0.05),
-        aggregation=Aggregation.MEAN,
-    ),
+    uplink=WifiUplink(latency_s=2e-3, jitter_s=0.5e-3, loss_probability=0.05),
+    aggregation=Aggregation.MEAN,
 )
-
-history = room.run(67.0)
-times = tuple(s.t for s in history)
+result = room.run(67.0)
+journal = result.journal
+rates = {node.name: [e.get("goodput_bps") / 1e3
+                     for e in journal.of_kind("link", actor=node.name)]
+         for node in room.nodes}
+times = tuple(e.time for e in journal.of_kind("control"))
 
 print("per-desk throughput over the 67 s blind pull (kbps):")
-names = [p.name for p in room.placements]
-print(ascii_plot([
-    Series(name, times,
-           tuple(s.node(name).throughput_bps / 1e3 for s in history))
-    for name in names
-], width=70, height=12))
+print(ascii_plot([Series(name, times, tuple(kbps))
+                  for name, kbps in rates.items()], width=70, height=12))
 
+(lamp,) = room.luminaires
 print(f"\n{'desk':>16}  {'distance':>8}  {'angle':>6}  "
       f"{'min kbps':>8}  {'max kbps':>8}")
-for placement in room.placements:
-    rates = [s.node(placement.name).throughput_bps / 1e3 for s in history]
-    g = placement.geometry
-    print(f"{placement.name:>16}  {g.distance_m:7.2f}m  "
-          f"{g.incidence_angle_deg:5.1f}°  {min(rates):8.1f}  {max(rates):8.1f}")
+for node in room.nodes:
+    x, y = node.mobility.position(0.0)
+    g = LinkGeometry.from_offsets(math.hypot(x - lamp.x_m, y - lamp.y_m),
+                                  room.drop_m)
+    kbps = rates[node.name]
+    print(f"{node.name:>16}  {g.distance_m:7.2f}m  "
+          f"{g.incidence_angle_deg:5.1f}°  {min(kbps):8.1f}  {max(kbps):8.1f}")
 
-led_trace = [s.led for s in history]
+led_trace = [e.get("led") for e in journal.of_kind("control")]
 report = energy_report(led_trace, tick_s=1.0)
 print(f"\nLED energy this run : {report.smart_joules:.0f} J "
       f"(avg {report.smart_average_w:.2f} W of {4.7} W)")
 print(f"vs dumb always-full  : {report.baseline_joules:.0f} J "
       f"-> {100 * report.saving_fraction:.0f}% saved by smart dimming")
-print(f"flicker-free moves   : {room.controller.adjustments}")
+print(f"flicker-free moves   : {result.cell(lamp.name).adjustments}")

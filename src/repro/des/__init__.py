@@ -3,9 +3,8 @@
 ``repro.des`` is the timing substrate the multi-luminaire network model
 (:mod:`repro.net.multicell`) runs on: a deterministic heap-based event
 scheduler, an append-only event journal doubling as the observability
-layer, and DES re-expressions of the Wi-Fi feedback plane and the
-stop-and-wait MAC so report latency, ACK timeouts and node dropouts
-all share one clock.
+layer, and a DES re-expression of the Wi-Fi feedback plane so report
+latency, uplink outages and node dropouts all share one clock.
 """
 
 from .journal import (
@@ -20,11 +19,10 @@ from .kernel import (
     EventScheduler,
     ProcessHandle,
 )
-from .processes import DesFeedbackPlane, DesStopAndWaitMac
+from .processes import DesFeedbackPlane
 
 __all__ = [
     "DesFeedbackPlane",
-    "DesStopAndWaitMac",
     "Event",
     "EventHandle",
     "EventJournal",

@@ -1,34 +1,20 @@
-"""Network planes re-expressed as discrete-event processes.
+"""The Wi-Fi feedback plane re-expressed as a discrete-event process.
 
-The polled :class:`~repro.net.feedback.FeedbackCollector` and the
-closed-form :class:`~repro.link.mac.StopAndWaitMac` both model time
-implicitly.  These adapters put them on one :class:`EventScheduler`
-clock, so report latency, ACK timeouts and node dropouts interleave the
-way they would in the deployed system:
-
-* :class:`DesFeedbackPlane` — a receiver's ambient report becomes a
-  scheduled *arrival* event (or a journaled loss); an outage window can
-  be raised and lowered by fault-injection events.
-* :class:`DesStopAndWaitMac` — a data transfer becomes a chain of
-  frame-airtime / ACK-arrival / timeout events with the same success
-  statistics as the analytic MAC (per-frame Bernoulli trials against
-  :func:`~repro.sim.linkmodel.frame_success_probability`).
+:class:`DesFeedbackPlane` puts the
+:class:`~repro.net.feedback.FeedbackCollector` on the
+:class:`EventScheduler` clock: a receiver's ambient report becomes a
+scheduled *arrival* event (or a journaled loss), so report latency,
+uplink outages and node dropouts interleave the way they would in the
+deployed system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..baselines.base import SchemeDesign
-from ..core.errormodel import SlotErrorModel
-from ..core.params import SystemConfig
-from ..link.mac import MacStats
-from ..link.supervision import BackoffPolicy
-from ..link.wifi import WifiUplink
-from ..sim.linkmodel import frame_slot_count, frame_success_probability
 from .journal import EventJournal
 from .kernel import EventScheduler
 
@@ -42,10 +28,10 @@ class DesFeedbackPlane:
 
     Wraps a :class:`FeedbackCollector`: a submitted report either
     schedules a ``report-arrival`` event at its Wi-Fi delivery time or
-    journals a ``report-lost``.  While :attr:`outage` is raised (by
-    fault-injection events) every report is lost with reason
-    ``"outage"`` — the paper's receivers keep sensing, but the ESP8266
-    uplink is down.
+    journals a ``report-lost``.  While :attr:`outage` is raised (the
+    multicell simulator's fault events set it) every report is lost
+    with reason ``"outage"`` — the paper's receivers keep sensing, but
+    the ESP8266 uplink is down.
     """
 
     scheduler: EventScheduler
@@ -67,7 +53,7 @@ class DesFeedbackPlane:
             return False
 
         def on_arrival(_event) -> None:
-            self.collector.deliver(report, arrival)
+            self.collector.deliver(report)
             self.journal.record(arrival, "report-arrival", report.node,
                                 value=report.value, latency=arrival - now)
 
@@ -75,117 +61,7 @@ class DesFeedbackPlane:
                                    actor=report.node)
         return True
 
-    def set_outage(self, active: bool) -> None:
-        """Raise or lower the uplink outage flag (fault injection)."""
-        self.outage = active
-        self.journal.record(self.scheduler.now,
-                            "uplink-outage" if active else "uplink-restored")
-
     def estimate(self, fallback: float | None = None) -> float | None:
         """The fused ambient estimate as of the scheduler clock."""
         return self.collector.ambient_estimate(self.scheduler.now,
                                                fallback=fallback)
-
-
-@dataclass
-class DesStopAndWaitMac:
-    """Stop-and-wait ARQ as an event chain on the shared clock.
-
-    Each frame occupies the air for its slot time, then either an ACK
-    arrives over the Wi-Fi uplink (advancing to the next frame) or the
-    ``ack_timeout_s`` event fires and the frame is retransmitted, up to
-    ``max_retries`` times.  Frame success is a Bernoulli trial with the
-    analytic per-frame probability, so the DES statistics converge to
-    :meth:`~repro.link.mac.StopAndWaitMac.expected_throughput`.
-    """
-
-    scheduler: EventScheduler
-    journal: EventJournal
-    config: SystemConfig = field(default_factory=SystemConfig)
-    uplink: WifiUplink = field(default_factory=WifiUplink)
-    ack_timeout_s: float = 10.0e-3
-    max_retries: int = 8
-    backoff: BackoffPolicy | None = None
-
-    def __post_init__(self) -> None:
-        if self.ack_timeout_s <= 0:
-            raise ValueError("ack_timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-
-    def _timeout_for(self, attempt: int) -> float:
-        """The ACK timeout after the ``attempt``-th failure."""
-        if self.backoff is None:
-            return self.ack_timeout_s
-        return self.backoff.timeout_for(attempt)
-
-    def transfer(self, n_frames: int, design: SchemeDesign,
-                 errors: SlotErrorModel, rng: np.random.Generator,
-                 payload_bytes: int | None = None) -> MacStats:
-        """Queue ``n_frames`` frames; stats fill in as events dispatch.
-
-        Returns the live :class:`MacStats` — final once the scheduler
-        has run past the last ACK/timeout.
-        """
-        if n_frames < 1:
-            raise ValueError("n_frames must be positive")
-        n_payload = (payload_bytes if payload_bytes is not None
-                     else self.config.payload_bytes)
-        t_frame = (frame_slot_count(design, self.config, n_payload)
-                   * self.config.t_slot)
-        p_ok = frame_success_probability(design, errors, self.config,
-                                         n_payload)
-        stats = MacStats()
-        started_at = self.scheduler.now
-
-        def send_frame(index: int, attempt: int) -> None:
-            stats.frames_sent += 1
-            stats.airtime_s += t_frame
-            self.scheduler.schedule(t_frame, "frame-airtime-done",
-                                    lambda _e: frame_done(index, attempt),
-                                    actor=f"frame-{index}")
-
-        def frame_done(index: int, attempt: int) -> None:
-            now = self.scheduler.now
-            ack_at = None
-            if rng.random() < p_ok:
-                ack_at = self.uplink.deliver(now, rng)
-            if ack_at is not None:
-                self.scheduler.schedule_at(
-                    ack_at, "ack-arrival",
-                    lambda _e: acked(index),
-                    actor=f"frame-{index}")
-            else:
-                self.scheduler.schedule(
-                    self._timeout_for(attempt), "ack-timeout",
-                    lambda _e: timed_out(index, attempt),
-                    actor=f"frame-{index}")
-
-        def acked(index: int) -> None:
-            stats.frames_delivered += 1
-            stats.payload_bits_acked += 8 * n_payload
-            self.journal.record(self.scheduler.now, "frame-acked",
-                                f"frame-{index}")
-            advance(index)
-
-        def timed_out(index: int, attempt: int) -> None:
-            self.journal.record(self.scheduler.now, "ack-timeout",
-                                f"frame-{index}", attempt=attempt)
-            if attempt < self.max_retries:
-                # Only the retry this timeout triggers is a retransmission;
-                # the final, abandoning timeout is not.
-                stats.retransmissions += 1
-                send_frame(index, attempt + 1)
-            else:
-                stats.frames_abandoned += 1
-                self.journal.record(self.scheduler.now, "frame-abandoned",
-                                    f"frame-{index}")
-                advance(index)
-
-        def advance(index: int) -> None:
-            stats.elapsed_s = self.scheduler.now - started_at
-            if index + 1 < n_frames:
-                send_frame(index + 1, 0)
-
-        send_frame(0, 0)
-        return stats

@@ -495,7 +495,8 @@ class JournalOracle:
     def _build(self, params: Mapping, **overrides):
         from ..lighting.ambient import BlindRampAmbient, StaticAmbient
         from ..net.multicell import default_network
-        from ..resilience.faults import FaultPlan
+        from ..resilience.faults import (FaultSchedule, NodeDowntime,
+                                         UplinkOutage)
 
         nodes = int(params["nodes"])
         known = {f"node-{i:02d}" for i in range(nodes)}
@@ -504,18 +505,16 @@ class JournalOracle:
                    if params.get("ambient_kind") == "ramp"
                    else StaticAmbient(float(params.get("ambient_level",
                                                        0.4))))
-        plan = FaultPlan(
-            node_downtime=tuple(
-                (str(name), float(s), float(e))
-                for name, s, e in params.get("downtime", ())
-                if str(name) in known),
-            uplink_outages=tuple((float(s), float(e))
-                                 for s, e in params.get("outages", ())),
-        )
+        faults = FaultSchedule(tuple(
+            NodeDowntime(str(name), float(s), float(e))
+            for name, s, e in params.get("downtime", ())
+            if str(name) in known) + tuple(
+            UplinkOutage(float(s), float(e))
+            for s, e in params.get("outages", ())))
         return default_network(rows=int(params["rows"]),
                                cols=int(params["cols"]),
                                n_nodes=nodes, seed=int(params["seed"]),
-                               profile=profile, faults=plan, **overrides)
+                               profile=profile, faults=faults, **overrides)
 
     def execute(self, params: Mapping) -> CaseResult:
         from ..net.sharded import merge_journals, run_sharded

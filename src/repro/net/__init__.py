@@ -1,6 +1,6 @@
-"""Multi-receiver deployments: feedback plane, rooms, and the
+"""Multi-receiver deployments: the feedback plane and the
 multi-luminaire network (mobility, handover, interference) on the
-discrete-event kernel."""
+discrete-event kernel, whose one-luminaire case is the desk room."""
 
 from .feedback import Aggregation, AmbientReport, FeedbackCollector
 from .interference import (
@@ -18,21 +18,15 @@ from .mobility import (
 from .multicell import (
     AmbientField,
     CellReport,
-    FaultPlan,
     Luminaire,
     MobileNode,
     MulticellResult,
     MulticellSimulation,
     NodeReport,
     default_network,
+    desk_room,
     luminaire_grid,
     strongest_cell,
-)
-from .room import (
-    NodeSample,
-    ReceiverPlacement,
-    RoomSample,
-    RoomSimulation,
 )
 from .sharded import merge_journals
 from .spatial import LuminaireIndex
@@ -42,7 +36,6 @@ __all__ = [
     "AmbientField",
     "AmbientReport",
     "CellReport",
-    "FaultPlan",
     "FeedbackCollector",
     "Interferer",
     "LinearTrace",
@@ -53,13 +46,10 @@ __all__ = [
     "MulticellResult",
     "MulticellSimulation",
     "NodeReport",
-    "NodeSample",
     "RandomWaypoint",
-    "ReceiverPlacement",
-    "RoomSample",
-    "RoomSimulation",
     "StaticPosition",
     "default_network",
+    "desk_room",
     "effective_slot_errors",
     "interference_sigma",
     "luminaire_grid",

@@ -45,93 +45,46 @@ class Aggregation(Enum):
 
 @dataclass
 class FeedbackCollector:
-    """Delivers reports over Wi-Fi and serves the fused ambient value.
+    """Keeps the freshest delivered report per node and fuses them.
 
+    ``uplink`` is the Wi-Fi link the reports ride; the discrete-event
+    plane (:class:`repro.des.DesFeedbackPlane`) draws each report's
+    loss and delay from it and calls :meth:`deliver` on arrival.
     ``staleness_s`` bounds how old a delivered report may be before it
     is ignored — a receiver that went quiet must not pin the controller
-    to an outdated daylight level.  ``max_nodes`` (optional) bounds the
-    per-node state against receiver churn: when exceeded, stale entries
-    are purged first and then the oldest-sensed entries are evicted.
+    to an outdated daylight level.
     """
 
     uplink: WifiUplink = field(default_factory=WifiUplink)
     aggregation: Aggregation = Aggregation.MEAN
     staleness_s: float = 5.0
-    max_nodes: int | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.staleness_s < math.inf:
             raise ValueError("staleness_s must be finite and positive")
-        if self.max_nodes is not None and self.max_nodes < 1:
-            raise ValueError("max_nodes must be positive when set")
-        # Per node: (arrival_time, report); in-flight as (arrival, report).
-        self._delivered: dict[str, tuple[float, AmbientReport]] = {}
-        self._in_flight: list[tuple[float, AmbientReport]] = []
+        self._delivered: dict[str, AmbientReport] = {}
 
-    def submit(self, report: AmbientReport,
-               rng: np.random.Generator) -> None:
-        """A receiver sends a report; it may be lost or delayed."""
-        arrival = self.uplink.deliver(report.sensed_at, rng)
-        if arrival is not None:
-            self._in_flight.append((arrival, report))
+    def deliver(self, report: AmbientReport) -> None:
+        """Register a report that has just arrived.
 
-    def deliver(self, report: AmbientReport, arrival: float) -> None:
-        """Register a report that arrived at ``arrival``.
-
-        This is the delivery half of :meth:`submit`, exposed so a
-        discrete-event scheduler can compute the arrival instant itself
-        (see :class:`repro.des.DesFeedbackPlane`) and still share the
-        freshest-sensing-time-wins semantics.
+        Per node, the freshest *sensing* time wins, whatever order the
+        Wi-Fi delays deliver reports in.
         """
         current = self._delivered.get(report.node)
-        # Keep the freshest *sensing* time, not arrival order.
-        if current is None or report.sensed_at > current[1].sensed_at:
-            self._delivered[report.node] = (arrival, report)
+        if current is None or report.sensed_at > current.sensed_at:
+            self._delivered[report.node] = report
 
     def forget(self, node: str) -> bool:
         """Drop all state for a departed node (returns whether any existed).
 
-        Call on receiver churn: a node that left the room must neither
-        linger in the fused estimate until it goes stale nor leak its
-        per-node entry forever.  In-flight reports from the node are
-        discarded too.
+        Call on receiver churn: a node that left the room must not
+        linger in the fused estimate until it goes stale.
         """
-        existed = self._delivered.pop(node, None) is not None
-        before = len(self._in_flight)
-        self._in_flight = [(arrival, report)
-                           for arrival, report in self._in_flight
-                           if report.node != node]
-        return existed or len(self._in_flight) < before
-
-    def _purge(self, now: float) -> None:
-        """Enforce ``max_nodes``: drop stale entries, then oldest-sensed."""
-        if self.max_nodes is None or len(self._delivered) <= self.max_nodes:
-            return
-        stale = [node for node, (_, report) in self._delivered.items()
-                 if now - report.sensed_at > self.staleness_s]
-        for node in stale:
-            del self._delivered[node]
-        excess = len(self._delivered) - self.max_nodes
-        if excess > 0:
-            oldest = sorted(self._delivered,
-                            key=lambda n: self._delivered[n][1].sensed_at)
-            for node in oldest[:excess]:
-                del self._delivered[node]
-
-    def _drain(self, now: float) -> None:
-        still_flying = []
-        for arrival, report in self._in_flight:
-            if arrival <= now:
-                self.deliver(report, arrival)
-            else:
-                still_flying.append((arrival, report))
-        self._in_flight = still_flying
-        self._purge(now)
+        return self._delivered.pop(node, None) is not None
 
     def fresh_reports(self, now: float) -> list[AmbientReport]:
         """Delivered, non-stale reports as of ``now``."""
-        self._drain(now)
-        return [report for _, report in self._delivered.values()
+        return [report for report in self._delivered.values()
                 if now - report.sensed_at <= self.staleness_s]
 
     def ambient_estimate(self, now: float,

@@ -84,9 +84,9 @@ def effective_slot_errors(channel: VlcChannel, geometry: LinkGeometry,
     """Slot error model of a link including co-channel interference.
 
     With no interferers this is exactly
-    :meth:`~repro.phy.channel.VlcChannel.slot_error_model`; the single-
-    luminaire :class:`~repro.net.room.RoomSimulation` and the
-    multi-cell network therefore share one link-evaluation path.
+    :meth:`~repro.phy.channel.VlcChannel.slot_error_model`.  It is the
+    geometry-based reference for :func:`swing_slot_errors`, which the
+    multicell network calls with each tick's precomputed swings.
 
     ``extra_variance`` (amps²) folds in interference that was computed
     elsewhere — the sharded fleet kernel batches far-away luminaires

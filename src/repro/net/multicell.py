@@ -1,9 +1,9 @@
 """A smart-lit floor: a grid of SmartVLC luminaires, mobile receivers.
 
 The paper's deployment story (Section 1, Fig. 2) is a building where
-*every* ceiling luminaire is an AMPPM transmitter.  This module scales
-the single-luminaire :class:`~repro.net.room.RoomSimulation` to that
-story on top of the :mod:`repro.des` event kernel:
+*every* ceiling luminaire is an AMPPM transmitter.  This module runs
+that story on top of the :mod:`repro.des` event kernel; its
+one-luminaire case, :func:`desk_room`, is the Fig. 2 room itself:
 
 * each :class:`Luminaire` cell runs its own
   :class:`~repro.lighting.controller.SmartLightingController`, fed by
@@ -17,9 +17,10 @@ story on top of the :mod:`repro.des` event kernel:
   field of view degrades the serving link through
   :mod:`~repro.net.interference`; a :class:`~repro.net.spatial.
   LuminaireIndex` finds those luminaires;
-* faults (:class:`FaultPlan`) — receiver churn, uplink outages, and
-  per-window blind ramps via :class:`AmbientField` zone overrides —
-  are ordinary events on the same clock;
+* faults — receiver churn and uplink outages from a
+  :class:`~repro.resilience.faults.FaultSchedule`, and per-window
+  blind ramps via :class:`AmbientField` zone overrides — are ordinary
+  events on the same clock;
 * everything is journaled: same-seed runs produce bit-identical
   :class:`~repro.des.EventJournal` traces.
 
@@ -43,7 +44,7 @@ from ..lighting.ambient import AmbientProfile, StaticAmbient
 from ..lighting.controller import SmartLightingController
 from ..link.wifi import WifiUplink
 from ..phy.channel import VlcChannel, calibrated_channel
-from ..resilience.faults import FaultPlan, schedule_plan_events
+from ..resilience.faults import FaultSchedule, NodeDowntime, UplinkOutage
 from ..schemes import AmppmSchemeDesign, shared_scheme_design
 from ..sim.linkmodel import expected_goodput
 from .feedback import Aggregation, AmbientReport, FeedbackCollector
@@ -341,7 +342,8 @@ class MulticellSimulation:
     uplink: WifiUplink = field(default_factory=WifiUplink)
     aggregation: Aggregation = Aggregation.MEAN
     staleness_s: float = 5.0
-    faults: FaultPlan = field(default_factory=FaultPlan)
+    #: churn and outage windows; the other fault kinds are rejected
+    faults: FaultSchedule = field(default_factory=FaultSchedule)
     seed: int = 13
     #: number of spatial sub-kernels; 1 = the classic single kernel
     regions: int = 1
@@ -375,10 +377,15 @@ class MulticellSimulation:
             raise ValueError("lookahead_s must be finite and positive")
         if self.channel is None:
             self.channel = calibrated_channel(self.config)
+        for fault in self.faults.faults:
+            if not isinstance(fault, (NodeDowntime, UplinkOutage)):
+                raise ValueError(f"the multicell simulator does not model "
+                                 f"{type(fault).__name__} faults")
         known = {node.name for node in self.nodes}
-        for name, _start, _end in self.faults.node_downtime:
-            if name not in known:
-                raise ValueError(f"downtime names unknown node {name!r}")
+        for window in self.faults.of_type(NodeDowntime):
+            if window.node not in known:
+                raise ValueError(
+                    f"downtime names unknown node {window.node!r}")
         # The index validates drop_m and gain_floor.
         self._index = LuminaireIndex(self.luminaires, self.drop_m,
                                      self.channel.optics, self.gain_floor)
@@ -488,42 +495,54 @@ class MulticellSimulation:
                          journal: EventJournal,
                          cells: dict[str, _CellState],
                          states: dict[str, _NodeState],
-                         plan: FaultPlan | None = None,
+                         faults: FaultSchedule | None = None,
                          on_outage=None) -> None:
-        """Turn the fault plan into down/up and outage events.
+        """Turn churn and outage windows into down/up and outage events.
 
-        Installation is delegated to the shared
-        :func:`~repro.resilience.faults.schedule_plan_events`, which
-        preserves the historical event order, priorities, and kinds —
-        same-seed runs journal bit-identically to the pre-refactor
-        simulator.  Sharded runs pass a ``plan`` filtered to the
-        region's own nodes (outage windows are global and install in
-        every region) plus an ``on_outage`` hook so the region can
-        track the uplink state for its cross-region outbox.
+        Every downtime window installs first (down, then up), then every
+        outage window, all at priority −1 — strictly before any loop at
+        the same instant.  Installing by kind keeps the journal
+        independent of how the schedule interleaves the two.  Sharded
+        runs pass ``faults`` filtered to the region's own nodes (outage
+        windows are global and install in every region) plus an
+        ``on_outage`` hook so the region can track the uplink state for
+        its cross-region outbox.
         """
 
-        def on_node_change(name: str, down: bool) -> None:
-            state = states[name]
-            state.down = down
-            if down:
-                state.serving = None  # rejoining re-associates fresh
-            journal.record(scheduler.now,
-                           "node-down" if down else "node-up",
-                           state.node.name)
+        def node_change(name: str, down: bool):
+            def apply(_event) -> None:
+                state = states[name]
+                state.down = down
+                if down:
+                    state.serving = None  # rejoining re-associates fresh
+                journal.record(scheduler.now,
+                               "node-down" if down else "node-up", name)
+            return apply
 
-        def on_uplink_change(active: bool) -> None:
-            for cell in cells.values():
-                cell.plane.outage = active
-            if on_outage is not None:
-                on_outage(active)
-            journal.record(scheduler.now,
-                           "uplink-outage" if active
-                           else "uplink-restored")
+        def uplink_change(active: bool):
+            def apply(_event) -> None:
+                for cell in cells.values():
+                    cell.plane.outage = active
+                if on_outage is not None:
+                    on_outage(active)
+                journal.record(scheduler.now,
+                               "uplink-outage" if active
+                               else "uplink-restored")
+            return apply
 
-        schedule_plan_events(plan if plan is not None else self.faults,
-                             scheduler,
-                             on_node_change=on_node_change,
-                             on_uplink_change=on_uplink_change)
+        faults = faults if faults is not None else self.faults
+        for window in faults.of_type(NodeDowntime):
+            scheduler.schedule_at(window.start_s, "node-down",
+                                  node_change(window.node, True),
+                                  priority=-1, actor=window.node)
+            scheduler.schedule_at(window.end_s, "node-up",
+                                  node_change(window.node, False),
+                                  priority=-1, actor=window.node)
+        for window in faults.of_type(UplinkOutage):
+            scheduler.schedule_at(window.start_s, "uplink-outage",
+                                  uplink_change(True), priority=-1)
+            scheduler.schedule_at(window.end_s, "uplink-restored",
+                                  uplink_change(False), priority=-1)
 
     def _sensed_state(self, now: float, state: _NodeState) -> _TickSample:
         """The node's per-tick sample, computed once per (node, tick).
@@ -696,3 +715,31 @@ def default_network(config: SystemConfig | None = None, *,
     return MulticellSimulation(config=config, luminaires=luminaires,
                                nodes=nodes, ambient=ambient, seed=seed,
                                **kwargs)
+
+
+def desk_room(config: SystemConfig | None = None, *,
+              profile: AmbientProfile | None = None,
+              seed: int = 13, **kwargs) -> MulticellSimulation:
+    """The paper's Fig. 2 room: one luminaire, three desks on Wi-Fi.
+
+    The luminaire ``lamp`` hangs 2.5 m above the origin.  Three static
+    desks sit 0, 0.35 and 0.6 m from its axis, inside the narrow (15°
+    semi-angle) beam: the prototype's LED is a spotlight, so usable
+    desks sit near the axis.  Their daylight gains (1.0, 1.2 and 0.7)
+    scale the room's ``profile`` at each desk — the window desk sees
+    more daylight than the corner one.  Every tick each desk senses,
+    reports over the Wi-Fi uplink and measures its link.  Extra
+    ``kwargs`` pass through to :class:`MulticellSimulation`.
+    """
+    config = config if config is not None else SystemConfig()
+    desks = (("desk-under-lamp", 0.0, 1.0), ("desk-window", 0.35, 1.2),
+             ("desk-corner", 0.6, 0.7))
+    nodes = tuple(MobileNode(name, StaticPosition(x_m, 0.0),
+                             daylight_gain=gain)
+                  for name, x_m, gain in desks)
+    ambient = AmbientField(profile if profile is not None
+                           else StaticAmbient(0.4))
+    return MulticellSimulation(config=config,
+                               luminaires=(Luminaire("lamp", 0.0, 0.0),),
+                               nodes=nodes, ambient=ambient, drop_m=2.5,
+                               seed=seed, **kwargs)

@@ -44,7 +44,7 @@ import numpy as np
 from ..des import EventJournal, EventScheduler
 from ..des.journal import JournalEntry
 from ..obs import metrics, span
-from ..resilience.faults import FaultPlan
+from ..resilience.faults import FaultSchedule, NodeDowntime
 from ..sim.batch import lambertian_gains
 from .feedback import AmbientReport
 from .multicell import MulticellResult, _LocalView, _NodeState, _TickSample
@@ -178,17 +178,17 @@ class _ShardedRun:
     def _install(self, region: _Region) -> None:
         """Faults and loops for one region, in the unsharded order."""
         sim = self.sim
-        plan = FaultPlan(
-            node_downtime=tuple(w for w in sim.faults.node_downtime
-                                if w[0] in region.states),
-            uplink_outages=sim.faults.uplink_outages)
+        faults = FaultSchedule(tuple(
+            fault for fault in sim.faults.faults
+            if not isinstance(fault, NodeDowntime)
+            or fault.node in region.states))
 
         def on_outage(active: bool) -> None:
             region.outage = active
 
         sim._schedule_faults(region.scheduler, region.journal,
                              region.cells, region.states,
-                             plan=plan, on_outage=on_outage)
+                             faults=faults, on_outage=on_outage)
         view = _RegionView(self, region)
         for node in sim.nodes:
             if node.name in region.states:
@@ -265,7 +265,7 @@ class _ShardedRun:
 
                 def on_arrival(_event, cell=cell, report=report,
                                arrival=arrival) -> None:
-                    cell.plane.collector.deliver(report, arrival)
+                    cell.plane.collector.deliver(report)
                     cell.plane.journal.record(
                         arrival, "report-arrival", report.node,
                         value=report.value,

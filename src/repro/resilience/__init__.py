@@ -14,12 +14,10 @@ from .faults import (
     AckLossBurst,
     AdcBlinding,
     AmbientStep,
-    FaultPlan,
     FaultSchedule,
     NodeDowntime,
     UplinkOutage,
     install_fault_events,
-    schedule_plan_events,
     shipped_schedules,
 )
 from .metrics import ResilienceReport, fault_windows
@@ -30,13 +28,11 @@ __all__ = [
     "AmbientStep",
     "ChaosResult",
     "ChaosScenario",
-    "FaultPlan",
     "FaultSchedule",
     "NodeDowntime",
     "ResilienceReport",
     "UplinkOutage",
     "fault_windows",
     "install_fault_events",
-    "schedule_plan_events",
     "shipped_schedules",
 ]

@@ -1,8 +1,6 @@
 """Composable, seedable fault schedules for every simulation substrate.
 
-The multicell simulator introduced :class:`FaultPlan` — receiver churn
-plus uplink outage windows.  This module generalizes it into a
-:class:`FaultSchedule`: an ordered tuple of typed fault primitives
+A :class:`FaultSchedule` is an ordered tuple of typed fault primitives:
 
 * :class:`UplinkOutage` — every Wi-Fi packet (ACKs and ambient
   reports alike) is lost for a window;
@@ -18,17 +16,20 @@ plus uplink outage windows.  This module generalizes it into a
 The same schedule injects into three substrates: by-time queries
 (:meth:`FaultSchedule.ack_loss_at` and friends) for the chaos harness
 and :mod:`repro.sim.endtoend`, a MAC corruptor via
-:meth:`FaultSchedule.corruptor`, and discrete-event kernels via
-:func:`install_fault_events` / :func:`schedule_plan_events` (the latter
-preserves the multicell journal bit-for-bit).
+:meth:`FaultSchedule.corruptor`, and discrete-event kernels: the
+multicell simulator installs its churn and outage windows itself, and
+:func:`install_fault_events` journals every boundary for the chaos
+harness.
 
-Everything is frozen and validated at construction, and
-:meth:`FaultSchedule.random` derives an intensity-scaled schedule from
-a seed alone, so chaos sweeps are pure functions of their arguments.
+Everything is frozen and validated at construction (every fault time
+must be finite), and :meth:`FaultSchedule.random` derives an
+intensity-scaled schedule from a seed alone, so chaos sweeps are pure
+functions of their arguments.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -42,7 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _check_window(start_s: float, end_s: float, what: str) -> None:
-    if start_s < 0 or end_s <= start_s:
+    """Require ``0 <= start_s < end_s < inf``; NaN fails every compare."""
+    if not (0 <= start_s < end_s and math.isfinite(end_s)):
         raise ValueError(f"bad {what} window ({start_s}, {end_s})")
 
 
@@ -111,8 +113,8 @@ class AmbientStep:
     level: float
 
     def __post_init__(self) -> None:
-        if self.at_s < 0:
-            raise ValueError("at_s must be non-negative")
+        if not 0 <= self.at_s < math.inf:
+            raise ValueError("at_s must be finite and non-negative")
         if not 0.0 <= self.level <= 1.0:
             raise ValueError("level must lie in [0, 1]")
 
@@ -126,45 +128,7 @@ class NodeDowntime:
     end_s: float
 
     def __post_init__(self) -> None:
-        if self.start_s < 0 or self.end_s <= self.start_s:
-            raise ValueError(
-                f"bad downtime window ({self.start_s}, {self.end_s}) "
-                f"for {self.node!r}")
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """Deterministic fault-injection schedule for one run.
-
-    ``node_downtime`` holds ``(node, start_s, end_s)`` churn windows
-    (the receiver is gone: no sensing, no reports, zero goodput);
-    ``uplink_outages`` holds ``(start_s, end_s)`` windows during which
-    every Wi-Fi report is lost.
-
-    This is the original multicell fault surface, kept verbatim for
-    compatibility; :meth:`to_schedule` lifts it into the generalized
-    :class:`FaultSchedule`.
-    """
-
-    node_downtime: tuple[tuple[str, float, float], ...] = ()
-    uplink_outages: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        for name, start, end in self.node_downtime:
-            if start < 0 or end <= start:
-                raise ValueError(
-                    f"bad downtime window ({start}, {end}) for {name!r}")
-        for start, end in self.uplink_outages:
-            if start < 0 or end <= start:
-                raise ValueError(f"bad outage window ({start}, {end})")
-
-    def to_schedule(self) -> "FaultSchedule":
-        """The equivalent :class:`FaultSchedule` (same event order)."""
-        faults: list = [NodeDowntime(name, start, end)
-                        for name, start, end in self.node_downtime]
-        faults.extend(UplinkOutage(start, end)
-                      for start, end in self.uplink_outages)
-        return FaultSchedule(tuple(faults))
+        _check_window(self.start_s, self.end_s, f"{self.node!r} downtime")
 
 
 @dataclass(frozen=True)
@@ -308,20 +272,6 @@ class FaultSchedule:
 
         return corrupt
 
-    def to_fault_plan(self) -> FaultPlan:
-        """Project onto the multicell fault surface (churn + outages)."""
-        return FaultPlan(
-            node_downtime=tuple((f.node, f.start_s, f.end_s)
-                                for f in self.of_type(NodeDowntime)),
-            uplink_outages=tuple((f.start_s, f.end_s)
-                                 for f in self.of_type(UplinkOutage)),
-        )
-
-    @classmethod
-    def from_fault_plan(cls, plan: FaultPlan) -> "FaultSchedule":
-        """Lift a multicell :class:`FaultPlan` into a schedule."""
-        return plan.to_schedule()
-
     @classmethod
     def random(cls, seed: int, duration_s: float,
                intensity: float, nodes: tuple[str, ...] = ()
@@ -408,40 +358,6 @@ def shipped_schedules(duration_s: float = 40.0) -> dict[str, FaultSchedule]:
         "transients": FaultSchedule(transients()),
         "mixed": FaultSchedule(mixed()),
     }
-
-
-def schedule_plan_events(plan: FaultPlan, scheduler: "EventScheduler", *,
-                         on_node_change: Callable[[str, bool], None],
-                         on_uplink_change: Callable[[bool], None]) -> None:
-    """Install a :class:`FaultPlan` on a discrete-event scheduler.
-
-    Replicates the multicell fault installer exactly — node windows
-    first (down then up), then outage windows, all at priority ``-1``
-    with the historical event kinds — so refactored consumers produce
-    bit-identical journals.  Callbacks receive ``(node, down)`` and
-    ``(active,)`` and are responsible for state mutation + journaling.
-    """
-
-    def node_event(name: str, down: bool):
-        def apply(_event) -> None:
-            on_node_change(name, down)
-        return apply
-
-    def uplink_event(active: bool):
-        def apply(_event) -> None:
-            on_uplink_change(active)
-        return apply
-
-    for name, start, end in plan.node_downtime:
-        scheduler.schedule_at(start, "node-down", node_event(name, True),
-                              priority=-1, actor=name)
-        scheduler.schedule_at(end, "node-up", node_event(name, False),
-                              priority=-1, actor=name)
-    for start, end in plan.uplink_outages:
-        scheduler.schedule_at(start, "uplink-outage", uplink_event(True),
-                              priority=-1)
-        scheduler.schedule_at(end, "uplink-restored", uplink_event(False),
-                              priority=-1)
 
 
 def install_fault_events(schedule: FaultSchedule,

@@ -10,9 +10,10 @@ a multi-room building maps naturally onto ``regions``.
 Occupancy compiles to the churn primitive (downtime complements, see
 :mod:`repro.scenarios.occupancy`), daylight to per-zone ambient
 overrides, and the optional chaos overlay is projected onto what the
-DES injects: node churn and uplink outages through the
-:class:`~repro.resilience.faults.FaultPlan`, ambient steps folded into
-each room's sky via :class:`~repro.lighting.ambient.ScheduledAmbient`.
+DES injects: node churn and uplink outages stay in the simulation's
+:class:`~repro.resilience.faults.FaultSchedule`, and ambient steps
+fold into each room's sky via
+:class:`~repro.lighting.ambient.ScheduledAmbient`.
 Primitives the DES does not model (ADC blinding, ACK-loss bursts) are
 reported, never silently applied.
 """
@@ -38,9 +39,9 @@ from ..resilience.faults import (
     AckLossBurst,
     AdcBlinding,
     AmbientStep,
-    FaultPlan,
     FaultSchedule,
     NodeDowntime,
+    UplinkOutage,
     shipped_schedules,
 )
 from .daylight import build_daylight
@@ -210,16 +211,16 @@ def compile_scenario(scenario: Scenario, *, regions: int = 1,
         trace.name: downtime_windows(trace, scenario.duration_s)
         for trace in occupants
     }
-    outages: tuple[tuple[float, float], ...] = ()
+    outages: tuple[UplinkOutage, ...] = ()
     ambient_steps: tuple[tuple[float, float | None], ...] = ()
     unprojected: tuple[str, ...] = ()
     if scenario.chaos is not None:
         schedule = _chaos_schedule(
             scenario, tuple(node.name for node in nodes))
-        plan = schedule.to_fault_plan()
-        outages = plan.uplink_outages
-        for name, start, end in plan.node_downtime:
-            downtime[name] = merge_windows(downtime[name] + ((start, end),))
+        outages = schedule.of_type(UplinkOutage)
+        for window in schedule.of_type(NodeDowntime):
+            downtime[window.node] = merge_windows(
+                downtime[window.node] + ((window.start_s, window.end_s),))
         steps = sorted(schedule.of_type(AmbientStep),
                        key=lambda step: step.at_s)
         ambient_steps = tuple((step.at_s, step.level) for step in steps)
@@ -237,13 +238,10 @@ def compile_scenario(scenario: Scenario, *, regions: int = 1,
         for cell_name in layout.luminaires:
             overrides.append((cell_name, profile))
 
-    plan = FaultPlan(
-        node_downtime=tuple(
-            (node.name, start, end)
-            for node in nodes
-            for start, end in downtime[node.name]),
-        uplink_outages=outages,
-    )
+    faults = FaultSchedule(tuple(
+        NodeDowntime(node.name, start, end)
+        for node in nodes
+        for start, end in downtime[node.name]) + outages)
     simulation = MulticellSimulation(
         config=config,
         luminaires=tuple(luminaires),
@@ -257,7 +255,7 @@ def compile_scenario(scenario: Scenario, *, regions: int = 1,
         # ago; a staleness window below tick_s silently disables the
         # occupant sensing plane and pins fusion to the fallback.
         staleness_s=max(5.0, scenario.tick_s),
-        faults=plan,
+        faults=faults,
         seed=scenario.seed,
         regions=regions,
     )

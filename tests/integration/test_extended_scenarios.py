@@ -10,8 +10,13 @@ from repro.lighting import (
     energy_report,
 )
 from repro.link import Receiver, Transmitter, WifiUplink
-from repro.net import Aggregation, FeedbackCollector, RoomSimulation
+from repro.net import Aggregation, desk_room
 from repro.lighting import StaticAmbient
+
+
+def control(result, field: str) -> list[float]:
+    """One field of the room's per-tick ``control`` entries."""
+    return [e.get(field) for e in result.journal.of_kind("control")]
 
 
 class TestDayNightLoop:
@@ -49,46 +54,43 @@ class TestDayNightLoop:
 
 class TestRoomUnderDegradedWifi:
     def test_total_wifi_loss_falls_back_to_local_sensor(self):
-        room = RoomSimulation(
+        result = desk_room(
             profile=StaticAmbient(0.4),
-            collector=FeedbackCollector(
-                uplink=WifiUplink(loss_probability=0.999999)),
-        )
-        sample = room.step(0.0)
+            uplink=WifiUplink(loss_probability=0.999999),
+        ).run(5.0)
         # No reports arrive; the transmitter's own reading (the room
         # ambient) drives the controller.
-        assert sample.fused_ambient == pytest.approx(0.4)
-        assert all(n.link_ok for n in sample.nodes)
+        assert result.journal.count("report-arrival") == 0
+        assert control(result, "fused") == pytest.approx([0.4] * 6)
+        assert all(e.get("goodput_bps") >= 1e3
+                   for e in result.journal.of_kind("link"))
 
     def test_min_aggregation_protects_darkest_desk(self):
-        room = RoomSimulation(
+        # Tick 0 primes the feedback plane; tick 1 fuses its reports.
+        room = desk_room(
             profile=StaticAmbient(0.5),
-            collector=FeedbackCollector(
-                uplink=WifiUplink(latency_s=1e-3, jitter_s=0.0),
-                aggregation=Aggregation.MIN),
+            uplink=WifiUplink(latency_s=1e-3, jitter_s=0.0),
+            aggregation=Aggregation.MIN,
         )
-        room.step(0.0)          # prime the feedback plane
-        sample = room.step(1.0)
-        darkest = min(p.local_ambient(0.5) for p in room.placements)
-        assert sample.fused_ambient == pytest.approx(darkest, abs=1e-6)
+        result = room.run(1.0)
+        darkest = min(0.5 * node.daylight_gain for node in room.nodes)
+        assert control(result, "fused")[-1] == pytest.approx(darkest,
+                                                            abs=1e-6)
         # MIN fusion over-lights relative to MEAN: LED runs brighter.
-        mean_room = RoomSimulation(profile=StaticAmbient(0.5))
-        mean_room.step(0.0)
-        mean_sample = mean_room.step(1.0)
-        assert sample.led >= mean_sample.led
+        mean_result = desk_room(profile=StaticAmbient(0.5)).run(1.0)
+        assert control(result, "led")[-1] >= control(mean_result, "led")[-1]
 
     def test_lossy_wifi_room_still_converges(self):
         rng_independent_runs = []
         for seed in (1, 2):
-            room = RoomSimulation(
+            result = desk_room(
                 profile=StaticAmbient(0.3),
-                collector=FeedbackCollector(
-                    uplink=WifiUplink(loss_probability=0.5)),
+                uplink=WifiUplink(loss_probability=0.5),
                 seed=seed,
-            )
-            history = room.run(10.0)
-            rng_independent_runs.append(history[-1].led)
-            assert history[-1].led == pytest.approx(0.7, abs=0.1)
+            ).run(10.0)
+            final_led = control(result, "led")[-1]
+            rng_independent_runs.append(final_led)
+            assert final_led == pytest.approx(0.7, abs=0.1)
         # Different loss realisations, same steady state.
         assert rng_independent_runs[0] == pytest.approx(
             rng_independent_runs[1], abs=0.05)

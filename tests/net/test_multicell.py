@@ -14,10 +14,12 @@ import pytest
 from repro.core import shared_designer
 from repro.des import EventJournal, EventScheduler
 from repro.lighting import BlindRampAmbient, StaticAmbient
-from repro.net import AmbientField, FaultPlan, LinearTrace, Luminaire, \
+from repro.net import AmbientField, LinearTrace, Luminaire, \
     LuminaireIndex, MobileNode, MulticellSimulation, StaticPosition, \
     default_network, luminaire_grid, strongest_cell
 from repro.net.mobility import RandomWaypoint
+from repro.resilience import AckLossBurst, AdcBlinding, AmbientStep, \
+    FaultSchedule, NodeDowntime, UplinkOutage
 
 
 class TestLuminaireGrid:
@@ -153,7 +155,7 @@ class TestInterferenceAtNetworkLevel:
 class TestFaultInjection:
     def test_node_downtime_shows_as_down_samples(self):
         sim = small_network(
-            faults=FaultPlan(node_downtime=(("n0", 5.0, 10.0),)))
+            faults=FaultSchedule((NodeDowntime("n0", 5.0, 10.0),)))
         result = sim.run(20.0)
         report = result.node("n0")
         assert report.down_samples == 5
@@ -165,7 +167,7 @@ class TestFaultInjection:
 
     def test_uplink_outage_loses_reports(self):
         sim = small_network(
-            faults=FaultPlan(uplink_outages=((2.0, 8.0),)))
+            faults=FaultSchedule((UplinkOutage(2.0, 8.0),)))
         result = sim.run(15.0)
         lost = result.journal.of_kind("report-lost")
         assert lost
@@ -185,14 +187,27 @@ class TestFaultInjection:
         assert all(e.get("ambient") == pytest.approx(0.2) for e in left)
         assert all(e.get("ambient") == pytest.approx(0.9) for e in right)
 
-    def test_fault_plan_validation(self):
+    def test_fault_validation(self):
         with pytest.raises(ValueError):
-            FaultPlan(node_downtime=(("n0", 5.0, 5.0),))
-        with pytest.raises(ValueError):
-            FaultPlan(uplink_outages=((-1.0, 2.0),))
-        with pytest.raises(ValueError):
-            small_network(faults=FaultPlan(
-                node_downtime=(("ghost", 1.0, 2.0),)))
+            small_network(faults=FaultSchedule((
+                NodeDowntime("ghost", 1.0, 2.0),)))
+
+    @pytest.mark.parametrize("fault", [
+        AdcBlinding(1.0, 2.0), AckLossBurst(1.0, 2.0), AmbientStep(1.0, 0.5),
+    ], ids=lambda fault: type(fault).__name__)
+    def test_unmodelled_fault_kinds_are_rejected(self, fault):
+        with pytest.raises(ValueError, match=type(fault).__name__):
+            small_network(faults=FaultSchedule((fault,)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: UplinkOutage(2.0, math.inf),
+        lambda: NodeDowntime("n0", 2.0, math.nan),
+    ], ids=["outage-until-inf", "downtime-until-nan"])
+    def test_non_finite_fault_times_are_rejected_at_construction(self,
+                                                                 build):
+        # Rejected when the network is built, not when it first runs.
+        with pytest.raises(ValueError, match="window"):
+            small_network(faults=FaultSchedule((build(),)))
 
 
 class TestAdaptation:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.des import JournalEntry, journals_equal
-from repro.net import FaultPlan, default_network, merge_journals
+from repro.net import default_network, merge_journals
 from repro.net.sharded import run_sharded
+from repro.resilience import FaultSchedule, NodeDowntime, UplinkOutage
 
 
 def network(**kwargs):
@@ -57,8 +58,8 @@ class TestShardedFleet:
             unsharded_m["aggregate_throughput_bps"], rel=1e-3)
 
     def test_faults_propagate_into_regions(self):
-        faults = FaultPlan(node_downtime=(("node-00", 2.0, 6.0),),
-                           uplink_outages=((3.0, 5.0),))
+        faults = FaultSchedule((NodeDowntime("node-00", 2.0, 6.0),
+                                UplinkOutage(3.0, 5.0)))
         sharded = fleet(regions=4, faults=faults).run(10.0)
         unsharded = fleet(faults=faults).run(10.0)
         sharded_m, unsharded_m = sharded.metrics(), unsharded.metrics()

@@ -116,3 +116,29 @@ def test_offset_gain_equals_the_geometry_path(optics):
     assert gains[0] > 0.0
     if optics.rx_fov_deg < 89.0:
         assert 0.0 in gains
+
+
+class TestFromOffsets:
+    """Geometry edge cases of the shared from_offsets constructor."""
+
+    def test_zero_horizontal_offset_is_the_boresight(self):
+        g = LinkGeometry.from_offsets(0.0, 2.0)
+        assert g.distance_m == pytest.approx(2.0)
+        assert g.irradiance_angle_deg == 0.0
+        assert g.incidence_angle_deg == 0.0
+
+    def test_symmetric_angles(self):
+        g = LinkGeometry.from_offsets(3.0, 2.0)
+        assert g.irradiance_angle_deg == pytest.approx(
+            g.incidence_angle_deg)
+        assert g.distance_m == pytest.approx(math.hypot(3.0, 2.0))
+
+    def test_grazing_offsets_clamp_below_ninety(self):
+        g = LinkGeometry.from_offsets(1e6, 1e-3)
+        assert g.incidence_angle_deg <= 89.0
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            LinkGeometry.from_offsets(-0.1, 2.0)
+        with pytest.raises(ValueError):
+            LinkGeometry.from_offsets(1.0, 0.0)

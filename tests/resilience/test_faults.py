@@ -1,13 +1,18 @@
-"""Fault primitives, schedule queries, and the DES installers."""
+"""Fault primitives, schedule queries, and the DES installer."""
+
+import math
 
 import pytest
 
 from repro.core import SlotErrorModel
 from repro.des import EventJournal, EventScheduler
 from repro.resilience import (AckLossBurst, AdcBlinding, AmbientStep,
-                              FaultPlan, FaultSchedule, NodeDowntime,
-                              UplinkOutage, install_fault_events,
-                              schedule_plan_events, shipped_schedules)
+                              FaultSchedule, NodeDowntime, UplinkOutage,
+                              install_fault_events, shipped_schedules)
+
+#: windows a NaN or an infinity makes unusable
+NON_FINITE_WINDOWS = ((math.nan, 5.0), (1.0, math.nan), (1.0, math.inf),
+                      (math.inf, math.inf), (-math.inf, 5.0))
 
 
 class TestPrimitiveValidation:
@@ -46,6 +51,35 @@ class TestPrimitiveValidation:
     def test_schedule_rejects_foreign_objects(self):
         with pytest.raises(TypeError):
             FaultSchedule(("not a fault",))
+
+
+class TestFiniteTimes:
+    """Every fault time must be finite: NaN would pass ``<``/``<=``."""
+
+    def test_uplink_outage(self):
+        for start, end in NON_FINITE_WINDOWS:
+            with pytest.raises(ValueError, match="outage window"):
+                UplinkOutage(start, end)
+
+    def test_ack_loss_burst(self):
+        for start, end in NON_FINITE_WINDOWS:
+            with pytest.raises(ValueError, match="ACK-loss window"):
+                AckLossBurst(start, end)
+
+    def test_adc_blinding(self):
+        for start, end in NON_FINITE_WINDOWS:
+            with pytest.raises(ValueError, match="blinding window"):
+                AdcBlinding(start, end)
+
+    def test_ambient_step(self):
+        for at in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="at_s"):
+                AmbientStep(at, 0.9)
+
+    def test_node_downtime(self):
+        for start, end in NON_FINITE_WINDOWS:
+            with pytest.raises(ValueError, match="'n0' downtime window"):
+                NodeDowntime("n0", start, end)
 
 
 class TestScheduleQueries:
@@ -120,34 +154,6 @@ class TestCorruptor:
         errors_clean = sum(1 for a, b in zip(slots, clean) if a != b)
         errors_blinded = sum(1 for a, b in zip(slots, blinded) if a != b)
         assert errors_blinded > errors_clean
-
-
-class TestFaultPlanBridge:
-    PLAN = FaultPlan(node_downtime=(("node-01", 5.0, 12.0),),
-                     uplink_outages=((8.0, 15.0),))
-
-    def test_round_trip(self):
-        schedule = FaultSchedule.from_fault_plan(self.PLAN)
-        assert schedule.to_fault_plan() == self.PLAN
-        assert schedule.node_down_at("node-01", 6.0)
-        assert schedule.uplink_outage_at(9.0)
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            FaultPlan(node_downtime=(("n", 2.0, 2.0),))
-        with pytest.raises(ValueError):
-            FaultPlan(uplink_outages=((-1.0, 3.0),))
-
-    def test_schedule_plan_events_replays_the_multicell_installer(self):
-        scheduler = EventScheduler()
-        calls = []
-        schedule_plan_events(
-            self.PLAN, scheduler,
-            on_node_change=lambda name, down: calls.append((name, down)),
-            on_uplink_change=lambda active: calls.append(("uplink", active)))
-        scheduler.run(until_s=20.0)
-        assert calls == [("node-01", True), ("uplink", True),
-                         ("node-01", False), ("uplink", False)]
 
 
 class TestRandomSchedules:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.resilience import NodeDowntime
 from repro.scenarios import (
     ChaosSpec,
     OccupancySpec,
@@ -92,13 +93,12 @@ class TestChurnProjection:
     def test_late_arrival_compiles_to_leading_downtime(self):
         compiled = compile_scenario(
             scenario(rooms=(room("a", arrive=30.0, depart=50.0),)))
-        downtime = {name: (start, end)
-                    for name, start, end
-                    in compiled.simulation.faults.node_downtime}
+        faults = compiled.simulation.faults.of_type(NodeDowntime)
+        downtime = {window.node: (window.start_s, window.end_s)
+                    for window in faults}
         # Down before arriving and again after leaving.
-        windows = [(start, end) for name, start, end
-                   in compiled.simulation.faults.node_downtime
-                   if name == "a.occ00"]
+        windows = [(window.start_s, window.end_s) for window in faults
+                   if window.node == "a.occ00"]
         assert (0.0, 30.0) in windows
         assert (50.0, 60.0) in windows
         assert downtime  # at least one projected window

@@ -58,7 +58,7 @@ class TestPublicMethodDocstrings:
         "repro.link.Transmitter",
         "repro.link.StopAndWaitMac",
         "repro.lighting.SmartLightingController",
-        "repro.net.RoomSimulation",
+        "repro.net.FeedbackCollector",
         "repro.net.MulticellSimulation",
         "repro.des.EventScheduler",
         "repro.des.EventJournal",
