@@ -16,10 +16,24 @@ swept; the module-level :data:`DEFAULT_CONFIG` reproduces the paper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 #: Largest payload the frame's 2-byte Length field can carry (Table 1).
 MAX_PAYLOAD_BYTES = 0xFFFF
+
+
+def require_finite(model: object) -> None:
+    """Reject a dataclass model with a NaN or infinite float field.
+
+    Raises ``ValueError`` naming the first such field.  A model calls it
+    first in ``__post_init__``: a non-finite time, distance or level
+    would otherwise pass the range checks (NaN fails no comparison) and
+    surface mid-run as a crash or a NaN result.
+    """
+    for spec in fields(model):
+        value = getattr(model, spec.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{spec.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

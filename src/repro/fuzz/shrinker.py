@@ -19,8 +19,9 @@ Two properties the test-suite pins:
 The building-block generators (:func:`shrink_int`, :func:`shrink_float`,
 :func:`shrink_list`) are shared by every oracle's candidate pass; they
 move values toward a declared floor by jumping there first, then
-halving the distance, then stepping — the classic bisection ladder, so
-a threshold-triggered defect shrinks to its exact threshold.
+climbing back toward the value in halving steps — the classic
+bisection ladder, so a threshold-triggered defect shrinks to its exact
+threshold.
 """
 
 from __future__ import annotations
@@ -32,24 +33,20 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 def shrink_int(value: int, lo: int) -> Iterator[int]:
     """Candidate reductions of ``value`` toward the floor ``lo``.
 
-    Yields the floor itself, then the bisection ladder between floor
-    and value, then the single decrement — strictly increasing, all
-    strictly below ``value``.  A defect guarded by ``value >= T``
-    therefore shrinks to exactly ``T``.
+    Yields the floor itself, then the bisection ladder ``value - d/2,
+    value - d/4, …, value - 1`` for ``d = value - lo`` — strictly
+    increasing, all strictly below ``value``.  The greedy loop adopts
+    the smallest candidate that still fails, so a defect guarded by
+    ``value >= T`` shrinks to exactly ``T``, each step at least halving
+    the distance left to it.
     """
     if value <= lo:
         return
     yield lo
-    seen = {lo}
     distance = value - lo
     while distance > 1:
         distance //= 2
-        candidate = lo + distance
-        if candidate not in seen and candidate < value:
-            seen.add(candidate)
-            yield candidate
-    if value - 1 not in seen:
-        yield value - 1
+        yield value - distance
 
 
 def shrink_float(value: float, target: float,

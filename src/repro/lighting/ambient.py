@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.params import require_finite
+
 #: Normalized 1.0 corresponds to the top of the paper's L1 band.
 LUX_FULL_SCALE = 9760.0
 
@@ -71,6 +73,7 @@ class BlindRampAmbient(AmbientProfile):
     seed: int = 2017
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name, level in (("start_level", self.start_level),
                             ("end_level", self.end_level)):
             if not 0.0 <= level <= 1.0:
@@ -86,8 +89,9 @@ class BlindRampAmbient(AmbientProfile):
         rng = np.random.default_rng(self.seed)
         phases = rng.uniform(0.0, 2.0 * math.pi, size=4)
         weights = rng.uniform(0.4, 1.0, size=4)
-        object.__setattr__(self, "_phases", tuple(phases))
-        object.__setattr__(self, "_weights", tuple(weights / weights.sum()))
+        object.__setattr__(self, "_phases", tuple(phases.tolist()))
+        object.__setattr__(self, "_weights",
+                           tuple((weights / weights.sum()).tolist()))
 
     def intensity(self, t: float) -> float:
         x = min(max(t / self.duration_s, 0.0), 1.0)
@@ -96,10 +100,12 @@ class BlindRampAmbient(AmbientProfile):
         shaped = (1.0 - self.curvature) * x + self.curvature * smooth
         level = self.start_level + (self.end_level - self.start_level) * shaped
         if self.wobble and 0.0 < x < 1.0:
-            ripple = sum(
-                w * math.sin(2.0 * math.pi * (k + 1) * 0.8 * x + p)
-                for k, (w, p) in enumerate(zip(self._weights, self._phases))
-            )
+            # Left to right, not builtin sum(): from Python 3.12 that
+            # compensates float sums, so the ripple would depend on the
+            # interpreter.
+            ripple = 0.0
+            for k, (w, p) in enumerate(zip(self._weights, self._phases)):
+                ripple += w * math.sin(2.0 * math.pi * (k + 1) * 0.8 * x + p)
             # Taper the ripple at both ends so the end levels are exact.
             level += self.wobble * ripple * math.sin(math.pi * x)
         return min(max(level, 0.0), 1.0)
@@ -121,6 +127,7 @@ class CloudyDayAmbient(AmbientProfile):
     seed: int = 7
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.day_length_s <= 0 or self.cloud_time_scale_s <= 0:
             raise ValueError("time scales must be positive")
         if not 0.0 < self.peak_level <= 1.0:
@@ -129,7 +136,8 @@ class CloudyDayAmbient(AmbientProfile):
             raise ValueError("cloud_depth must lie in [0, 1)")
         rng = np.random.default_rng(self.seed)
         n_knots = max(4, int(self.day_length_s / self.cloud_time_scale_s) + 2)
-        object.__setattr__(self, "_knots", tuple(rng.uniform(0.0, 1.0, size=n_knots)))
+        object.__setattr__(self, "_knots",
+                           tuple(rng.uniform(0.0, 1.0, size=n_knots).tolist()))
 
     def _cloud_factor(self, t: float) -> float:
         """Cosine-interpolated cloud cover in [0, 1]."""
@@ -173,6 +181,7 @@ class DaylightAmbient(AmbientProfile):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 <= self.sunrise_s < self.sunset_s:
             raise ValueError("need 0 <= sunrise_s < sunset_s")
         if not 0.0 <= self.night_level <= self.peak_level <= 1.0:
@@ -187,7 +196,8 @@ class DaylightAmbient(AmbientProfile):
         rng = np.random.default_rng(ss)
         day_s = self.sunset_s - self.sunrise_s
         n_knots = max(4, int(day_s / self.cloud_time_scale_s) + 2)
-        object.__setattr__(self, "_knots", tuple(rng.uniform(0.0, 1.0, size=n_knots)))
+        object.__setattr__(self, "_knots",
+                           tuple(rng.uniform(0.0, 1.0, size=n_knots).tolist()))
 
     def _cloud_factor(self, t: float) -> float:
         """Cosine-interpolated cloud cover in [0, 1]."""

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.params import require_finite
+
 
 @dataclass(frozen=True)
 class WifiUplink:
@@ -28,6 +30,7 @@ class WifiUplink:
     loss_probability: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.latency_s < 0 or self.jitter_s < 0:
             raise ValueError("latency and jitter must be non-negative")
         # A zero-latency uplink with jitter is a legitimate test double

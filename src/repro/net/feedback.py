@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-import numpy as np
-
 from ..link.wifi import WifiUplink
 
 
@@ -95,7 +93,12 @@ class FeedbackCollector:
             return fallback
         values = [r.value for r in reports]
         if self.aggregation is Aggregation.MEAN:
-            return float(np.mean(values))
+            # Left to right from the first value, as np.mean sums up to
+            # 7 values; not builtin sum(), which Python 3.12 compensates.
+            total = values[0]
+            for value in values[1:]:
+                total += value
+            return total / len(values)
         if self.aggregation is Aggregation.MIN:
             return min(values)
         if self.aggregation is Aggregation.MAX:

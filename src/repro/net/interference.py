@@ -14,6 +14,11 @@ interferers and added in quadrature with the photodiode noise, this
 degrades the serving link's slot error probabilities and hence its
 SINR and goodput.  A luminaire pinned fully ON or fully OFF does not
 fluctuate and contributes nothing, exactly as DC ambient light.
+
+:func:`interference_variance` is the one formula: the object API and
+the multicell kernel both sum through it, in the order they list the
+interferers.  A sharded network sums another region's luminaires
+through it too, at their round-edge LED levels.
 """
 
 from __future__ import annotations
@@ -61,44 +66,33 @@ def interference_sigma(channel: VlcChannel,
 
 
 def swing_slot_errors(channel: VlcChannel, swing: float, ambient: float,
-                      interference: Iterable[tuple[float, float]] = (),
-                      extra_variance: float = 0.0) -> SlotErrorModel:
+                      interference: Iterable[tuple[float, float]] = ()
+                      ) -> SlotErrorModel:
     """:func:`effective_slot_errors` from precomputed swings.
 
     ``swing`` is the serving link's OFF→ON swing and ``interference``
     holds ``(duty, swing)`` per co-channel interferer; the result is
     the same float-for-float as the geometry-based form.
     """
-    if extra_variance < 0.0:
-        raise ValueError("extra_variance must be non-negative")
     extra = math.sqrt(interference_variance(interference))
-    if extra_variance > 0.0:
-        extra = math.sqrt(extra ** 2 + extra_variance)
     return channel.swing_error_model(swing, ambient, extra_noise_a=extra)
 
 
 def effective_slot_errors(channel: VlcChannel, geometry: LinkGeometry,
                           ambient: float,
-                          interferers: Sequence[Interferer] = (),
-                          extra_variance: float = 0.0) -> SlotErrorModel:
+                          interferers: Sequence[Interferer] = ()
+                          ) -> SlotErrorModel:
     """Slot error model of a link including co-channel interference.
 
     With no interferers this is exactly
     :meth:`~repro.phy.channel.VlcChannel.slot_error_model`.  It is the
     geometry-based reference for :func:`swing_slot_errors`, which the
     multicell network calls with each tick's precomputed swings.
-
-    ``extra_variance`` (amps²) folds in interference that was computed
-    elsewhere — the sharded fleet kernel batches far-away luminaires
-    through the vectorized engine and passes their summed variance
-    here.  At the default ``0.0`` the arithmetic (and therefore every
-    journal digest) is bit-identical to the two-argument form.
     """
     return swing_slot_errors(
         channel, channel.signal_swing(geometry), ambient,
         [(interferer.duty, channel.signal_swing(interferer.geometry))
-         for interferer in interferers],
-        extra_variance)
+         for interferer in interferers])
 
 
 def sinr(channel: VlcChannel, geometry: LinkGeometry, ambient: float,

@@ -25,6 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.params import require_finite
+
+#: waypoint legs drawn per ``Generator.random`` call (three doubles each)
+_BLOCK_LEGS = 64
+
 
 class MobilityModel(ABC):
     """A deterministic floor-plane trajectory."""
@@ -78,6 +83,9 @@ class StaticPosition(MobilityModel):
     x_m: float
     y_m: float
 
+    def __post_init__(self) -> None:
+        require_finite(self)
+
     def position(self, t: float) -> tuple[float, float]:
         """The fixed ``(x, y)`` regardless of ``t``."""
         return (self.x_m, self.y_m)
@@ -98,6 +106,7 @@ class LinearTrace(MobilityModel):
     end_t_s: float | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.end_t_s is not None and self.end_t_s < 0:
             raise ValueError("end_t_s must be non-negative")
 
@@ -119,6 +128,10 @@ class RandomWaypoint(MobilityModel):
     speed_max_mps]``, walks there in a straight line, pauses for
     ``pause_s``, and repeats.  All draws come from a private generator
     seeded with ``seed``: the trace is a pure function of the seed.
+    Legs take their draws from blocks of standard uniforms, scaled as
+    ``lo + (hi - lo)·u`` — what ``Generator.uniform(lo, hi)`` computes
+    from the same stream, so the trace equals one drawn a call per
+    coordinate.
     """
 
     width_m: float
@@ -129,6 +142,7 @@ class RandomWaypoint(MobilityModel):
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.width_m <= 0 or self.depth_m <= 0:
             raise ValueError("floor dimensions must be positive")
         if not 0.0 < self.speed_min_mps <= self.speed_max_mps:
@@ -140,8 +154,10 @@ class RandomWaypoint(MobilityModel):
     def reset(self) -> None:
         """Rebuild the trace from the seed (pure, so replays match)."""
         self._rng = np.random.default_rng(self.seed)
-        x0 = float(self._rng.uniform(0.0, self.width_m))
-        y0 = float(self._rng.uniform(0.0, self.depth_m))
+        u, v = self._rng.random(2).tolist()
+        x0, y0 = self.width_m * u, self.depth_m * v
+        #: unused draws of the current block, the next one last
+        self._block: list[float] = []
         #: legs as (t_start, walk_duration, pause, (x0, y0), (x1, y1))
         self._legs: list[tuple[float, float, float,
                                tuple[float, float], tuple[float, float]]] = []
@@ -158,11 +174,15 @@ class RandomWaypoint(MobilityModel):
         ``forget_before`` cycle, regenerating the covered prefix must
         not resurrect trimmed legs into memory.
         """
+        block = self._block
+        low, span = self.speed_min_mps, self.speed_max_mps - self.speed_min_mps
         while self._frontier_t <= t:
-            x1 = float(self._rng.uniform(0.0, self.width_m))
-            y1 = float(self._rng.uniform(0.0, self.depth_m))
-            speed = float(self._rng.uniform(self.speed_min_mps,
-                                            self.speed_max_mps))
+            if not block:
+                block.extend(reversed(
+                    self._rng.random(3 * _BLOCK_LEGS).tolist()))
+            x1 = self.width_m * block.pop()
+            y1 = self.depth_m * block.pop()
+            speed = low + span * block.pop()
             x0, y0 = self._frontier_pos
             walk = math.hypot(x1 - x0, y1 - y0) / speed
             if self._frontier_t + walk + self.pause_s > self._low_water:

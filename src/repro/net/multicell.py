@@ -256,8 +256,6 @@ class _TickSample:
     ambient: float
     #: luminaires inside the cull radius, in original tuple order
     nearby: tuple
-    #: horizontal offset (m) of each ``nearby`` luminaire, same order
-    offsets: list[float]
     #: OFF→ON photocurrent swing (A) of each ``nearby`` luminaire
     swings: list[float]
     #: channel gain by ``nearby`` name (the association input)
@@ -283,11 +281,11 @@ class _LocalView:
     """What the per-node loops see of their (sub-)kernel.
 
     The unsharded simulator runs every loop against one of these; the
-    sharded engine subclasses it per region to route remote serving
-    cells, cross-region reports, and far interference through the
-    round-edge exchange (:mod:`repro.net.sharded`).  Keeping the loop
-    bodies identical across both is what makes the ``regions == 1``
-    digest-parity guarantee checkable rather than aspirational.
+    sharded engine subclasses it per region to route other regions'
+    cells and cross-region reports through the round-edge exchange
+    (:mod:`repro.net.sharded`).  Keeping the loop bodies identical
+    across both is what makes the ``regions == 1`` digest-parity
+    guarantee checkable rather than aspirational.
     """
 
     __slots__ = ("scheduler", "journal", "rng", "cells")
@@ -304,17 +302,13 @@ class _LocalView:
         """The kernel clock."""
         return self.scheduler.now
 
-    def serving_state(self, name: str):
-        """Led/design state of a serving cell (always local here)."""
+    def cell_state(self, name: str):
+        """Led/design state of a cell (always local here)."""
         return self.cells[name]
 
     def submit(self, name: str, report: AmbientReport) -> None:
         """Send an ambient report to a cell's feedback plane."""
         self.cells[name].plane.submit(report, self.rng)
-
-    def remote_variance(self, serving: str, sample: "_TickSample") -> float:
-        """Interference variance from cells outside this view (amps²)."""
-        return 0.0
 
 
 @dataclass
@@ -574,8 +568,7 @@ class MulticellSimulation:
         level = self.ambient.level(now, zone)
         ambient = min(max(level * state.node.daylight_gain, 0.0), 1.0)
         sample = _TickSample(position=position, zone=zone, ambient=ambient,
-                            nearby=nearby, offsets=offsets, swings=swings,
-                            gains=gains)
+                            nearby=nearby, swings=swings, gains=gains)
         state.tick_t = now
         state.sample = sample
         return sample
@@ -625,9 +618,10 @@ class MulticellSimulation:
         ``0.0`` variance, and the ones in range are visited in original
         luminaire order, so the float sums equal those of a scan over
         every luminaire.  Swings come from the tick's sample; a serving
-        cell outside it would have gain 0.0, hence swing 0.0.  In a
-        sharded run the remote (other-region) interferers arrive
-        pre-summed as a variance through the view instead.
+        cell outside it would have gain 0.0, hence swing 0.0.  Each
+        interferer's LED level comes from the view: in a sharded run an
+        other-region cell resolves to its round-edge snapshot, and it
+        enters the same one-formula sum as a local cell.
         """
         while True:
             now = view.now
@@ -639,19 +633,17 @@ class MulticellSimulation:
                 sample = self._sensed_state(now, state)
                 goodput = 0.0
                 if state.serving is not None:
-                    serving = view.serving_state(state.serving)
+                    serving = view.cell_state(state.serving)
                     if serving.design is not None:
                         own, interference = 0.0, []
                         for lum, swing in zip(sample.nearby, sample.swings):
                             if lum.name == state.serving:
                                 own = swing
-                            elif lum.name in view.cells:
+                            else:
                                 interference.append(
-                                    (view.cells[lum.name].led, swing))
+                                    (view.cell_state(lum.name).led, swing))
                         errors = swing_slot_errors(
-                            self.channel, own, sample.ambient, interference,
-                            extra_variance=view.remote_variance(
-                                state.serving, sample))
+                            self.channel, own, sample.ambient, interference)
                         goodput = expected_goodput(serving.design, errors,
                                                    self.config)
                 state.goodput_sum_bps += goodput

@@ -15,9 +15,10 @@ bounded-lookahead rounds:
   Wi-Fi uplink;
 * at each round edge the regions exchange boundary state: ambient
   reports addressed to cells in other regions (the handover-candidate
-  traffic), and fresh LED/design snapshots from which cross-region
-  interference is folded into each link as a pre-summed variance via
-  the vectorized :func:`~repro.sim.batch.lambertian_gains`.
+  traffic), and fresh LED/design snapshots.  A link sees an
+  other-region interferer through its snapshot's LED level, in the
+  same one-formula sum (:func:`~repro.net.interference.
+  interference_variance`) and spatial-index order as a local one.
 
 The default lookahead is one sense tick — remote state a region
 observes is then at most one tick stale, the same bound the unsharded
@@ -45,9 +46,8 @@ from ..des import EventJournal, EventScheduler
 from ..des.journal import JournalEntry
 from ..obs import metrics, span
 from ..resilience.faults import FaultSchedule, NodeDowntime
-from ..sim.batch import lambertian_gains
 from .feedback import AmbientReport
-from .multicell import MulticellResult, _LocalView, _NodeState, _TickSample
+from .multicell import MulticellResult, _LocalView, _NodeState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .multicell import MulticellSimulation
@@ -112,9 +112,9 @@ class _Region:
 class _RegionView(_LocalView):
     """A region's window onto the whole network.
 
-    Local cells resolve exactly; remote serving cells resolve to the
-    latest round-edge snapshot; remote report submission goes through
-    the outbox; remote interference comes back as one batched variance.
+    Local cells resolve exactly; remote cells resolve to the latest
+    round-edge snapshot; remote report submission goes through the
+    outbox.
     """
 
     __slots__ = ("_run", "_region")
@@ -125,7 +125,7 @@ class _RegionView(_LocalView):
         self._run = run
         self._region = region
 
-    def serving_state(self, name: str):
+    def cell_state(self, name: str):
         local = self.cells.get(name)
         return local if local is not None else self._run.snapshots[name]
 
@@ -134,9 +134,6 @@ class _RegionView(_LocalView):
             self.cells[name].plane.submit(report, self.rng)
         else:
             self._run.submit_remote(self._region, name, report)
-
-    def remote_variance(self, serving: str, sample: _TickSample) -> float:
-        return self._run.remote_variance(self._region, serving, sample)
 
 
 class _ShardedRun:
@@ -225,30 +222,6 @@ class _ShardedRun:
                                   reason="wifi-loss")
             return
         region.outbox.append((arrival, len(region.outbox), cell_name, report))
-
-    def remote_variance(self, region: _Region, serving: str,
-                        sample: _TickSample) -> float:
-        """Summed interference variance from other regions' luminaires.
-
-        Only in-radius luminaires matter (beyond it the gain is exactly
-        zero), and their duty cycles come from the round-edge
-        snapshots.  The channel math runs through the vectorized batch
-        engine: one NumPy pass per link evaluation instead of a Python
-        loop per remote cell.
-        """
-        remote = [(lum.name, offset)
-                  for lum, offset in zip(sample.nearby, sample.offsets)
-                  if lum.name not in region.cells and lum.name != serving]
-        if not remote:
-            return 0.0
-        channel = self.sim.channel
-        gains = lambertian_gains(
-            channel.optics, np.array([offset for _name, offset in remote]),
-            self.sim.drop_m)
-        swings = (channel.photodiode.responsivity_a_per_w
-                  * channel.optics.tx_power_w * gains)
-        duty = np.array([self.snapshots[name].led for name, _offset in remote])
-        return float(np.sum(duty * (1.0 - duty) * swings ** 2))
 
     def _exchange(self) -> None:
         """Round edge: refresh snapshots, deliver cross-region reports."""

@@ -4,7 +4,6 @@ from .batch import (
     BatchCodec,
     BatchMonteCarloValidator,
     corrupt_batch,
-    lambertian_gains,
 )
 from .dynamic import DynamicRunResult, DynamicScenario, DynamicTick
 from .endtoend import EndToEndLink, EndToEndReport
@@ -57,7 +56,6 @@ __all__ = [
     "format_table",
     "frame_slot_count",
     "frame_success_probability",
-    "lambertian_gains",
     "result_to_json",
     "stop_and_wait_goodput",
     "write_figure_csv",

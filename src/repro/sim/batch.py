@@ -43,7 +43,6 @@ from ..link.frame import FrameError
 from ..link.receiver import Receiver
 from ..link.transmitter import Transmitter
 from ..obs import metrics, span
-from ..phy.optics import OpticalFrontEnd
 from .montecarlo import MonteCarloValidator, SymbolErrorEstimate, default_payload
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -167,38 +166,6 @@ class BatchCodec:
                           help="symbols rank-decoded by the batch codec") \
             .inc(slots.shape[0])
         return values, weight_ok
-
-
-def lambertian_gains(optics: OpticalFrontEnd, horizontal_m: np.ndarray,
-                     vertical_m: float) -> np.ndarray:
-    """Vectorized Lambertian DC gains for ceiling-to-floor links.
-
-    The batched counterpart of
-    ``optics.channel_gain(LinkGeometry.from_offsets(h, vertical_m))``
-    for an array of horizontal offsets: same 89° angle clamp, same
-    hard zero outside the receiver field of view, one NumPy pass
-    instead of a Python loop per luminaire.  The sharded multicell
-    kernel uses this to fold a whole region's worth of cross-region
-    interferers into one variance number per link evaluation.
-    """
-    if vertical_m <= 0:
-        raise ValueError("vertical_m must be positive")
-    horizontal = np.asarray(horizontal_m, dtype=float)
-    if horizontal.size and float(horizontal.min()) < 0:
-        raise ValueError("horizontal offsets must be non-negative")
-    distance = np.hypot(horizontal, vertical_m)
-    angle = np.minimum(np.degrees(np.arctan2(horizontal, vertical_m)), 89.0)
-    gains = np.zeros_like(distance)
-    visible = angle <= optics.rx_fov_deg
-    if np.any(visible):
-        m = optics.lambertian_order
-        cos = np.cos(np.radians(angle[visible]))
-        radial = (m + 1.0) / (2.0 * np.pi * distance[visible] ** 2)
-        # Irradiance and incidence angles coincide for an upward-facing
-        # receiver, hence cos^m · cos with the same cosine.
-        gains[visible] = (radial * cos ** m * optics.rx_area_m2
-                          * optics.optical_filter_gain * cos)
-    return gains
 
 
 def corrupt_batch(slots: np.ndarray, errors: SlotErrorModel,

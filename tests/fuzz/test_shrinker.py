@@ -39,7 +39,7 @@ class TestShrinkInt:
             assert candidates == []
         else:
             assert all(lo <= c < value for c in candidates)
-            assert len(candidates) == len(set(candidates))
+            assert candidates == sorted(set(candidates))
 
 
 class TestShrinkFloat:
@@ -78,6 +78,16 @@ class TestGreedyShrink:
                          lambda p: p["x"] >= 12 and p["y"] >= 24,
                          _threshold_candidates)
         assert outcome.params == {"x": 12, "y": 24}
+        assert not outcome.exhausted
+
+    def test_threshold_just_above_half_the_start_is_reached(self):
+        # Each threshold sits just above half its start value: every
+        # candidate below half passes, so only a ladder that climbs
+        # back toward the start converges within the budget.
+        outcome = shrink({"x": 463, "y": 785},
+                         lambda p: p["x"] >= 232 and p["y"] >= 393,
+                         _threshold_candidates, max_attempts=10_000)
+        assert outcome.params == {"x": 232, "y": 393}
         assert not outcome.exhausted
 
     def test_budget_exhaustion_keeps_a_failing_repro(self):

@@ -1,5 +1,7 @@
 """Ambient light profiles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,14 @@ from repro.lighting import (
     StaticAmbient,
     StepAmbient,
 )
+
+
+def reject_each_non_finite(profile, *names):
+    """Each named float field, made NaN or ±inf, fails construction."""
+    for name in names:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                profile(**{name: bad})
 
 
 class TestStatic:
@@ -63,6 +73,32 @@ class TestBlindRamp:
         with pytest.raises(ValueError):
             BlindRampAmbient(curvature=0.7)
 
+    def test_non_finite_fields_rejected(self):
+        reject_each_non_finite(BlindRampAmbient, "start_level", "end_level",
+                               "duration_s", "curvature", "wobble")
+
+    @pytest.mark.parametrize("seed", [2017, 3])
+    def test_ripple_equals_the_numpy_scalar_sum(self, seed):
+        # The reference keeps np.float64 weights and phases, so builtin
+        # sum() takes its generic, uncompensated path on every Python.
+        ramp = BlindRampAmbient(seed=seed)
+        rng = np.random.default_rng(seed)
+        phases = rng.uniform(0.0, 2.0 * math.pi, size=4)
+        weights = rng.uniform(0.4, 1.0, size=4)
+        weights = weights / weights.sum()
+        for t in np.linspace(-1.0, 68.0, 400).tolist():
+            x = min(max(t / ramp.duration_s, 0.0), 1.0)
+            smooth = x * x * (3.0 - 2.0 * x)
+            shaped = (1.0 - ramp.curvature) * x + ramp.curvature * smooth
+            level = ramp.start_level + (
+                ramp.end_level - ramp.start_level) * shaped
+            if 0.0 < x < 1.0:
+                ripple = sum(
+                    w * math.sin(2.0 * math.pi * (k + 1) * 0.8 * x + p)
+                    for k, (w, p) in enumerate(zip(weights, phases)))
+                level += ramp.wobble * ripple * math.sin(math.pi * x)
+            assert ramp.intensity(t) == min(max(level, 0.0), 1.0)
+
 
 class TestCloudyDay:
     def test_daylight_arc(self):
@@ -89,6 +125,17 @@ class TestCloudyDay:
     def test_validation(self):
         with pytest.raises(ValueError):
             CloudyDayAmbient(cloud_depth=1.0)
+
+    def test_non_finite_fields_rejected(self):
+        reject_each_non_finite(CloudyDayAmbient, "day_length_s", "peak_level",
+                               "cloud_depth", "cloud_time_scale_s")
+
+
+class TestDaylight:
+    def test_non_finite_fields_rejected(self):
+        reject_each_non_finite(DaylightAmbient, "sunrise_s", "sunset_s",
+                               "peak_level", "night_level", "shape",
+                               "cloud_depth", "cloud_time_scale_s")
 
 
 class TestStepProfile:

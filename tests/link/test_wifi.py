@@ -1,5 +1,7 @@
 """The Wi-Fi ACK side channel."""
 
+import math
+
 import pytest
 
 from repro.link import WifiUplink
@@ -50,3 +52,9 @@ class TestValidation:
     def test_loss_probability_range(self):
         with pytest.raises(ValueError):
             WifiUplink(loss_probability=1.0)
+
+    def test_non_finite_fields_rejected(self):
+        for name in ("latency_s", "jitter_s", "loss_probability"):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    WifiUplink(**{name: bad})

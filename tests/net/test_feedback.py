@@ -99,6 +99,18 @@ class TestAggregation:
         c = self._loaded(Aggregation.MEAN)
         assert c.ambient_estimate(1.0) == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("n_reports", range(1, 8))
+    def test_mean_equals_numpy_mean(self, n_reports):
+        rng = np.random.default_rng(n_reports)
+        for _ in range(200):
+            values = rng.random(n_reports).tolist()
+            c = collector(aggregation=Aggregation.MEAN)
+            for i, value in enumerate(values):
+                c.deliver(AmbientReport(f"n{i}", value, sensed_at=0.0))
+            estimate = c.ambient_estimate(1.0)
+            assert type(estimate) is float
+            assert estimate == float(np.mean(values))
+
     def test_min(self):
         c = self._loaded(Aggregation.MIN)
         assert c.ambient_estimate(1.0) == pytest.approx(0.2)

@@ -15,7 +15,7 @@ from repro.scenarios.shipped import shipped_scenarios
 
 @pytest.mark.parametrize("regions,digest", [
     (1, "1fbf3c740ed2899f8d42e06fde16d7cd7644d9b340bafafab970ba09daf9eff1"),
-    (4, "5fdf390672e01d669690d6a75f0189dbd153d44a4c1cfdd766b46e6874757fba"),
+    (4, "6b87048417bb9bd8ad66fa4bc5fef32dcb2e9736905bbe02bb47138cb13f6073"),
 ])
 def test_fleet_digest(regions, digest):
     result = default_network(rows=4, cols=4, n_nodes=8, seed=11,
@@ -26,4 +26,4 @@ def test_fleet_digest(regions, digest):
 def test_huddle_smoke_digest():
     run = ScenarioRunner(shipped_scenarios()["huddle-smoke"]).run()
     assert run.report.journal_digest == (
-        "b08aaf18f881fe8341f8cf8d74673a41f2fa73ad2ffa6aa0a8e7250f95f54028")
+        "bd4fc52d3423b91501c4937b408d6d78720bdf95e13b44baee6ea9f9318a17ba")

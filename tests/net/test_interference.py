@@ -137,43 +137,32 @@ class TestPerSampleLinkBudget:
                 self.geometry(offset))
 
     @pytest.mark.parametrize("duty", [0.0, 0.37, 1.0])
-    @pytest.mark.parametrize("extra_scale", [0.0, 0.5])
     @pytest.mark.parametrize("neighbours", [(), NEIGHBOURS],
                              ids=["alone", "neighbours"])
     @pytest.mark.parametrize("serving_offset", [0.5, 5.0],
                              ids=["in-fov", "outside-fov"])
     def test_slot_errors_match_interferer_objects(
-            self, channel, duty, extra_scale, neighbours, serving_offset):
+            self, channel, duty, neighbours, serving_offset):
         duties = [duty, 0.37, 1.0 - duty, duty][:len(neighbours)]
-        extra_variance = extra_scale * self.swing(channel, 2.5) ** 2
         via_swings = swing_slot_errors(
             channel, self.swing(channel, serving_offset), 0.4,
             [(d, self.swing(channel, offset))
-             for d, offset in zip(duties, neighbours)],
-            extra_variance=extra_variance)
+             for d, offset in zip(duties, neighbours)])
         via_objects = effective_slot_errors(
             channel, self.geometry(serving_offset), 0.4,
             [Interferer(self.geometry(offset), d)
-             for d, offset in zip(duties, neighbours)],
-            extra_variance=extra_variance)
+             for d, offset in zip(duties, neighbours)])
         assert via_swings == via_objects
-        # Both sum the variance in order, then fold the extra variance
-        # in as sqrt(sigma ** 2 + extra): the pre-refactor arithmetic.
+        # Both sum the variance in order: the pre-refactor arithmetic.
         variance = 0.0
         for d, offset in zip(duties, neighbours):
             variance += d * (1.0 - d) * channel.signal_swing(
                 self.geometry(offset)) ** 2
-        sigma = math.sqrt(variance)
-        if extra_variance > 0.0:
-            sigma = math.sqrt(sigma ** 2 + extra_variance)
         assert via_objects == channel.slot_error_model(
-            self.geometry(serving_offset), 0.4, extra_noise_a=sigma)
+            self.geometry(serving_offset), 0.4,
+            extra_noise_a=math.sqrt(variance))
         if serving_offset > 3.5:
             assert via_swings == SlotErrorModel(0.5, 0.5)
-
-    def test_negative_extra_variance_is_rejected(self, channel):
-        with pytest.raises(ValueError):
-            swing_slot_errors(channel, 1e-6, 0.4, extra_variance=-1e-15)
 
 
 class TestSinr:

@@ -2,9 +2,17 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.net import LinearTrace, RandomWaypoint, StaticPosition
+
+def reject_each_non_finite(model, **valid):
+    """Each float field of ``valid``, made NaN or ±inf, fails construction."""
+    for name in valid:
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                model(**{**valid, name: bad})
 
 
 class TestStaticPosition:
@@ -13,6 +21,9 @@ class TestStaticPosition:
         assert node.position(0.0) == (1.5, 2.5)
         assert node.position(1e6) == (1.5, 2.5)
         assert node.speed(10.0) == pytest.approx(0.0)
+
+    def test_non_finite_coordinates_rejected(self):
+        reject_each_non_finite(StaticPosition, x_m=1.0, y_m=1.0)
 
 
 class TestLinearTrace:
@@ -36,6 +47,11 @@ class TestLinearTrace:
     def test_validation(self):
         with pytest.raises(ValueError):
             LinearTrace(0.0, 0.0, end_t_s=-1.0)
+
+    def test_non_finite_fields_rejected(self):
+        reject_each_non_finite(LinearTrace, start_x_m=1.0, start_y_m=1.0,
+                               velocity_x_mps=0.5, velocity_y_mps=0.5,
+                               end_t_s=3.0)
 
 
 class TestRandomWaypoint:
@@ -85,6 +101,57 @@ class TestRandomWaypoint:
             RandomWaypoint(5.0, 5.0, speed_min_mps=2.0, speed_max_mps=1.0)
         with pytest.raises(ValueError):
             RandomWaypoint(5.0, 5.0, pause_s=-1.0)
+
+    def test_non_finite_fields_rejected(self):
+        reject_each_non_finite(RandomWaypoint, width_m=5.0, depth_m=4.0,
+                               speed_min_mps=0.2, speed_max_mps=1.0,
+                               pause_s=2.0)
+
+
+def scalar_draw_positions(width, depth, speed_min, speed_max, pause, seed,
+                          times):
+    """Random-waypoint positions from one ``Generator.uniform`` call per
+    coordinate and speed, with no trimming: the reference trace."""
+    rng = np.random.default_rng(seed)
+    frontier = (float(rng.uniform(0.0, width)), float(rng.uniform(0.0, depth)))
+    legs, frontier_t = [], 0.0
+    positions = []
+    for t in times:
+        while frontier_t <= t:
+            x1 = float(rng.uniform(0.0, width))
+            y1 = float(rng.uniform(0.0, depth))
+            speed = float(rng.uniform(speed_min, speed_max))
+            x0, y0 = frontier
+            walk = math.hypot(x1 - x0, y1 - y0) / speed
+            legs.append((frontier_t, walk, (x0, y0), (x1, y1)))
+            frontier_t += walk + pause
+            frontier = (x1, y1)
+        t_start, walk, (x0, y0), (x1, y1) = next(
+            leg for leg in reversed(legs) if t >= leg[0])
+        frac = min((t - t_start) / walk, 1.0)
+        positions.append((x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac))
+    return positions, len(legs)
+
+
+class TestBlockDraws:
+    """Block-drawn legs against scalar ``Generator.uniform`` calls."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 33, 2024])
+    def test_positions_equal_the_scalar_draw_trace(self, seed):
+        args = (5.0, 4.0, 0.3, 1.1, 1.5, seed)
+        # 200 times over 2000 s: well past the first 64-leg block.
+        times = [10.0 * k + 0.37 for k in range(200)]
+        expected, n_legs = scalar_draw_positions(*args, times)
+        assert n_legs > 2 * 64
+        walker = RandomWaypoint(*args[:4], pause_s=args[4], seed=seed)
+        got = []
+        for t in times[:120]:
+            got.append(walker.position(t))
+            walker.forget_before(t)
+        # Leave and rejoin: the rest replays from a fresh block.
+        walker.retire(times[120])
+        got += [walker.position(t) for t in times[120:]]
+        assert got == expected
 
 
 class TestForgetBefore:

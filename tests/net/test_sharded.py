@@ -51,9 +51,9 @@ class TestShardedFleet:
         assert (sharded_m["reports_delivered"]
                 == unsharded_m["reports_delivered"])
         assert (sharded_m["reports_lost"] == unsharded_m["reports_lost"])
-        # Cross-region interference is folded in as a pre-summed
-        # variance instead of per-interferer terms, so goodput agrees
-        # closely but not bit-for-bit.
+        # A remote cell's LED level is a round stale and each region
+        # draws its own Wi-Fi delays, so goodput agrees closely but not
+        # bit-for-bit.
         assert sharded_m["aggregate_throughput_bps"] == pytest.approx(
             unsharded_m["aggregate_throughput_bps"], rel=1e-3)
 
