@@ -13,7 +13,6 @@ import time
 
 import pytest
 
-from repro.des import journals_equal
 from repro.experiments import run_experiment
 from repro.net.multicell import default_network
 from repro.phy import LinkGeometry
@@ -28,7 +27,7 @@ def test_bench_multicell(config):
     first = sim.run(30.0)
     t_single = time.perf_counter() - t0
     second = sim.run(30.0)
-    assert journals_equal(first.journal, second.journal)
+    assert first.journal == second.journal
     assert first.metrics() == second.metrics()
 
     figure = run_experiment("ext-multicell", config=config, grids=GRIDS,
@@ -65,7 +64,7 @@ def test_bench_multicell_fleet(best_of, config):
     assert len(fleet_result.shards) == 4
     repeat = default_network(config, rows=8, cols=8, n_nodes=32, seed=11,
                              regions=4).run(duration)
-    assert journals_equal(fleet_result.journal, repeat.journal)
+    assert fleet_result.journal == repeat.journal
     assert fleet_result.metrics() == repeat.metrics()
 
     index, optics = sharded._index, sharded.channel.optics

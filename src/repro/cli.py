@@ -382,8 +382,8 @@ def _cmd_chaos(schedule: str, duration: float, seed: int, intensity: float,
                unsupervised: bool, out, err) -> int:
     from .resilience import ChaosScenario, FaultSchedule, shipped_schedules
 
-    if duration <= 0:
-        return _fail(err, "--duration must be positive")
+    if not 0 < duration < math.inf:
+        return _fail(err, "--duration must be finite and > 0")
     if schedule == "random":
         if not 0.0 <= intensity <= 1.0:
             return _fail(err,

@@ -4,14 +4,14 @@ Every discrete-event consumer appends :class:`JournalEntry` records —
 ``(seq, time, kind, actor, detail)`` — to one :class:`EventJournal`.
 The journal is simultaneously
 
-* the *observability layer*: ``counts()``, ``total()`` and ``mean()``
-  aggregate over entries, ``tail()`` shows the latest activity, and
-  :func:`write_journal_jsonl` exports the full trace for external
-  tooling; and
-* the *determinism witness*: entries compare exactly (tuple equality
-  over exact floats) and :meth:`digest` collapses a whole run into one
-  hex string, so "two same-seed runs are identical" is a one-line
-  assertion.
+* the *observability layer*: ``count()``, ``counts()`` and
+  ``of_kind()`` aggregate over entries, ``tail()`` shows the latest
+  activity, and :func:`write_journal_jsonl` exports the full trace for
+  external tooling; and
+* the *determinism witness*: journals compare exactly under ``==``
+  (tuple equality over exact floats) and :meth:`digest` collapses a
+  whole run into one hex string, so "two same-seed runs are identical"
+  is a one-line assertion.
 """
 
 from __future__ import annotations
@@ -115,24 +115,6 @@ class EventJournal:
             raise ValueError("n must be non-negative")
         return self.entries[-n:] if n else []
 
-    def total(self, kind: str, key: str) -> float:
-        """Sum of a numeric detail value over all entries of a kind."""
-        return float(sum(e.get(key, 0.0) for e in self.of_kind(kind)))
-
-    def mean(self, kind: str, key: str) -> float:
-        """Mean of a numeric detail value over entries that carry it.
-
-        Entries of the right kind but *without* the key are excluded —
-        previously they entered the denominator as zeros and silently
-        dragged the mean towards 0.  :meth:`total` keeps its sum-over-
-        all-entries semantics (a missing key contributes nothing).
-        """
-        values = [value for e in self.of_kind(kind)
-                  if (value := e.get(key)) is not None]
-        if not values:
-            raise ValueError(f"no {kind!r} entries with {key!r} to average")
-        return float(sum(values)) / len(values)
-
     def digest(self) -> str:
         """A SHA-256 fingerprint of the entire trace.
 
@@ -181,8 +163,3 @@ def write_journal_jsonl(journal: EventJournal,
         for entry in journal.entries:
             handle.write(json.dumps(entry.as_dict(), sort_keys=True) + "\n")
     return path
-
-
-def journals_equal(a: EventJournal, b: EventJournal) -> bool:
-    """Exact trace equality (the determinism acceptance predicate)."""
-    return a.entries == b.entries

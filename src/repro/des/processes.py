@@ -52,13 +52,12 @@ class DesFeedbackPlane:
                                 reason="wifi-loss")
             return False
 
-        def on_arrival(_event) -> None:
+        def on_arrival() -> None:
             self.collector.deliver(report)
             self.journal.record(arrival, "report-arrival", report.node,
                                 value=report.value, latency=arrival - now)
 
-        self.scheduler.schedule_at(arrival, "report-arrival", on_arrival,
-                                   actor=report.node)
+        self.scheduler.schedule_at(arrival, on_arrival)
         return True
 
     def estimate(self, fallback: float | None = None) -> float | None:

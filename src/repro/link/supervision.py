@@ -29,6 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..core.params import require_finite
+
 if TYPE_CHECKING:  # avoid a link <-> des import cycle at runtime
     from ..des.journal import EventJournal
 
@@ -77,6 +79,7 @@ class BackoffPolicy:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.base_timeout_s <= 0:
             raise ValueError("base_timeout_s must be positive")
         if self.factor < 1.0:

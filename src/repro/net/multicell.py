@@ -504,7 +504,7 @@ class MulticellSimulation:
         """
 
         def node_change(name: str, down: bool):
-            def apply(_event) -> None:
+            def apply() -> None:
                 state = states[name]
                 state.down = down
                 if down:
@@ -514,7 +514,7 @@ class MulticellSimulation:
             return apply
 
         def uplink_change(active: bool):
-            def apply(_event) -> None:
+            def apply() -> None:
                 for cell in cells.values():
                     cell.plane.outage = active
                 if on_outage is not None:
@@ -526,17 +526,15 @@ class MulticellSimulation:
 
         faults = faults if faults is not None else self.faults
         for window in faults.of_type(NodeDowntime):
-            scheduler.schedule_at(window.start_s, "node-down",
-                                  node_change(window.node, True),
-                                  priority=-1, actor=window.node)
-            scheduler.schedule_at(window.end_s, "node-up",
-                                  node_change(window.node, False),
-                                  priority=-1, actor=window.node)
+            scheduler.schedule_at(window.start_s,
+                                  node_change(window.node, True), priority=-1)
+            scheduler.schedule_at(window.end_s,
+                                  node_change(window.node, False), priority=-1)
         for window in faults.of_type(UplinkOutage):
-            scheduler.schedule_at(window.start_s, "uplink-outage",
-                                  uplink_change(True), priority=-1)
-            scheduler.schedule_at(window.end_s, "uplink-restored",
-                                  uplink_change(False), priority=-1)
+            scheduler.schedule_at(window.start_s, uplink_change(True),
+                                  priority=-1)
+            scheduler.schedule_at(window.end_s, uplink_change(False),
+                                  priority=-1)
 
     def _sensed_state(self, now: float, state: _NodeState) -> _TickSample:
         """The node's per-tick sample, computed once per (node, tick).

@@ -236,7 +236,7 @@ class _ShardedRun:
                 cell = target.cells[cell_name]
                 when = max(arrival, target.scheduler.now)
 
-                def on_arrival(_event, cell=cell, report=report,
+                def on_arrival(cell=cell, report=report,
                                arrival=arrival) -> None:
                     cell.plane.collector.deliver(report)
                     cell.plane.journal.record(
@@ -244,8 +244,7 @@ class _ShardedRun:
                         value=report.value,
                         latency=arrival - report.sensed_at)
 
-                target.scheduler.schedule_at(when, "report-arrival",
-                                             on_arrival, actor=report.node)
+                target.scheduler.schedule_at(when, on_arrival)
             region.outbox.clear()
 
     def execute(self) -> MulticellResult:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.ampdesign import shared_designer
-from ..core.params import SystemConfig
+from ..core.params import SystemConfig, require_finite
 from ..des.journal import EventJournal
 from ..des.kernel import EventScheduler
 from ..lighting.ambient import AmbientProfile, StaticAmbient
@@ -110,6 +110,7 @@ class ChaosScenario:
     recover_after: int = 6
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.tick_s <= 0:

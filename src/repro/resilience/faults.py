@@ -362,37 +362,35 @@ def shipped_schedules(duration_s: float = 40.0) -> dict[str, FaultSchedule]:
 
 def install_fault_events(schedule: FaultSchedule,
                          scheduler: "EventScheduler",
-                         journal: "EventJournal", *,
-                         actor: str = "faults") -> None:
+                         journal: "EventJournal") -> None:
     """Journal every fault boundary as events on a DES scheduler.
 
     Windowed faults record ``fault-begin``/``fault-end`` pairs (with
     the fault kind in the detail); ambient steps record a single
-    ``fault-step``.  Physics stays with the by-time queries — these
-    events make fault boundaries visible in the trace so resilience
-    metrics can attribute detections and recoveries.
+    ``fault-step``; the actor is always ``"faults"``.  Physics stays
+    with the by-time queries — these events make fault boundaries
+    visible in the trace so resilience metrics can attribute
+    detections and recoveries.
     """
 
     def mark(kind: str, fault_kind: str, **detail):
-        def apply(_event) -> None:
-            journal.record(scheduler.now, kind, actor,
+        def apply() -> None:
+            journal.record(scheduler.now, kind, "faults",
                            fault=fault_kind, **detail)
         return apply
 
     for fault in schedule.faults:
         if isinstance(fault, AmbientStep):
-            scheduler.schedule_at(fault.at_s, "fault-step",
+            scheduler.schedule_at(fault.at_s,
                                   mark("fault-step", "ambient-step",
                                        level=fault.level),
-                                  priority=-1, actor=actor)
+                                  priority=-1)
             continue
         name = {UplinkOutage: "uplink-outage",
                 AckLossBurst: "ack-loss-burst",
                 AdcBlinding: "adc-blinding",
                 NodeDowntime: "node-downtime"}[type(fault)]
-        scheduler.schedule_at(fault.start_s, "fault-begin",
-                              mark("fault-begin", name),
-                              priority=-1, actor=actor)
-        scheduler.schedule_at(fault.end_s, "fault-end",
-                              mark("fault-end", name),
-                              priority=-1, actor=actor)
+        scheduler.schedule_at(fault.start_s, mark("fault-begin", name),
+                              priority=-1)
+        scheduler.schedule_at(fault.end_s, mark("fault-end", name),
+                              priority=-1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.ampdesign import shared_designer
-from ..core.params import SystemConfig
+from ..core.params import SystemConfig, require_finite
 from ..lighting.ambient import AmbientProfile, BlindRampAmbient
 from ..lighting.controller import ControllerSample, SmartLightingController
 from ..phy.optics import LinkGeometry
@@ -92,6 +92,13 @@ class DynamicScenario:
     target_sum: float = 1.0
     geometry: LinkGeometry = field(
         default_factory=lambda: LinkGeometry.on_axis(3.0))
+
+    def __post_init__(self) -> None:
+        require_finite(self)
+        if self.tick_s <= 0:
+            raise ValueError("tick_s must be positive")
+        if self.duration_s < 0:
+            raise ValueError("duration_s must be non-negative")
 
     def run(self) -> DynamicRunResult:
         """Simulate the scenario and collect the Fig. 19 traces.

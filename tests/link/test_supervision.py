@@ -8,6 +8,8 @@ channel-quality evidence degrades the design, while failures of any
 kind can kill the link.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,13 @@ class TestBackoffValidation:
     def test_bad_jitter(self):
         with pytest.raises(ValueError):
             BackoffPolicy(jitter_frac=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "base_timeout_s", "factor", "cap_s", "jitter_frac"])
+    def test_non_finite_fields_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BackoffPolicy(**{name: bad})
 
     def test_negative_attempt(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import JournalEntry, journals_equal
+from repro.des import JournalEntry
 from repro.net import default_network, merge_journals
 from repro.net.sharded import run_sharded
 from repro.resilience import FaultSchedule, NodeDowntime, UplinkOutage
@@ -20,7 +20,7 @@ class TestDegeneracy:
     def test_regions_1_matches_unsharded_bit_for_bit(self):
         unsharded = network().run(30.0)
         sharded = run_sharded(network(), 30.0)
-        assert journals_equal(unsharded.journal, sharded.journal)
+        assert unsharded.journal == sharded.journal
         assert unsharded.journal.digest() == sharded.journal.digest()
         assert unsharded.metrics() == sharded.metrics()
         assert len(sharded.shards) == 1
@@ -28,7 +28,7 @@ class TestDegeneracy:
     def test_merge_of_a_single_shard_is_the_identity(self):
         result = run_sharded(network(), 10.0)
         merged = merge_journals(result.shards)
-        assert journals_equal(merged, result.journal)
+        assert merged == result.journal
         assert merged.digest() == result.journal.digest()
 
 
@@ -36,7 +36,7 @@ class TestShardedFleet:
     def test_same_seed_same_journals_and_metrics(self):
         first = fleet(regions=4).run(20.0)
         second = fleet(regions=4).run(20.0)
-        assert journals_equal(first.journal, second.journal)
+        assert first.journal == second.journal
         assert first.metrics() == second.metrics()
         assert len(first.shards) == 4
         assert sum(len(s) for s in first.shards) == len(first.journal)

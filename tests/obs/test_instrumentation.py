@@ -53,8 +53,8 @@ class TestBatchEngine:
 class TestDesKernel:
     def test_run_records_dispatch_counter_and_clock(self):
         scheduler = EventScheduler()
-        for delay in (1.0, 2.0, 3.0):
-            scheduler.schedule(delay, "tick")
+        for time_s in (1.0, 2.0, 3.0):
+            scheduler.schedule_at(time_s, lambda: None)
         with telemetry_session() as session:
             scheduler.run()
         registry = session.registry

@@ -7,6 +7,8 @@ flicker bound holds through degradation and recovery; and the
 multicell simulator's faulted journal stays pinned.
 """
 
+import math
+
 import pytest
 
 from repro.core import SystemConfig
@@ -48,6 +50,34 @@ class TestDeterminism:
         result = ChaosScenario(schedule=SCHEDULES["transients"],
                                seed=13).run()
         assert result.report.digest == result.journal.digest()
+
+
+class TestGoldenDigests:
+    """The harness's own journals pinned by value.
+
+    Control ticks, MAC frames and fault boundaries share one DES clock
+    at priorities -1, 0 and 1, so any change in the kernel's dispatch
+    order moves these bytes.  Pinned on CPython 3.11 with NumPy 2.4;
+    the journals hold only plain ``int``/``float``/``str`` values, so
+    the digest does not depend on NumPy's scalar repr.
+    """
+
+    @pytest.mark.parametrize("name,supervised,digest", [
+        pytest.param("mixed", True, "46ffdcd580fde2b4d2347ad227960045"
+                     "cd072fde94a607b14d370bb712b9bfb9", id="mixed-supervised"),
+        pytest.param("mixed", False, "593b601cd44ee0e5fe1091e8cb78e4b9"
+                     "97c234783193d69d076422d7c71915a5", id="mixed-baseline"),
+        pytest.param("blinding", True, "4abe98e3a599ad38bf2865521b6b3cb3"
+                     "ff63b9c24926c0007f6fefa295990f15",
+                     id="blinding-supervised"),
+        pytest.param("blinding", False, "e3e4320bb9ac87e3083a4e65d9747826"
+                     "211394c201b673498b91ba57f000cd44",
+                     id="blinding-baseline"),
+    ])
+    def test_shipped_schedule_digest(self, name, supervised, digest):
+        result = ChaosScenario(schedule=SCHEDULES[name], seed=13,
+                               supervised=supervised).run()
+        assert result.journal.digest() == digest
 
 
 class TestGracefulDegradation:
@@ -121,6 +151,15 @@ class TestScenarioValidation:
             ChaosScenario(probe_interval_s=0.0)
         with pytest.raises(ValueError):
             ChaosScenario(distance_m=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [
+        "duration_s", "target_sum", "tick_s", "distance_m",
+        "ack_timeout_s", "probe_interval_s"])
+    def test_non_finite_fields_rejected(self, name, bad):
+        # Construction only: at duration_s=inf a run would never return.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ChaosScenario(**{name: bad})
 
     def test_explicit_backoff_is_honoured(self):
         policy = BackoffPolicy(base_timeout_s=5e-3, factor=1.5, cap_s=0.05)

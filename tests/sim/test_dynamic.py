@@ -1,5 +1,7 @@
 """The Fig. 19 dynamic scenario driver."""
 
+import math
+
 import pytest
 
 from repro.core import SystemConfig
@@ -56,3 +58,23 @@ class TestStaticProfile:
             min(result.throughput_bps))
         assert result.ticks[-1].adjustments_smart == \
             result.ticks[1].adjustments_smart
+
+
+class TestValidation:
+    # Construction only: tick_s=0 used to make run() loop forever.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["duration_s", "tick_s", "target_sum"])
+    def test_non_finite_fields_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DynamicScenario(**{name: bad})
+
+    @pytest.mark.parametrize("tick_s", [0.0, -1.0])
+    def test_tick_must_be_positive(self, tick_s):
+        with pytest.raises(ValueError, match="tick_s"):
+            DynamicScenario(tick_s=tick_s)
+
+    def test_duration_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="duration_s"):
+            DynamicScenario(duration_s=-1.0)
+        assert len(DynamicScenario(duration_s=0.0,
+                                   profile=StaticAmbient(0.5)).run().ticks) == 1

@@ -247,6 +247,19 @@ class TestChaos:
         assert code == 2
         assert "--duration" in err
 
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_non_finite_duration_rejected(self, monkeypatch, duration):
+        from repro.des import EventScheduler
+
+        def never(*args, **kwargs):
+            raise AssertionError("a non-finite run reached the kernel")
+
+        monkeypatch.setattr(EventScheduler, "run", never)
+        code, text, err = run_cli("chaos", "--duration", duration)
+        assert code == 2
+        assert "--duration" in err
+        assert text == ""
+
     def test_bad_intensity_rejected(self):
         code, _, err = run_cli("chaos", "--schedule", "random",
                                "--intensity", "1.5")
