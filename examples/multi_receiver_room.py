@@ -16,14 +16,13 @@ import math
 
 from repro.lighting import BlindRampAmbient, energy_report
 from repro.link import WifiUplink
-from repro.net import Aggregation, desk_room
+from repro.net import desk_room
 from repro.phy import LinkGeometry
 from repro.sim import Series, ascii_plot
 
 room = desk_room(
     profile=BlindRampAmbient(duration_s=67.0),
     uplink=WifiUplink(latency_s=2e-3, jitter_s=0.5e-3, loss_probability=0.05),
-    aggregation=Aggregation.MEAN,
 )
 result = room.run(67.0)
 journal = result.journal

@@ -140,8 +140,6 @@ class Adapter:
     use_perception_domain: bool = True
     range_min: float = 0.0
     adjustments: int = 0
-    #: the most recent plan executed by :meth:`retarget` (None initially)
-    last_plan: AdaptationPlan | None = None
 
     def retarget(self, target: float) -> AdaptationPlan:
         """Plan and 'execute' a move to ``target``, updating state."""
@@ -152,5 +150,4 @@ class Adapter:
             plan = plan_measured_steps(self.intensity, target, tau_m)
         self.adjustments += plan.n_steps
         self.intensity = target
-        self.last_plan = plan
         return plan

@@ -1,22 +1,19 @@
-"""Discrete-event simulation: kernel, journal, and network processes.
+"""Discrete-event simulation: the kernel and the event journal.
 
 ``repro.des`` is the timing substrate the multi-luminaire network model
-(:mod:`repro.net.multicell`) and the chaos harness
-(:mod:`repro.resilience.chaos`) run on: a deterministic heap-based
-event scheduler whose whole surface is ``now``, ``schedule_at``,
-``spawn`` and ``run``; an append-only event journal that the
-simulators' callbacks write and that doubles as the observability
-layer and the determinism witness; and a DES re-expression of the
-Wi-Fi feedback plane so report latency, uplink outages and node
-dropouts all share one clock.
+(:mod:`repro.net.multicell`, whose Wi-Fi feedback plane
+:class:`repro.net.FeedbackPlane` schedules report arrivals on the same
+clock) and the chaos harness (:mod:`repro.resilience.chaos`) run on: a
+deterministic heap-based event scheduler whose whole surface is
+``now``, ``schedule_at``, ``spawn`` and ``run``; and an append-only
+event journal that the simulators' callbacks write and that doubles as
+the observability layer and the determinism witness.
 """
 
 from .journal import EventJournal, JournalEntry, write_journal_jsonl
 from .kernel import EventScheduler
-from .processes import DesFeedbackPlane
 
 __all__ = [
-    "DesFeedbackPlane",
     "EventJournal",
     "EventScheduler",
     "JournalEntry",

@@ -26,6 +26,15 @@ from ..core.perception import perceived_step
 from ..link.supervision import LinkState
 from .ambient import AmbientProfile
 
+#: Brightest ambient level the deployment expects; fixes the darkest LED
+#: intensity of the operating range, which is where the existing method
+#: must size its fixed measured-domain step to stay flicker-safe.
+AMBIENT_MAX = 0.90
+#: Error-probability inflation of the conservative fallback designer
+#: consulted while the supervised link is DEGRADED — the envelope then
+#: prefers shorter, more redundant super-symbols.
+DEGRADED_ERROR_MARGIN = 4.0
+
 
 @dataclass(frozen=True)
 class ControllerSample:
@@ -61,44 +70,23 @@ class SmartLightingController:
             the controller lighting-only (no communication).
         use_perception_domain: SmartVLC stepping when True, the
             fixed-measured-step existing method when False.
-        deadband: Ignore required-intensity changes smaller than this
-            (perceived domain), modelling the paper's concern about
-            needless re-designs.
-        ambient_max: Brightest ambient level the deployment expects;
-            fixes the darkest LED intensity of the operating range,
-            which is where the existing method must size its fixed
-            measured-domain step to stay flicker-safe.
-        degraded_error_margin: Error-probability inflation used to
-            build the conservative fallback designer consulted while
-            the supervised link is DEGRADED — the envelope then prefers
-            shorter, more redundant super-symbols.
+
+    The LED starts at ``min(target_sum, 1)``.
     """
 
     target_sum: float = 1.0
     config: SystemConfig = field(default_factory=SystemConfig)
     designer: AmppmDesigner | None = None
     use_perception_domain: bool = True
-    deadband: float = 0.0
-    initial_led: float | None = None
-    ambient_max: float = 0.90
-    degraded_error_margin: float = 4.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.target_sum <= 2.0:
             raise ValueError("target_sum must lie in (0, 2]")
-        if self.deadband < 0:
-            raise ValueError("deadband must be non-negative")
-        if not 0.0 <= self.ambient_max <= 1.0:
-            raise ValueError("ambient_max must lie in [0, 1]")
-        if self.degraded_error_margin < 1.0:
-            raise ValueError("degraded_error_margin must be >= 1")
-        led0 = (self.initial_led if self.initial_led is not None
-                else min(self.target_sum, 1.0))
         self._adapter = Adapter(
             tau_perceived=self.config.tau_perceived,
-            intensity=led0,
+            intensity=min(self.target_sum, 1.0),
             use_perception_domain=self.use_perception_domain,
-            range_min=self.required_led(self.ambient_max),
+            range_min=self.required_led(AMBIENT_MAX),
         )
         self._last_design: AmppmDesign | None = None
         self._last_designed_level: float | None = None
@@ -125,7 +113,7 @@ class SmartLightingController:
     def last_plan(self) -> AdaptationPlan | None:
         """The adaptation plan executed by the latest tick (if any).
 
-        ``None`` when the latest tick stayed inside the deadband —
+        ``None`` when the latest tick left the LED where it was —
         illumination did not move, so there is no trajectory to audit.
         """
         return self._last_plan
@@ -142,7 +130,7 @@ class SmartLightingController:
         """
         required = self.required_led(ambient)
         self._last_plan = None
-        if perceived_step(self._adapter.intensity, required) > self.deadband:
+        if perceived_step(self._adapter.intensity, required) > 0.0:
             self._last_plan = self._adapter.retarget(required)
         if link_state in (LinkState.DOWN, LinkState.PROBING):
             design = None  # illumination-only fallback
@@ -188,7 +176,7 @@ class SmartLightingController:
             return None
         if self._conservative is None:
             errors = SlotErrorModel.from_config(self.config).scaled(
-                self.degraded_error_margin)
+                DEGRADED_ERROR_MARGIN)
             try:
                 self._conservative = shared_designer(self.config, errors)
             except ValueError:
@@ -201,7 +189,7 @@ class SmartLightingController:
         """The DEGRADED-mode design at a dimming level (also for probes).
 
         Uses a designer whose slot error model is inflated by
-        ``degraded_error_margin``, so the SER bound admits only
+        :data:`DEGRADED_ERROR_MARGIN`, so the SER bound admits only
         shorter, more redundant super-symbols — the graceful step-down
         a supervised link takes before giving up.
         """

@@ -16,7 +16,6 @@ Two evaluation paths are provided:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +31,6 @@ from .frame import (
     FrameError,
 )
 from .receiver import Receiver
-from .supervision import BackoffPolicy, LinkSupervisor
 from .transmitter import Transmitter
 from .wifi import WifiUplink
 
@@ -98,34 +96,12 @@ def corrupt_slots(slots: list[bool], errors: SlotErrorModel,
     return out
 
 
-def _time_aware(corruptor) -> bool:
-    """Whether a corruptor accepts the ``(slots, rng, now)`` signature."""
-    try:
-        params = inspect.signature(corruptor).parameters
-    except (TypeError, ValueError):
-        return False
-    positional = [p for p in params.values()
-                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-    if any(p.kind == p.VAR_POSITIONAL for p in params.values()):
-        return True
-    return len(positional) >= 3
-
-
 @dataclass
 class StopAndWaitMac:
     """One transmitter, one receiver, one outstanding frame.
 
-    Two supervision hooks upgrade the paper's fixed-timeout loop:
-
-    * ``backoff`` replaces the constant ``ack_timeout_s`` with a
-      :class:`~repro.link.supervision.BackoffPolicy` schedule — attempt
-      ``a`` of a payload waits ``backoff.timeout_for(a)`` before
-      retransmitting;
-    * ``supervisor`` receives per-attempt evidence (delivery, CRC
-      failure, ACK loss) so a
-      :class:`~repro.link.supervision.LinkSupervisor` can track link
-      health across the session.
-
+    The paper's loop: a missing ACK triggers a retransmission after the
+    fixed ``ack_timeout_s``, up to ``max_retries`` times per payload.
     Frames carry an alternating-bit sequence number: a retransmission
     of a payload the receiver already decoded is recognized, counted in
     ``duplicates_suppressed``, re-ACKed, and *not* delivered twice.
@@ -135,8 +111,6 @@ class StopAndWaitMac:
     uplink: WifiUplink = field(default_factory=WifiUplink)
     ack_timeout_s: float = 10.0e-3
     max_retries: int = 8
-    backoff: BackoffPolicy | None = None
-    supervisor: LinkSupervisor | None = None
 
     def __post_init__(self) -> None:
         if self.ack_timeout_s <= 0:
@@ -146,33 +120,20 @@ class StopAndWaitMac:
         self._tx = Transmitter(self.config)
         self._rx = Receiver(self.config)
 
-    def timeout_for(self, attempt: int) -> float:
-        """The ACK timeout after the ``attempt``-th failure (0-indexed)."""
-        if self.backoff is None:
-            return self.ack_timeout_s
-        return self.backoff.timeout_for(attempt)
-
     def run(self, payloads: list[bytes], design: SchemeDesign,
             errors: SlotErrorModel, rng: np.random.Generator,
             corruptor=None) -> MacStats:
         """Deliver a list of payloads over the noisy link.
 
-        ``corruptor`` overrides the default i.i.d. slot flipping — pass
-        e.g. ``lambda s, r: burst_channel.corrupt(s, r)[0]`` to run the
-        MAC over a Gilbert-Elliott shadowing process.  A three-argument
-        corruptor ``(slots, rng, now)`` additionally sees the MAC clock,
-        which is how :meth:`FaultSchedule.corruptor
-        <repro.resilience.faults.FaultSchedule.corruptor>` injects
-        time-windowed faults.
+        ``corruptor(slots, rng)`` overrides the default i.i.d. slot
+        flipping — pass e.g. ``lambda s, r: burst_channel.corrupt(s,
+        r)[0]`` to run the MAC over a Gilbert-Elliott shadowing process.
         """
         if corruptor is None:
-            def corrupt(slots, generator, _now):
+            def corrupt(slots, generator):
                 return corrupt_slots(slots, errors, generator)
-        elif _time_aware(corruptor):
-            corrupt = corruptor
         else:
-            def corrupt(slots, generator, _now, inner=corruptor):
-                return inner(slots, generator)
+            corrupt = corruptor
         stats = MacStats()
         now = 0.0
         with span("mac.run", payloads=len(payloads)):
@@ -187,7 +148,7 @@ class StopAndWaitMac:
                         stats.retransmissions += 1
                     stats.airtime_s += airtime
                     now += airtime
-                    received = corrupt(list(slots), rng, now)
+                    received = corrupt(list(slots), rng)
                     ack_at = None
                     decoded = False
                     try:
@@ -209,17 +170,12 @@ class StopAndWaitMac:
                         delivered = True
                         stats.frames_delivered += 1
                         stats.payload_bits_acked += 8 * len(payload)
-                        if self.supervisor is not None:
-                            self.supervisor.on_success(now)
                         break
                     if decoded:
                         stats.ack_losses += 1
                     else:
                         stats.crc_failures += 1
-                    now += self.timeout_for(attempt)
-                    if self.supervisor is not None:
-                        self.supervisor.on_failure(
-                            now, reason="ack-loss" if decoded else "crc")
+                    now += self.ack_timeout_s
                 if not delivered:
                     # Give up on this payload (upper layers would resubmit).
                     stats.frames_abandoned += 1
@@ -257,20 +213,10 @@ class StopAndWaitMac:
                             payload_bytes: int | None = None) -> float:
         """Closed-form goodput of the stop-and-wait loop in bit/s.
 
-        With a constant timeout (no backoff, or a degenerate backoff
-        with factor 1.0 and no jitter) this is the paper's expression,
+        The paper's expression,
 
             throughput = payload_bits · P_ok / E[cycle],
             E[cycle] = T_frame + P_ok·T_ack + (1-P_ok)·T_timeout.
-
-        With backoff the timeout depends on the attempt index; summing
-        the geometric attempt distribution over the (infinite-retry)
-        schedule gives
-
-            E[T] = T_frame/P + T_ack + Σ_a (1-P)^(a+1)·timeout(a),
-
-        which reduces *exactly* to the constant-timeout form when the
-        schedule is flat — disabling backoff changes nothing.
         """
         n_payload = (payload_bytes if payload_bytes is not None
                      else self.config.payload_bytes)
@@ -286,35 +232,5 @@ class StopAndWaitMac:
         if p_ok <= 0.0:
             return 0.0
         t_ack = self.uplink.expected_latency_s
-
-        flat = (self.backoff is None
-                or (self.backoff.factor == 1.0
-                    and self.backoff.jitter_frac == 0.0))
-        if flat:
-            tau = (self.ack_timeout_s if self.backoff is None
-                   else self.backoff.base_timeout_s)
-            t_cycle = t_frame + p_ok * t_ack + (1.0 - p_ok) * tau
-            return 8 * n_payload * p_ok / t_cycle
-
-        # Backoff-aware series: the timeout tail beyond the cap is an
-        # exact geometric sum; before the cap we sum term by term.
-        q = 1.0 - p_ok
-        tail_weight = q  # q^(a+1) for a = 0
-        timeout_sum = 0.0
-        attempt = 0
-        last = 0.0
-        while attempt < 4096 and tail_weight > 0.0:
-            last = self.backoff.timeout_for(attempt)
-            if last >= self.backoff.cap_s:
-                timeout_sum += self.backoff.cap_s * tail_weight / p_ok
-                break
-            timeout_sum += tail_weight * last
-            tail_weight *= q
-            attempt += 1
-        else:
-            # Schedule never reached the cap (jittered flat factor):
-            # close the series with the last, largest timeout seen.
-            timeout_sum += last * tail_weight / p_ok
-        expected_time = t_frame / p_ok + t_ack + timeout_sum
-        return 8 * n_payload / expected_time
-
+        t_cycle = t_frame + p_ok * t_ack + (1.0 - p_ok) * self.ack_timeout_s
+        return 8 * n_payload * p_ok / t_cycle

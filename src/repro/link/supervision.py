@@ -5,9 +5,8 @@ control plane to stay up (Sections 5.1, 6.1).  Real deployments of the
 OpenVLC-class platforms report link outages and noise bursts as the
 dominant failure mode, so this module adds the two standard defences:
 
-* :class:`BackoffPolicy` — exponential backoff with deterministic
-  jitter on the ACK-timeout schedule.  The schedule is a pure function
-  of ``(seed, attempt)``: same seed, same schedule, bit-for-bit, which
+* :class:`BackoffPolicy` — capped exponential backoff on the
+  ACK-timeout schedule, a pure function of the attempt index, which
   keeps every supervised simulation replayable.
 * :class:`LinkSupervisor` — a four-state link health machine
   (UP → DEGRADED → DOWN → PROBING) driven by ACK-loss streaks and
@@ -16,9 +15,9 @@ dominant failure mode, so this module adds the two standard defences:
   ``link-state`` events in the discrete-event journal, so resilience
   metrics (time-to-detect, time-to-recover) fall out of the trace.
 
-The MAC (:class:`~repro.link.mac.StopAndWaitMac`) consumes the backoff
-schedule; the chaos harness (:mod:`repro.resilience.chaos`) drives the
-supervisor and reacts to its state.
+The chaos harness (:mod:`repro.resilience.chaos`) consumes the backoff
+schedule, drives the supervisor and reacts to its state; the serve
+daemon's ``link`` endpoint reports both.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from ..core.params import require_finite
 
@@ -44,39 +41,19 @@ class LinkState(Enum):
     PROBING = "probing"      # dead but sending probe frames to detect recovery
 
 
-def _unit_draw(seed: int, attempt: int) -> float:
-    """A deterministic, platform-stable uniform draw in [0, 1).
-
-    Derived through :class:`numpy.random.SeedSequence`, not ``hash``,
-    so the value does not depend on ``PYTHONHASHSEED`` or the host.
-    """
-    state = np.random.SeedSequence(entropy=(seed, attempt)).generate_state(1)
-    return float(state[0]) / float(2 ** 32)
-
-
 @dataclass(frozen=True)
 class BackoffPolicy:
-    """Capped exponential backoff with deterministic jitter.
+    """Capped exponential backoff.
 
     ``timeout_for(attempt)`` yields the ACK timeout to wait after the
-    ``attempt``-th failed transmission (0-indexed).  The schedule is
-
-    * monotone non-decreasing (a running maximum is enforced, so jitter
-      can never shrink a later timeout below an earlier one),
-    * capped at ``cap_s`` (jitter included), and
-    * a pure function of ``(seed, attempt)`` — exact determinism.
-
-    ``factor=1.0`` with ``jitter_frac=0.0`` degenerates to the paper's
-    fixed-timeout behaviour and leaves
-    :meth:`~repro.link.mac.StopAndWaitMac.expected_throughput` exactly
-    unchanged.
+    ``attempt``-th failed transmission (0-indexed):
+    ``min(base_timeout_s · factor ** attempt, cap_s)``, monotone
+    non-decreasing in the attempt and never above ``cap_s``.
     """
 
     base_timeout_s: float = 10.0e-3
     factor: float = 2.0
     cap_s: float = 0.16
-    jitter_frac: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -86,52 +63,16 @@ class BackoffPolicy:
             raise ValueError("factor must be >= 1 (backoff cannot shrink)")
         if self.cap_s < self.base_timeout_s:
             raise ValueError("cap_s must be >= base_timeout_s")
-        if not 0.0 <= self.jitter_frac < 1.0:
-            raise ValueError("jitter_frac must lie in [0, 1)")
-
-    @classmethod
-    def disabled(cls, base_timeout_s: float = 10.0e-3) -> "BackoffPolicy":
-        """The fixed-timeout policy of the paper's prototype."""
-        return cls(base_timeout_s=base_timeout_s, factor=1.0,
-                   cap_s=base_timeout_s, jitter_frac=0.0)
-
-    def _jittered(self, attempt: int) -> float:
-        raw = self.base_timeout_s * self.factor ** attempt
-        if self.jitter_frac:
-            raw *= 1.0 + self.jitter_frac * _unit_draw(self.seed, attempt)
-        return min(raw, self.cap_s)
 
     def timeout_for(self, attempt: int) -> float:
         """Timeout after the ``attempt``-th failure (0-indexed)."""
         if attempt < 0:
             raise ValueError("attempt must be non-negative")
-        timeout = 0.0
-        for a in range(attempt + 1):
-            timeout = max(timeout, self._jittered(a))
-        return timeout
-
-    def schedule(self, n_attempts: int) -> tuple[float, ...]:
-        """The first ``n_attempts`` timeouts of the schedule."""
-        if n_attempts < 0:
-            raise ValueError("n_attempts must be non-negative")
-        out: list[float] = []
-        timeout = 0.0
-        for a in range(n_attempts):
-            timeout = max(timeout, self._jittered(a))
-            out.append(timeout)
-        return tuple(out)
-
-    @property
-    def saturation_attempt(self) -> int:
-        """First attempt index whose un-jittered timeout reaches the cap."""
-        attempt = 0
-        raw = self.base_timeout_s
-        while raw < self.cap_s and attempt < 10_000:
-            raw *= self.factor
-            attempt += 1
-            if self.factor == 1.0:
-                break
-        return attempt
+        try:
+            raw = self.base_timeout_s * self.factor ** attempt
+        except OverflowError:  # factor ** attempt is beyond any float
+            return self.cap_s
+        return min(raw, self.cap_s)
 
 
 @dataclass(frozen=True)
@@ -165,14 +106,14 @@ class LinkSupervisor:
       ``recover_after`` consecutive data successes restore UP.
 
     Every transition is appended to :attr:`transitions` and, when a
-    journal is attached, recorded as a ``link-state`` event.
+    journal is attached, recorded as a ``link-state`` event by actor
+    ``"link"``.
     """
 
     degraded_after: int = 3
     down_after: int = 8
     recover_after: int = 2
     journal: "EventJournal | None" = None
-    actor: str = "link"
 
     def __post_init__(self) -> None:
         if self.degraded_after < 1:
@@ -209,7 +150,7 @@ class LinkSupervisor:
         transition = LinkTransition(t, self._state, target, reason)
         self.transitions.append(transition)
         if self.journal is not None:
-            self.journal.record(t, "link-state", self.actor,
+            self.journal.record(t, "link-state", "link",
                                 source=self._state.value,
                                 target=target.value, reason=reason)
         self._state = target

@@ -1,8 +1,12 @@
-"""Multi-receiver deployments: the feedback plane and the
-multi-luminaire network (mobility, handover, interference) on the
-discrete-event kernel, whose one-luminaire case is the desk room."""
+"""Multi-receiver deployments on the discrete-event kernel.
 
-from .feedback import Aggregation, AmbientReport, FeedbackCollector
+:class:`FeedbackPlane` carries receivers' ambient reports over the
+Wi-Fi uplink to one luminaire and fuses the fresh ones;
+:class:`MulticellSimulation` runs a multi-luminaire network (mobility,
+handover, interference) with one plane per luminaire, and its
+one-luminaire case is the desk room."""
+
+from .feedback import AmbientReport, FeedbackPlane
 from .interference import (
     Interferer,
     effective_slot_errors,
@@ -32,11 +36,10 @@ from .sharded import merge_journals
 from .spatial import LuminaireIndex
 
 __all__ = [
-    "Aggregation",
     "AmbientField",
     "AmbientReport",
     "CellReport",
-    "FeedbackCollector",
+    "FeedbackPlane",
     "Interferer",
     "LinearTrace",
     "Luminaire",

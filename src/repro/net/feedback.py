@@ -3,19 +3,23 @@
 In the prototype, every receiver senses the ambient light at its own
 position and reports it — together with ACKs — over the ESP8266 Wi-Fi
 uplink (Section 5.1).  The transmitter therefore works with *delayed,
-possibly missing* observations.  This module models that plane: reports
-ride a :class:`~repro.link.wifi.WifiUplink`, arrive out of order, and a
-collector keeps the freshest delivered value per node with an
-aggregation policy and a staleness cut-off.
+possibly missing* observations.  This module models that plane on the
+:class:`~repro.des.EventScheduler` clock: a report rides a
+:class:`~repro.link.wifi.WifiUplink` and becomes a scheduled arrival
+(or a journaled loss), reports arrive out of order, and the plane
+keeps the freshest delivered value per node and fuses the fresh ones
+by their mean, so report latency, uplink outages and node dropouts
+interleave the way they would in the deployed system.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable
+from dataclasses import dataclass
 
+import numpy as np
+
+from ..des import EventJournal, EventScheduler
 from ..link.wifi import WifiUplink
 
 
@@ -32,35 +36,51 @@ class AmbientReport:
             raise ValueError("ambient value must lie in [0, 1]")
 
 
-class Aggregation(Enum):
-    """How the transmitter fuses multi-receiver ambient reports."""
-
-    MEAN = "mean"
-    MIN = "min"      # darkest spot rules: nobody is under-lit
-    MAX = "max"
-    LATEST = "latest"
-
-
 @dataclass
-class FeedbackCollector:
-    """Keeps the freshest delivered report per node and fuses them.
+class FeedbackPlane:
+    """One luminaire's Wi-Fi ambient-report plane, driven by the clock.
 
-    ``uplink`` is the Wi-Fi link the reports ride; the discrete-event
-    plane (:class:`repro.des.DesFeedbackPlane`) draws each report's
-    loss and delay from it and calls :meth:`deliver` on arrival.
+    A submitted report either schedules a ``report-arrival`` event at
+    its Wi-Fi delivery time or journals a ``report-lost``.  While
+    :attr:`outage` is raised (the multicell simulator's fault events set
+    it) every report is lost with reason ``"outage"`` — the paper's
+    receivers keep sensing, but the ESP8266 uplink is down.
     ``staleness_s`` bounds how old a delivered report may be before it
     is ignored — a receiver that went quiet must not pin the controller
     to an outdated daylight level.
     """
 
-    uplink: WifiUplink = field(default_factory=WifiUplink)
-    aggregation: Aggregation = Aggregation.MEAN
+    scheduler: EventScheduler
+    journal: EventJournal
+    uplink: WifiUplink
     staleness_s: float = 5.0
+    outage: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.staleness_s < math.inf:
             raise ValueError("staleness_s must be finite and positive")
         self._delivered: dict[str, AmbientReport] = {}
+
+    def submit(self, report: AmbientReport, rng: np.random.Generator) -> bool:
+        """Send one report; returns whether it will be delivered."""
+        now = self.scheduler.now
+        if self.outage:
+            self.journal.record(now, "report-lost", report.node,
+                                reason="outage")
+            return False
+        arrival = self.uplink.deliver(now, rng)
+        if arrival is None:
+            self.journal.record(now, "report-lost", report.node,
+                                reason="wifi-loss")
+            return False
+
+        def on_arrival() -> None:
+            self.deliver(report)
+            self.journal.record(arrival, "report-arrival", report.node,
+                                value=report.value, latency=arrival - now)
+
+        self.scheduler.schedule_at(arrival, on_arrival)
+        return True
 
     def deliver(self, report: AmbientReport) -> None:
         """Register a report that has just arrived.
@@ -72,39 +92,20 @@ class FeedbackCollector:
         if current is None or report.sensed_at > current.sensed_at:
             self._delivered[report.node] = report
 
-    def forget(self, node: str) -> bool:
-        """Drop all state for a departed node (returns whether any existed).
+    def estimate(self, fallback: float | None = None) -> float | None:
+        """The mean of the fresh reports as of the scheduler clock.
 
-        Call on receiver churn: a node that left the room must not
-        linger in the fused estimate until it goes stale.
+        A report is fresh while its age is at most ``staleness_s``;
+        ``fallback`` is returned when none is.
         """
-        return self._delivered.pop(node, None) is not None
-
-    def fresh_reports(self, now: float) -> list[AmbientReport]:
-        """Delivered, non-stale reports as of ``now``."""
-        return [report for report in self._delivered.values()
-                if now - report.sensed_at <= self.staleness_s]
-
-    def ambient_estimate(self, now: float,
-                         fallback: float | None = None) -> float | None:
-        """The fused ambient level, or ``fallback`` when nothing is fresh."""
-        reports = self.fresh_reports(now)
-        if not reports:
+        now = self.scheduler.now
+        values = [report.value for report in self._delivered.values()
+                  if now - report.sensed_at <= self.staleness_s]
+        if not values:
             return fallback
-        values = [r.value for r in reports]
-        if self.aggregation is Aggregation.MEAN:
-            # Left to right from the first value, as np.mean sums up to
-            # 7 values; not builtin sum(), which Python 3.12 compensates.
-            total = values[0]
-            for value in values[1:]:
-                total += value
-            return total / len(values)
-        if self.aggregation is Aggregation.MIN:
-            return min(values)
-        if self.aggregation is Aggregation.MAX:
-            return max(values)
-        return max(reports, key=lambda r: r.sensed_at).value
-
-    def known_nodes(self) -> Iterable[str]:
-        """Nodes that have ever delivered a report."""
-        return self._delivered.keys()
+        # Left to right from the first value, as np.mean sums up to 7
+        # values; not builtin sum(), which Python 3.12 compensates.
+        total = values[0]
+        for value in values[1:]:
+            total += value
+        return total / len(values)

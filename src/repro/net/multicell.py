@@ -11,8 +11,8 @@ one-luminaire case, :func:`desk_room`, is the Fig. 2 room itself:
   process's one :func:`~repro.core.ampdesign.shared_designer`;
 * :class:`MobileNode` receivers follow :mod:`~repro.net.mobility`
   traces, associate with the strongest cell
-  (:func:`strongest_cell`, hysteresis in dB so ties do not flap), and
-  hand over as they move;
+  (:func:`strongest_cell`, with :data:`HYSTERESIS_DB` of hysteresis so
+  ties do not flap), and hand over as they move;
 * co-channel interference from every luminaire in the receiver's
   field of view degrades the serving link through
   :mod:`~repro.net.interference`; a :class:`~repro.net.spatial.
@@ -39,7 +39,7 @@ import numpy as np
 
 from ..core.ampdesign import shared_designer
 from ..core.params import SystemConfig
-from ..des import DesFeedbackPlane, EventJournal, EventScheduler
+from ..des import EventJournal, EventScheduler
 from ..lighting.ambient import AmbientProfile, StaticAmbient
 from ..lighting.controller import SmartLightingController
 from ..link.wifi import WifiUplink
@@ -47,10 +47,14 @@ from ..phy.channel import VlcChannel, calibrated_channel
 from ..resilience.faults import FaultSchedule, NodeDowntime, UplinkOutage
 from ..schemes import AmppmSchemeDesign, shared_scheme_design
 from ..sim.linkmodel import expected_goodput
-from .feedback import Aggregation, AmbientReport, FeedbackCollector
+from .feedback import AmbientReport, FeedbackPlane
 from .interference import swing_slot_errors
 from .mobility import MobilityModel, RandomWaypoint, StaticPosition
 from .spatial import LuminaireIndex
+
+#: Association hysteresis: a challenger cell must beat the serving one
+#: by this many decibels before a node hands over.
+HYSTERESIS_DB = 2.0
 
 
 @dataclass(frozen=True)
@@ -229,7 +233,7 @@ class _CellState:
 
     luminaire: Luminaire
     controller: SmartLightingController
-    plane: DesFeedbackPlane
+    plane: FeedbackPlane
     design: AmppmSchemeDesign | None = None
     led: float = 1.0
 
@@ -332,9 +336,7 @@ class MulticellSimulation:
     drop_m: float = 2.0
     target_sum: float = 1.0
     tick_s: float = 1.0
-    hysteresis_db: float = 2.0
     uplink: WifiUplink = field(default_factory=WifiUplink)
-    aggregation: Aggregation = Aggregation.MEAN
     staleness_s: float = 5.0
     #: churn and outage windows; the other fault kinds are rejected
     faults: FaultSchedule = field(default_factory=FaultSchedule)
@@ -343,8 +345,6 @@ class MulticellSimulation:
     regions: int = 1
     #: synchronization window of a sharded run (defaults to ``tick_s``)
     lookahead_s: float | None = None
-    #: cull luminaires whose gain falls below this (0 = exact FoV cull)
-    gain_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.luminaires:
@@ -359,8 +359,6 @@ class MulticellSimulation:
             raise ValueError("node names must be unique")
         if not 0 < self.tick_s < math.inf:
             raise ValueError("tick_s must be finite and positive")
-        if not 0 <= self.hysteresis_db < math.inf:
-            raise ValueError("hysteresis_db must be finite and non-negative")
         if not 0 < self.staleness_s < math.inf:
             raise ValueError("staleness_s must be finite and positive")
         if self.regions < 1:
@@ -380,9 +378,18 @@ class MulticellSimulation:
             if window.node not in known:
                 raise ValueError(
                     f"downtime names unknown node {window.node!r}")
-        # The index validates drop_m and gain_floor.
+        cells = {lum.name for lum in self.luminaires}
+        zoned: set[str] = set()
+        for zone, _profile in self.ambient.zone_overrides:
+            if zone not in cells:
+                raise ValueError(
+                    f"zone override names unknown luminaire {zone!r}")
+            if zone in zoned:
+                raise ValueError(f"zone {zone!r} is overridden twice")
+            zoned.add(zone)
+        # The index validates drop_m.
         self._index = LuminaireIndex(self.luminaires, self.drop_m,
-                                     self.channel.optics, self.gain_floor)
+                                     self.channel.optics)
 
     def zone_of(self, position: tuple[float, float]) -> str:
         """The ambient zone (nearest luminaire) of a floor position."""
@@ -446,12 +453,10 @@ class MulticellSimulation:
             controller = SmartLightingController(
                 target_sum=self.target_sum, config=self.config,
                 designer=designer)
-            collector = FeedbackCollector(
-                uplink=self.uplink, aggregation=self.aggregation,
-                staleness_s=self.staleness_s)
             cells[lum.name] = _CellState(
                 luminaire=lum, controller=controller,
-                plane=DesFeedbackPlane(scheduler, journal, collector),
+                plane=FeedbackPlane(scheduler, journal, self.uplink,
+                                    self.staleness_s),
                 led=controller.led_intensity)
         return cells
 
@@ -585,7 +590,7 @@ class MulticellSimulation:
                 sample = self._sensed_state(now, state)
                 state.node.mobility.forget_before(now)
                 target = strongest_cell(sample.gains, state.serving,
-                                        self.hysteresis_db)
+                                        HYSTERESIS_DB)
                 if target != state.serving:
                     if state.serving is None:
                         view.journal.record(now, "associate",

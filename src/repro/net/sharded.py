@@ -206,10 +206,11 @@ class _ShardedRun:
                       report: AmbientReport) -> None:
         """A report addressed to another region's cell.
 
-        Mirrors :meth:`~repro.des.DesFeedbackPlane.submit` — outage and
-        Wi-Fi loss are decided (and journaled) at the sender using the
-        home region's clock and RNG — but a deliverable report parks in
-        the outbox until the round edge instead of scheduling locally.
+        Mirrors :meth:`~repro.net.feedback.FeedbackPlane.submit` —
+        outage and Wi-Fi loss are decided (and journaled) at the sender
+        using the home region's clock and RNG — but a deliverable report
+        parks in the outbox until the round edge instead of scheduling
+        locally.
         """
         now = region.scheduler.now
         if region.outage:
@@ -238,7 +239,7 @@ class _ShardedRun:
 
                 def on_arrival(cell=cell, report=report,
                                arrival=arrival) -> None:
-                    cell.plane.collector.deliver(report)
+                    cell.plane.deliver(report)
                     cell.plane.journal.record(
                         arrival, "report-arrival", report.node,
                         value=report.value,

@@ -19,13 +19,10 @@ radius so queries touch at most a 3×3 neighbourhood:
   name)``, identical to a brute-force scan, via an expanding bucket
   ring search.
 
-With the default ``gain_floor = 0.0`` the cull radius is the exact
-zero-gain boundary (inflated by one part in 10⁹ so an ulp of
-``atan2``/``tan`` disagreement can never flip a boundary luminaire the
-wrong way): indexed results are bit-identical to a brute-force scan.  A
-positive ``gain_floor`` shrinks the radius to where the gain falls
-below the floor — a genuine approximation that trades journal-digest
-stability for speed on dense fleets.
+The cull radius is the exact zero-gain boundary (inflated by one part
+in 10⁹ so an ulp of ``atan2``/``tan`` disagreement can never flip a
+boundary luminaire the wrong way): indexed results are bit-identical to
+a brute-force scan.
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from ..phy.optics import LinkGeometry, OpticalFrontEnd
+from ..phy.optics import OpticalFrontEnd
 
 #: Relative + absolute inflation applied to cull radii so float round
 #: trips through tan/atan2 cannot exclude a luminaire whose gain is
@@ -54,35 +51,6 @@ def _fov_radius(drop_m: float, optics: OpticalFrontEnd) -> float:
     return radius * (1.0 + _EPS) + _EPS
 
 
-def _floor_radius(drop_m: float, optics: OpticalFrontEnd,
-                  gain_floor: float) -> float:
-    """Largest horizontal offset whose channel gain reaches the floor.
-
-    The gain is monotone decreasing in the horizontal offset (distance
-    grows and both cosine factors shrink), so plain bisection finds the
-    crossing.  Only called with ``gain_floor > 0``.
-    """
-
-    def gain(h: float) -> float:
-        return optics.channel_gain(LinkGeometry.from_offsets(h, drop_m))
-
-    if gain(0.0) < gain_floor:
-        return 0.0
-    hi = max(drop_m, 1.0)
-    while gain(hi) >= gain_floor:
-        hi *= 2.0
-        if hi > 1e9:  # pragma: no cover (floor below any reachable gain)
-            return math.inf
-    lo = 0.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if gain(mid) >= gain_floor:
-            lo = mid
-        else:
-            hi = mid
-    return hi * (1.0 + _EPS) + _EPS
-
-
 class LuminaireIndex:
     """Bucketed luminaires for O(1)-neighbourhood channel queries.
 
@@ -93,23 +61,18 @@ class LuminaireIndex:
     """
 
     def __init__(self, luminaires: Sequence, drop_m: float,
-                 optics: OpticalFrontEnd, gain_floor: float = 0.0):
+                 optics: OpticalFrontEnd):
         if not luminaires:
             raise ValueError("an index needs at least one luminaire")
         if not 0 < drop_m < math.inf:
             raise ValueError("drop_m must be finite and positive")
-        if not 0 <= gain_floor < math.inf:
-            raise ValueError("gain_floor must be finite and non-negative")
         self.luminaires = tuple(luminaires)
         self.radius = _fov_radius(drop_m, optics)
-        if gain_floor > 0.0:
-            self.radius = min(self.radius,
-                              _floor_radius(drop_m, optics, gain_floor))
-        if math.isfinite(self.radius) and self.radius > 0.0:
+        if math.isfinite(self.radius):
             self._size = self.radius
         else:
-            # Degenerate radii (infinite FoV, or a floor above the
-            # on-axis gain) still need finite buckets for nearest().
+            # An infinite radius (FoV of 89° or more) still needs
+            # finite buckets for nearest().
             span = max(
                 max(lum.x_m for lum in self.luminaires)
                 - min(lum.x_m for lum in self.luminaires),
@@ -130,9 +93,9 @@ class LuminaireIndex:
     def within(self, position: tuple[float, float]) -> list:
         """Luminaires inside the cull radius, in original order.
 
-        Everything outside has channel gain exactly ``0.0`` (when
-        ``gain_floor == 0``), so callers may treat the result as the
-        complete set of optically relevant luminaires.
+        Everything outside has channel gain exactly ``0.0``, so callers
+        may treat the result as the complete set of optically relevant
+        luminaires.
         """
         if math.isinf(self.radius):
             return list(self.luminaires)

@@ -42,6 +42,33 @@ from ..sim.linkmodel import frame_slot_count, frame_success_probability
 from .faults import FaultSchedule, install_fault_events
 from .metrics import ResilienceReport, build_report
 
+#: The paper's fixed ACK timeout: the baseline waits it out after every
+#: lost frame, and a supervised link after every lost probe.
+ACK_TIMEOUT_S = 10.0e-3
+#: Retransmissions of one payload before it is abandoned.
+MAX_RETRIES = 8
+#: The supervised link's backoff: half the flat timeout as base (retry
+#: sooner on a first loss) with a gentle 1.25 factor — the losses here
+#: are random, not congestive, so aggressive escalation would only idle
+#: the channel — up to a cap of 4x the flat timeout under persistent
+#: loss.
+SUPERVISED_BACKOFF = BackoffPolicy(base_timeout_s=ACK_TIMEOUT_S / 2,
+                                   factor=1.25, cap_s=4 * ACK_TIMEOUT_S)
+#: Payload of a data frame sent while DEGRADED.
+DEGRADED_PAYLOAD_BYTES = 32
+#: Pause after a lost probe's timeout before the next probe.
+PROBE_INTERVAL_S = 10.0e-3
+#: Consecutive CRC failures that degrade the supervised link.
+DEGRADED_AFTER = 3
+#: Higher than the LinkSupervisor default: under a lossy (rather than
+#: dead) ACK path, 8-failure streaks occur by chance and each needless
+#: DOWN excursion parks the link in probing.
+DOWN_AFTER = 16
+#: Higher than the LinkSupervisor default on purpose: premature
+#: DEGRADED->UP excursions retry large frames against a channel that
+#: is still faulted, and each excursion costs ~100 ms.
+RECOVER_AFTER = 6
+
 
 @dataclass(frozen=True)
 class ChaosResult:
@@ -89,25 +116,6 @@ class ChaosScenario:
     #: paper's worst-case operating point (Section 3's 3.6 m reference)
     distance_m: float = 3.6
     channel: VlcChannel | None = None
-    ack_timeout_s: float = 10.0e-3
-    max_retries: int = 8
-    #: None picks a default exponential policy when supervised: half
-    #: the flat timeout as base (retry sooner on a first loss) with a
-    #: gentle 1.25 factor — the losses here are random, not congestive,
-    #: so aggressive escalation would only idle the channel — up to a
-    #: cap of 4x the flat timeout under persistent loss
-    backoff: BackoffPolicy | None = None
-    degraded_payload_bytes: int = 32
-    probe_interval_s: float = 10.0e-3
-    degraded_after: int = 3
-    #: higher than the LinkSupervisor default: under a lossy (rather
-    #: than dead) ACK path, 8-failure streaks occur by chance and each
-    #: needless DOWN excursion parks the link in probing
-    down_after: int = 16
-    #: higher than the LinkSupervisor default on purpose: premature
-    #: DEGRADED->UP excursions retry large frames against a channel
-    #: that is still faulted, and each excursion costs ~100 ms
-    recover_after: int = 6
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -115,14 +123,6 @@ class ChaosScenario:
             raise ValueError("duration_s must be positive")
         if self.tick_s <= 0:
             raise ValueError("tick_s must be positive")
-        if self.ack_timeout_s <= 0:
-            raise ValueError("ack_timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.degraded_payload_bytes < 1:
-            raise ValueError("degraded_payload_bytes must be positive")
-        if self.probe_interval_s <= 0:
-            raise ValueError("probe_interval_s must be positive")
         if self.distance_m <= 0:
             raise ValueError("distance_m must be positive")
 
@@ -138,17 +138,11 @@ class ChaosScenario:
         controller = SmartLightingController(
             target_sum=self.target_sum, config=self.config,
             designer=designer)
-        supervisor = (LinkSupervisor(degraded_after=self.degraded_after,
-                                     down_after=self.down_after,
-                                     recover_after=self.recover_after,
+        supervisor = (LinkSupervisor(degraded_after=DEGRADED_AFTER,
+                                     down_after=DOWN_AFTER,
+                                     recover_after=RECOVER_AFTER,
                                      journal=journal)
                       if self.supervised else None)
-        backoff = self.backoff
-        if backoff is None and self.supervised:
-            backoff = BackoffPolicy(base_timeout_s=self.ack_timeout_s / 2,
-                                    factor=1.25,
-                                    cap_s=4 * self.ack_timeout_s,
-                                    seed=self.seed)
         counters = _Counters()
         install_fault_events(self.schedule, scheduler, journal)
 
@@ -239,25 +233,24 @@ class ChaosScenario:
                         yield max(ack_at - sent_at, 0.0)
                     else:
                         journal.record(sent_at, "probe-lost", "mac")
-                        supervisor.on_probe_failure(
-                            sent_at + self.ack_timeout_s)
-                        yield self.ack_timeout_s + self.probe_interval_s
+                        supervisor.on_probe_failure(sent_at + ACK_TIMEOUT_S)
+                        yield ACK_TIMEOUT_S + PROBE_INTERVAL_S
                     continue
 
                 # -- data frame (UP or DEGRADED) -----------------------
                 if pending_bytes is None:
-                    pending_bytes = (self.degraded_payload_bytes
+                    pending_bytes = (DEGRADED_PAYLOAD_BYTES
                                      if state is LinkState.DEGRADED
                                      else self.config.payload_bytes)
                     receiver_has_copy = False
                     attempt = 0
                 elif (state is LinkState.DEGRADED
-                      and pending_bytes > self.degraded_payload_bytes):
+                      and pending_bytes > DEGRADED_PAYLOAD_BYTES):
                     # Re-segment: a stalled large frame is re-framed at
                     # the degraded size instead of being retried (with
                     # escalating backoff) against a channel that just
                     # proved it cannot carry it.
-                    pending_bytes = self.degraded_payload_bytes
+                    pending_bytes = DEGRADED_PAYLOAD_BYTES
                     receiver_has_copy = False
                     attempt = 0
                 led = controller.led_intensity
@@ -299,15 +292,13 @@ class ChaosScenario:
                     if supervisor is not None:
                         supervisor.on_failure(sent_at, reason=reason)
                     attempt += 1
-                    if attempt > self.max_retries:
+                    if attempt > MAX_RETRIES:
                         counters.frames_lost += 1
                         journal.record(sent_at, "frame-abandoned", "mac",
                                        reason=reason)
                         pending_bytes = None
-                    timeout = (backoff.timeout_for(attempt - 1)
-                               if backoff is not None and attempt > 0
-                               else self.ack_timeout_s)
-                    yield timeout
+                    yield (SUPERVISED_BACKOFF.timeout_for(attempt - 1)
+                           if supervisor is not None else ACK_TIMEOUT_S)
 
         scheduler.spawn(control_loop(), name="control", priority=0)
         scheduler.spawn(mac_loop(), name="mac", priority=1)

@@ -13,10 +13,9 @@ A :class:`FaultSchedule` is an ordered tuple of typed fault primitives:
   persists until the next step;
 * :class:`NodeDowntime` — receiver churn (multicell).
 
-The same schedule injects into three substrates: by-time queries
+The same schedule injects into two substrates: by-time queries
 (:meth:`FaultSchedule.ack_loss_at` and friends) for the chaos harness
-and :mod:`repro.sim.endtoend`, a MAC corruptor via
-:meth:`FaultSchedule.corruptor`, and discrete-event kernels: the
+and :mod:`repro.sim.endtoend`, and discrete-event kernels: the
 multicell simulator installs its churn and outage windows itself, and
 :func:`install_fault_events` journals every boundary for the chaos
 harness.
@@ -31,11 +30,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
-
-from ..core.errormodel import SlotErrorModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..des.journal import EventJournal
@@ -205,11 +202,6 @@ class FaultSchedule:
                 scale = max(scale, f.error_scale)
         return scale
 
-    def errors_at(self, t: float, base: SlotErrorModel) -> SlotErrorModel:
-        """The effective slot error model at ``t`` (blinding applied)."""
-        scale = self.error_scale_at(t)
-        return base if scale == 1.0 else base.scaled(scale)
-
     def ambient_at(self, t: float, base: float) -> float:
         """Room ambient at ``t``: the latest step override, else ``base``.
 
@@ -255,22 +247,6 @@ class FaultSchedule:
         ends = [f.at_s if isinstance(f, AmbientStep) else f.end_s
                 for f in self.faults]
         return max(ends, default=0.0)
-
-    # -- substrate adapters ---------------------------------------------
-
-    def corruptor(self, base: SlotErrorModel) -> Callable:
-        """A time-aware corruptor for :meth:`StopAndWaitMac.run`.
-
-        The returned callable has the three-argument signature
-        ``(slots, rng, now)`` the MAC upgrades to when available, and
-        applies active blinding windows to the base error model.
-        """
-        from ..link.mac import corrupt_slots
-
-        def corrupt(slots, rng, now: float):
-            return corrupt_slots(slots, self.errors_at(now, base), rng)
-
-        return corrupt
 
     @classmethod
     def random(cls, seed: int, duration_s: float,

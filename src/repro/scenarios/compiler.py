@@ -152,7 +152,7 @@ def compile_scenario(scenario: Scenario, *, regions: int = 1,
     channel = calibrated_channel(config)
     drop_m = 2.0
     probe = LuminaireIndex((Luminaire("probe", 0.0, 0.0),), drop_m,
-                           channel.optics, 0.0)
+                           channel.optics)
     if not np.isfinite(probe.radius):
         raise ValueError(
             "scenario compilation needs a finite receiver FoV "

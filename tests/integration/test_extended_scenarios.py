@@ -10,7 +10,7 @@ from repro.lighting import (
     energy_report,
 )
 from repro.link import Receiver, Transmitter, WifiUplink
-from repro.net import Aggregation, desk_room
+from repro.net import desk_room
 from repro.lighting import StaticAmbient
 
 
@@ -65,20 +65,19 @@ class TestRoomUnderDegradedWifi:
         assert all(e.get("goodput_bps") >= 1e3
                    for e in result.journal.of_kind("link"))
 
-    def test_min_aggregation_protects_darkest_desk(self):
+    def test_fusion_is_the_mean_of_the_desks(self):
         # Tick 0 primes the feedback plane; tick 1 fuses its reports.
         room = desk_room(
             profile=StaticAmbient(0.5),
             uplink=WifiUplink(latency_s=1e-3, jitter_s=0.0),
-            aggregation=Aggregation.MIN,
         )
         result = room.run(1.0)
-        darkest = min(0.5 * node.daylight_gain for node in room.nodes)
-        assert control(result, "fused")[-1] == pytest.approx(darkest,
-                                                            abs=1e-6)
-        # MIN fusion over-lights relative to MEAN: LED runs brighter.
-        mean_result = desk_room(profile=StaticAmbient(0.5)).run(1.0)
-        assert control(result, "led")[-1] >= control(mean_result, "led")[-1]
+        sensed = [0.5 * node.daylight_gain for node in room.nodes]
+        assert control(result, "fused")[-1] == pytest.approx(
+            sum(sensed) / len(sensed), abs=1e-6)
+        # The LED completes the fused ambient to the target sum.
+        assert control(result, "led")[-1] == pytest.approx(
+            room.target_sum - control(result, "fused")[-1], abs=1e-6)
 
     def test_lossy_wifi_room_still_converges(self):
         rng_independent_runs = []

@@ -5,52 +5,102 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.des import EventJournal, EventScheduler
 from repro.link import WifiUplink
-from repro.net import Aggregation, AmbientReport, FeedbackCollector
+from repro.net import AmbientReport, FeedbackPlane
 
 
-def collector(**kwargs) -> FeedbackCollector:
-    defaults = dict(uplink=WifiUplink(latency_s=1e-3, jitter_s=0.0))
-    defaults.update(kwargs)
-    return FeedbackCollector(**defaults)
+def make_plane(uplink=None, **kwargs) -> FeedbackPlane:
+    return FeedbackPlane(EventScheduler(), EventJournal(),
+                         uplink or WifiUplink(latency_s=1e-3, jitter_s=0.0),
+                         **kwargs)
+
+
+def at(plane: FeedbackPlane, t: float) -> FeedbackPlane:
+    """Advance the plane's clock to ``t``.
+
+    The kernel clock only moves by dispatching, so a no-op event is
+    scheduled at ``t``.
+    """
+    plane.scheduler.schedule_at(t, lambda: None)
+    plane.scheduler.run()
+    return plane
+
+
+class TestFeedbackPlane:
+    def test_report_arrives_after_wifi_latency(self, rng):
+        plane = make_plane(WifiUplink(latency_s=2e-3, jitter_s=0.0))
+        assert plane.submit(AmbientReport("n0", 0.5, sensed_at=0.0), rng)
+        # Not delivered until the arrival event dispatches.
+        assert plane.estimate() is None
+        plane.scheduler.run()
+        assert plane.scheduler.now == pytest.approx(2e-3)
+        assert plane.estimate() == pytest.approx(0.5)
+        (arrival,) = plane.journal.of_kind("report-arrival")
+        assert arrival.get("latency") == pytest.approx(2e-3)
+
+    def test_lossy_uplink_journals_the_loss(self, rng):
+        plane = make_plane(WifiUplink(loss_probability=0.999999999))
+        assert not plane.submit(AmbientReport("n0", 0.5, sensed_at=0.0), rng)
+        assert plane.journal.count("report-lost") == 1
+        assert plane.journal.of_kind("report-lost")[0].get("reason") \
+            == "wifi-loss"
+
+    def test_outage_drops_everything_and_is_journaled(self, rng):
+        plane = make_plane()
+        plane.outage = True
+        assert not plane.submit(AmbientReport("n0", 0.5, sensed_at=0.0), rng)
+        assert plane.journal.of_kind("report-lost")[0].get("reason") \
+            == "outage"
+        plane.outage = False
+        assert plane.submit(AmbientReport("n0", 0.6, sensed_at=0.1), rng)
+        assert plane.journal.count("report-lost") == 1
+
+    def test_freshest_sensing_wins_across_out_of_order_arrivals(self, rng):
+        plane = make_plane()
+        plane.submit(AmbientReport("n0", 0.9, sensed_at=0.0), rng)
+        plane.scheduler.run()
+        # An older sensing delivered later must not override.
+        plane.deliver(AmbientReport("n0", 0.1, sensed_at=-1.0))
+        assert plane.estimate() == pytest.approx(0.9)
 
 
 class TestDelivery:
     def test_fallback_used_when_empty(self):
-        c = collector()
-        assert c.ambient_estimate(1.0, fallback=0.7) == 0.7
+        assert at(make_plane(), 1.0).estimate(fallback=0.7) == 0.7
 
     def test_stale_reports_dropped(self):
-        c = collector(staleness_s=2.0)
-        c.deliver(AmbientReport("a", 0.4, sensed_at=0.0))
-        assert c.ambient_estimate(1.0) == pytest.approx(0.4)
-        assert c.ambient_estimate(5.0, fallback=0.9) == 0.9
+        plane = make_plane(staleness_s=2.0)
+        plane.deliver(AmbientReport("a", 0.4, sensed_at=0.0))
+        assert at(plane, 1.0).estimate() == pytest.approx(0.4)
+        assert at(plane, 5.0).estimate(fallback=0.9) == 0.9
 
     def test_fresher_sensing_wins_per_node(self):
-        c = collector()
-        c.deliver(AmbientReport("a", 0.2, sensed_at=0.0))
-        c.deliver(AmbientReport("a", 0.6, sensed_at=1.0))
-        assert c.ambient_estimate(2.0) == pytest.approx(0.6)
-
-    def test_known_nodes(self):
-        c = collector()
-        c.deliver(AmbientReport("a", 0.2, sensed_at=0.0))
-        c.deliver(AmbientReport("b", 0.4, sensed_at=0.0))
-        assert set(c.known_nodes()) == {"a", "b"}
+        plane = make_plane()
+        plane.deliver(AmbientReport("a", 0.2, sensed_at=0.0))
+        plane.deliver(AmbientReport("a", 0.6, sensed_at=1.0))
+        assert at(plane, 2.0).estimate() == pytest.approx(0.6)
 
     def test_report_aged_exactly_staleness_is_still_fresh(self):
         # The cut-off is inclusive: age == staleness_s keeps the report.
-        c = collector(staleness_s=2.0)
-        c.deliver(AmbientReport("a", 0.4, sensed_at=0.0))
-        assert c.ambient_estimate(2.0) == pytest.approx(0.4)
-        assert c.ambient_estimate(2.0 + 1e-9, fallback=0.9) == 0.9
+        plane = make_plane(staleness_s=2.0)
+        plane.deliver(AmbientReport("a", 0.4, sensed_at=0.0))
+        assert at(plane, 2.0).estimate() == pytest.approx(0.4)
+        assert at(plane, 2.0 + 1e-9).estimate(fallback=0.9) == 0.9
 
     def test_out_of_order_delivery_keeps_freshest_sensing(self):
-        c = collector()
+        plane = make_plane()
         # The older sensing arrives *after* the newer one.
-        c.deliver(AmbientReport("a", 0.8, sensed_at=1.0))
-        c.deliver(AmbientReport("a", 0.2, sensed_at=0.0))
-        assert c.ambient_estimate(2.0) == pytest.approx(0.8)
+        plane.deliver(AmbientReport("a", 0.8, sensed_at=1.0))
+        plane.deliver(AmbientReport("a", 0.2, sensed_at=0.0))
+        assert at(plane, 2.0).estimate() == pytest.approx(0.8)
+
+    def test_unbounded_plane_never_evicts(self):
+        plane = make_plane(staleness_s=100.0)
+        values = [i / 100.0 for i in range(50)]
+        for i, value in enumerate(values):
+            plane.deliver(AmbientReport(f"n{i}", value, sensed_at=float(i)))
+        assert at(plane, 60.0).estimate() == pytest.approx(np.mean(values))
 
 
 class TestDeliveryProperties:
@@ -63,86 +113,50 @@ class TestDeliveryProperties:
             self, latencies):
         """However Wi-Fi delays and reorders reports, the estimate after
         everything has landed is the freshest-sensed value."""
-        c = FeedbackCollector(uplink=WifiUplink(latency_s=0.0, jitter_s=0.0),
-                              staleness_s=1e6)
+        plane = make_plane(staleness_s=1e6)
         reports = [AmbientReport("n", (i % 10) / 10.0, sensed_at=float(i))
                    for i in range(len(latencies))]
         # Deliver in arrival order: sensing time plus Wi-Fi delay.
         for i in sorted(range(len(reports)),
                         key=lambda i: reports[i].sensed_at + latencies[i]):
-            c.deliver(reports[i])
+            plane.deliver(reports[i])
         horizon = max(r.sensed_at for r in reports) + max(latencies) + 1.0
         freshest = max(reports, key=lambda r: r.sensed_at)
-        assert c.ambient_estimate(horizon) == pytest.approx(freshest.value)
+        assert at(plane, horizon).estimate() == pytest.approx(freshest.value)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_estimate_stays_in_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
-        c = FeedbackCollector()
+        plane = make_plane()
         for i in range(20):
             if rng.random() < 0.8:  # the rest are lost on the uplink
-                c.deliver(AmbientReport(f"n{i % 4}", float(rng.random()),
-                                        sensed_at=0.1 * i))
-        estimate = c.ambient_estimate(5.0)
+                plane.deliver(AmbientReport(f"n{i % 4}", float(rng.random()),
+                                            sensed_at=0.1 * i))
+        estimate = at(plane, 5.0).estimate()
         assert estimate is None or 0.0 <= estimate <= 1.0
 
 
 class TestAggregation:
-    def _loaded(self, policy) -> FeedbackCollector:
-        c = collector(aggregation=policy)
-        c.deliver(AmbientReport("a", 0.2, sensed_at=0.0))
-        c.deliver(AmbientReport("b", 0.6, sensed_at=0.5))
-        return c
+    """Fusion is the mean of the fresh reports."""
 
     def test_mean(self):
-        c = self._loaded(Aggregation.MEAN)
-        assert c.ambient_estimate(1.0) == pytest.approx(0.4)
+        plane = make_plane()
+        plane.deliver(AmbientReport("a", 0.2, sensed_at=0.0))
+        plane.deliver(AmbientReport("b", 0.6, sensed_at=0.5))
+        assert at(plane, 1.0).estimate() == pytest.approx(0.4)
 
     @pytest.mark.parametrize("n_reports", range(1, 8))
     def test_mean_equals_numpy_mean(self, n_reports):
         rng = np.random.default_rng(n_reports)
         for _ in range(200):
             values = rng.random(n_reports).tolist()
-            c = collector(aggregation=Aggregation.MEAN)
+            plane = make_plane()
             for i, value in enumerate(values):
-                c.deliver(AmbientReport(f"n{i}", value, sensed_at=0.0))
-            estimate = c.ambient_estimate(1.0)
+                plane.deliver(AmbientReport(f"n{i}", value, sensed_at=0.0))
+            estimate = at(plane, 1.0).estimate()
             assert type(estimate) is float
             assert estimate == float(np.mean(values))
-
-    def test_min(self):
-        c = self._loaded(Aggregation.MIN)
-        assert c.ambient_estimate(1.0) == pytest.approx(0.2)
-
-    def test_max(self):
-        c = self._loaded(Aggregation.MAX)
-        assert c.ambient_estimate(1.0) == pytest.approx(0.6)
-
-    def test_latest(self):
-        c = self._loaded(Aggregation.LATEST)
-        assert c.ambient_estimate(1.0) == pytest.approx(0.6)
-
-
-class TestChurn:
-    def test_forget_drops_delivered_state(self):
-        c = collector(aggregation=Aggregation.MAX)
-        c.deliver(AmbientReport("a", 0.2, sensed_at=0.0))
-        c.deliver(AmbientReport("b", 0.9, sensed_at=0.0))
-        assert c.ambient_estimate(1.0) == pytest.approx(0.9)
-        assert c.forget("b")
-        assert c.ambient_estimate(1.0) == pytest.approx(0.2)
-        assert set(c.known_nodes()) == {"a"}
-
-    def test_forget_unknown_node_is_a_noop(self):
-        c = collector()
-        assert not c.forget("ghost")
-
-    def test_unbounded_collector_never_evicts(self):
-        c = collector(staleness_s=100.0)
-        for i in range(50):
-            c.deliver(AmbientReport(f"n{i}", 0.5, sensed_at=float(i)))
-        assert len(list(c.fresh_reports(60.0))) == 50
 
 
 class TestValidation:
@@ -152,9 +166,9 @@ class TestValidation:
 
     def test_staleness_positive(self):
         with pytest.raises(ValueError):
-            FeedbackCollector(staleness_s=0.0)
+            make_plane(staleness_s=0.0)
 
     @pytest.mark.parametrize("staleness", [float("nan"), float("inf")])
     def test_staleness_finite(self, staleness):
         with pytest.raises(ValueError, match="staleness_s"):
-            FeedbackCollector(staleness_s=staleness)
+            make_plane(staleness_s=staleness)

@@ -6,6 +6,7 @@ trace does), interference monotonicity at network level, and fault
 injection all get pinned here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -192,6 +193,23 @@ class TestFaultInjection:
             small_network(faults=FaultSchedule((
                 NodeDowntime("ghost", 1.0, 2.0),)))
 
+    def test_zone_override_naming_no_luminaire_is_rejected(self):
+        # It would otherwise be ignored: no sensed zone or cell carries
+        # that name, so the run would match one without the override.
+        network = default_network(rows=2, cols=2, n_nodes=2, seed=1)
+        ambient = AmbientField(
+            zone_overrides=(("cell-r9c9", StaticAmbient(0.9)),))
+        with pytest.raises(ValueError, match="'cell-r9c9'"):
+            dataclasses.replace(network, ambient=ambient)
+
+    def test_zone_named_twice_is_rejected(self):
+        # Only the first profile would ever apply.
+        ambient = AmbientField(
+            zone_overrides=(("cell-r0c1", StaticAmbient(0.9)),
+                            ("cell-r0c1", StaticAmbient(0.1))))
+        with pytest.raises(ValueError, match="'cell-r0c1'"):
+            small_network(ambient=ambient)
+
     @pytest.mark.parametrize("fault", [
         AdcBlinding(1.0, 2.0), AckLossBurst(1.0, 2.0), AmbientStep(1.0, 0.5),
     ], ids=lambda fault: type(fault).__name__)
@@ -294,8 +312,6 @@ class TestValidation:
             small_network(drop_m=0.0)
         with pytest.raises(ValueError):
             small_network(tick_s=0.0)
-        with pytest.raises(ValueError):
-            small_network(hysteresis_db=-1.0)
         dup = (MobileNode("n0", StaticPosition(1.0, 1.0)),
                MobileNode("n0", StaticPosition(2.0, 1.0)))
         with pytest.raises(ValueError):
@@ -308,10 +324,8 @@ class TestValidation:
     @pytest.mark.parametrize("field, value", [
         ("drop_m", math.nan), ("drop_m", math.inf),
         ("tick_s", math.nan), ("tick_s", math.inf),
-        ("hysteresis_db", math.nan), ("hysteresis_db", math.inf),
         ("staleness_s", math.nan), ("staleness_s", math.inf),
         ("lookahead_s", math.nan), ("lookahead_s", math.inf),
-        ("gain_floor", math.nan), ("gain_floor", math.inf),
     ])
     def test_non_finite_fields_are_rejected_at_construction(self, field,
                                                             value):

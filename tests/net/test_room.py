@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro.lighting import BlindRampAmbient, StaticAmbient
+from repro.link import WifiUplink
 from repro.net import MobileNode, StaticPosition, desk_room
 
 DESKS = ("desk-under-lamp", "desk-window", "desk-corner")
@@ -144,3 +145,26 @@ class TestRoom:
     def test_tick_validation(self):
         with pytest.raises(ValueError, match="tick_s"):
             desk_room(tick_s=0.0)
+
+
+class TestPinnedJournals:
+    """The room's journals pinned by value.
+
+    The one network where three desks' reports meet one fusion every
+    tick, so any change to the feedback plane (delivery, loss,
+    staleness, fusion order) moves these bytes.  Pinned on CPython
+    3.11 with NumPy 2.4; they do not depend on ``PYTHONHASHSEED``.
+    """
+
+    def test_default_room(self):
+        assert desk_room().run(30.0).journal.digest() == (
+            "afed42ea3eb1a12ffd397d224e199dc3cb46fc828a8ae10824f38cf2aea27413")
+
+    def test_lossy_blind_pull(self):
+        # The multi-receiver example's run: a 67 s blind pull over a
+        # jittery uplink that loses one report in twenty.
+        room = desk_room(profile=BlindRampAmbient(duration_s=67.0),
+                         uplink=WifiUplink(latency_s=2e-3, jitter_s=0.5e-3,
+                                           loss_probability=0.05))
+        assert room.run(67.0).journal.digest() == (
+            "a52ac28eb6f2d1e04d914711bd945f72025762a4766941c08d8ec9e6c2054057")

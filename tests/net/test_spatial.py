@@ -131,30 +131,16 @@ class TestRadii:
         assert gain_inside > 0.0
         assert gain_outside == 0.0
 
-    def test_gain_floor_shrinks_the_radius(self):
-        luminaires = luminaire_grid(3, 3, 2.0)
-        exact = LuminaireIndex(luminaires, DROP, OPTICS)
-        floored = LuminaireIndex(luminaires, DROP, OPTICS, gain_floor=1e-7)
-        assert floored.radius < exact.radius
-        # The boundary gain straddles the floor.
-        below = OPTICS.channel_gain(
-            LinkGeometry.from_offsets(floored.radius * 1.01, DROP))
-        assert below < 1e-7
-
     def test_validation(self):
         luminaires = luminaire_grid(2, 2, 2.0)
         with pytest.raises(ValueError):
             LuminaireIndex((), DROP, OPTICS)
         with pytest.raises(ValueError):
             LuminaireIndex(luminaires, 0.0, OPTICS)
-        with pytest.raises(ValueError):
-            LuminaireIndex(luminaires, DROP, OPTICS, gain_floor=-1.0)
 
     @pytest.mark.parametrize("field, value", [
-        ("drop_m", math.nan), ("drop_m", math.inf),
-        ("gain_floor", math.nan), ("gain_floor", math.inf)])
+        ("drop_m", math.nan), ("drop_m", math.inf)])
     def test_non_finite_inputs_are_rejected(self, field, value):
-        kwargs = {"drop_m": DROP, "gain_floor": 0.0, field: value}
         with pytest.raises(ValueError, match=field):
             LuminaireIndex(luminaire_grid(2, 2, 2.0), optics=OPTICS,
-                           **kwargs)
+                           **{field: value})

@@ -12,7 +12,6 @@ import math
 import pytest
 
 from repro.core import SystemConfig
-from repro.link import BackoffPolicy
 from repro.net import default_network
 from repro.resilience import (ChaosScenario, FaultSchedule, NodeDowntime,
                               UplinkOutage, fault_windows,
@@ -142,31 +141,15 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ChaosScenario(tick_s=0.0)
         with pytest.raises(ValueError):
-            ChaosScenario(ack_timeout_s=0.0)
-        with pytest.raises(ValueError):
-            ChaosScenario(max_retries=-1)
-        with pytest.raises(ValueError):
-            ChaosScenario(degraded_payload_bytes=0)
-        with pytest.raises(ValueError):
-            ChaosScenario(probe_interval_s=0.0)
-        with pytest.raises(ValueError):
             ChaosScenario(distance_m=0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
-        "duration_s", "target_sum", "tick_s", "distance_m",
-        "ack_timeout_s", "probe_interval_s"])
+        "duration_s", "target_sum", "tick_s", "distance_m"])
     def test_non_finite_fields_rejected(self, name, bad):
         # Construction only: at duration_s=inf a run would never return.
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             ChaosScenario(**{name: bad})
-
-    def test_explicit_backoff_is_honoured(self):
-        policy = BackoffPolicy(base_timeout_s=5e-3, factor=1.5, cap_s=0.05)
-        default = ChaosScenario(schedule=SCHEDULES["blinding"], seed=13)
-        custom = ChaosScenario(schedule=SCHEDULES["blinding"], seed=13,
-                               backoff=policy)
-        assert custom.run().report != default.run().report
 
 
 class TestMulticellRefactorEquivalence:

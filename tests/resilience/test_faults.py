@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core import SlotErrorModel
 from repro.des import EventJournal, EventScheduler
 from repro.resilience import (AckLossBurst, AdcBlinding, AmbientStep,
                               FaultSchedule, NodeDowntime, UplinkOutage,
@@ -108,13 +107,6 @@ class TestScheduleQueries:
         assert self.SCHEDULE.error_scale_at(1.0) == 1.0
         assert self.SCHEDULE.error_scale_at(3.5) == pytest.approx(worst)
 
-    def test_errors_at_scales_the_base_model(self):
-        base = SlotErrorModel(1e-4, 1e-4)
-        assert self.SCHEDULE.errors_at(1.0, base) is base
-        scaled = self.SCHEDULE.errors_at(2.5, base)
-        scale = AdcBlinding(0.0, 1.0, severity=0.3).error_scale
-        assert scaled.p_on_error == pytest.approx(1e-4 * scale)
-
     def test_ambient_latest_step_wins_and_clamps(self):
         assert self.SCHEDULE.ambient_at(4.0, 0.5) == 0.5
         assert self.SCHEDULE.ambient_at(6.0, 0.5) == pytest.approx(0.9)
@@ -142,18 +134,6 @@ class TestScheduleQueries:
         second = FaultSchedule((AmbientStep(2.0, 0.7),))
         combined = first.combine(second)
         assert combined.faults == first.faults + second.faults
-
-
-class TestCorruptor:
-    def test_corruptor_applies_blinding_by_time(self, rng):
-        schedule = FaultSchedule((AdcBlinding(1.0, 2.0, severity=1.0),))
-        corrupt = schedule.corruptor(SlotErrorModel(5e-3, 5e-3))
-        slots = [True, False] * 500
-        clean = corrupt(list(slots), rng, 0.5)
-        blinded = corrupt(list(slots), rng, 1.5)
-        errors_clean = sum(1 for a, b in zip(slots, clean) if a != b)
-        errors_blinded = sum(1 for a, b in zip(slots, blinded) if a != b)
-        assert errors_blinded > errors_clean
 
 
 class TestRandomSchedules:

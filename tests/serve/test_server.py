@@ -277,6 +277,36 @@ class TestNdjson:
         assert "v9" in ids and "7" in ids
         assert ["not-an-id"] not in ids
 
+    def test_failure_streak_past_the_float_range_keeps_serving(self, engine):
+        # The 1025th consecutive failure's backoff, 0.01 · 2.0 ** 1024,
+        # overflows a float; the link endpoint must read the cap and
+        # keep the connection, and /metrics must still answer.
+        line = encode({"v": 1, "op": "link",
+                       "report": {"outcome": "failure", "reason": "crc"}})
+
+        async def run():
+            async with running(engine) as plane:
+                reader, writer = await connect(plane)
+                replies = []
+                for _ in range(11):
+                    writer.write(line * 100)
+                    await writer.drain()
+                    for _ in range(100):
+                        replies.append(json.loads(await reader.readline()))
+                writer.close()
+                reader, writer = await connect(plane)
+                status, _, _ = await http_exchange(reader, writer, "GET",
+                                                   "/metrics")
+                writer.close()
+                return replies, status
+
+        replies, status = asyncio.run(run())
+        assert len(replies) == 1100
+        assert all(reply["ok"] for reply in replies)
+        assert replies[-1]["result"]["fail_streak"] == 1100
+        assert replies[-1]["result"]["backoff_remaining_s"] == 0.16
+        assert status == 200
+
     def test_pipelined_adapts_all_answered(self, engine):
         n = 20
 
