@@ -1,7 +1,11 @@
 """The smart-lighting control loop (Goals 1 and 2)."""
 
+import math
+
 import pytest
 
+from repro.core import SlotErrorModel, shared_designer
+from repro.core.adaptation import safe_measured_tau
 from repro.lighting import (
     BlindRampAmbient,
     SmartLightingController,
@@ -9,6 +13,8 @@ from repro.lighting import (
     StepAmbient,
     type2_analyze,
 )
+from repro.lighting.controller import AMBIENT_MAX, DEGRADED_ERROR_MARGIN
+from repro.link import LinkState
 
 
 class TestGoal1ConstantSum:
@@ -103,6 +109,24 @@ class TestDesignerIntegration:
 
 
 class TestSettling:
+    @pytest.mark.parametrize("target_sum", [0.5, 1.0, 1.8])
+    def test_led_starts_at_the_target(self, config, target_sum):
+        # Before any ambient is sensed the LED alone carries the target,
+        # clipped at full power.
+        controller = SmartLightingController(target_sum=target_sum,
+                                             config=config)
+        assert controller.led_intensity == min(target_sum, 1.0)
+        assert controller.adjustments == 0
+
+    def test_unchanged_ambient_moves_nothing(self, config):
+        controller = SmartLightingController(target_sum=1.0, config=config)
+        controller.tick(0.0, 0.5)
+        assert controller.last_plan is not None
+        before = controller.adjustments
+        sample = controller.tick(1.0, 0.5)
+        assert controller.last_plan is None
+        assert sample.adjustments == before
+
     def test_static_ambient_costs_nothing(self, config):
         # The first tick walks the LED from 1.0 to 0.5; no tick after it
         # moves anything.
@@ -118,6 +142,51 @@ class TestSettling:
         counts = [s.adjustments for s in samples]
         assert counts[-1] == counts[6]  # no further moves after the step
         assert counts[6] > counts[4]
+
+
+class TestOperatingRange:
+    def test_existing_method_step_is_sized_at_the_darkest_led(self, config):
+        # The fixed measured-domain step is the flicker-safe one at the
+        # LED level that completes the target under AMBIENT_MAX.
+        controller = SmartLightingController(target_sum=1.0, config=config,
+                                             use_perception_domain=False)
+        darkest = controller.required_led(AMBIENT_MAX)
+        controller.tick(0.0, AMBIENT_MAX)
+        plan = controller.last_plan
+        tau_m = safe_measured_tau(darkest, config.tau_perceived)
+        assert plan.levels[-1] == darkest
+        assert plan.n_steps == math.ceil((1.0 - darkest) / tau_m)
+        # Sized there, the walk stays flicker-safe down to that level.
+        assert plan.max_perceived_step <= config.tau_perceived + 1e-12
+
+
+class TestLinkStateFallback:
+    @pytest.mark.parametrize("ambient", [0.2, 0.4, 0.6, 0.8])
+    def test_degraded_designs_with_the_error_margin(self, config, designer,
+                                                    ambient):
+        controller = SmartLightingController(target_sum=1.0, config=config,
+                                             designer=designer)
+        up = controller.tick(0.0, ambient)
+        degraded = controller.tick(1.0, ambient,
+                                   link_state=LinkState.DEGRADED)
+        assert degraded.led == up.led
+        assert degraded.link_state == "degraded"
+        inflated = SlotErrorModel.from_config(config).scaled(
+            DEGRADED_ERROR_MARGIN)
+        margin_designer = shared_designer(config, inflated)
+        assert degraded.design == margin_designer.design_clamped(up.led)
+        # The margin admits only shorter, more redundant super-symbols.
+        assert (degraded.design.super_symbol.first.n_slots
+                < up.design.super_symbol.first.n_slots)
+
+    @pytest.mark.parametrize("state", [LinkState.DOWN, LinkState.PROBING])
+    def test_dead_link_keeps_the_lights_on(self, config, designer, state):
+        controller = SmartLightingController(target_sum=1.0, config=config,
+                                             designer=designer)
+        sample = controller.tick(0.0, 0.3, link_state=state)
+        assert sample.design is None
+        assert sample.link_state == state.value
+        assert sample.total == pytest.approx(1.0)
 
 
 class TestValidation:

@@ -88,6 +88,33 @@ class TestRun:
         assert stats.frames_delivered == 15
         assert stats.frames_sent >= 15
 
+    def test_each_lost_attempt_waits_the_fixed_timeout(self, design, rng):
+        # The paper's loop: no backoff, the same ACK timeout after every
+        # lost attempt, the abandoned payload's last one included.
+        mac = StopAndWaitMac(SystemConfig(), ack_timeout_s=25e-3,
+                             max_retries=3)
+        stats = mac.run([bytes(64)], design, SlotErrorModel.ideal(), rng,
+                        corruptor=lambda slots, _rng: [not s for s in slots])
+        assert stats.frames_abandoned == 1
+        assert stats.frames_sent == 4
+        assert stats.elapsed_s == pytest.approx(stats.airtime_s + 4 * 25e-3)
+
+    def test_corruptor_sees_every_attempt(self, design, rng):
+        calls = []
+
+        def corruptor(slots, generator):
+            calls.append(generator)
+            return slots if len(calls) > 2 else [not s for s in slots]
+
+        mac = StopAndWaitMac(SystemConfig(),
+                             uplink=WifiUplink(loss_probability=0.0))
+        stats = mac.run([bytes(32)], design, SlotErrorModel.ideal(), rng,
+                        corruptor=corruptor)
+        assert len(calls) == stats.frames_sent == 3
+        assert all(generator is rng for generator in calls)
+        assert stats.frames_delivered == 1
+        assert stats.crc_failures == 2
+
     def test_ack_loss_counts_as_retransmission(self, design, rng):
         mac = StopAndWaitMac(SystemConfig(),
                              uplink=WifiUplink(loss_probability=0.5))
@@ -107,6 +134,24 @@ class TestExpectedThroughput:
         clean = mac.expected_throughput(design, SlotErrorModel.ideal())
         noisy = mac.expected_throughput(design, SlotErrorModel(1e-3, 1e-3))
         assert noisy < clean
+
+    def test_longer_timeout_costs_throughput(self, design):
+        errors = SlotErrorModel(2e-4, 2e-4)
+        short = StopAndWaitMac(SystemConfig(), ack_timeout_s=5e-3)
+        long = StopAndWaitMac(SystemConfig(), ack_timeout_s=40e-3)
+        assert long.expected_throughput(design, errors) \
+            < short.expected_throughput(design, errors)
+
+    def test_timeout_is_free_on_a_lossless_link(self, design):
+        # P_ok = 1: no cycle ever waits the timeout out.
+        lossless = WifiUplink(loss_probability=0.0)
+        short = StopAndWaitMac(SystemConfig(), uplink=lossless,
+                               ack_timeout_s=5e-3)
+        long = StopAndWaitMac(SystemConfig(), uplink=lossless,
+                              ack_timeout_s=40e-3)
+        ideal = SlotErrorModel.ideal()
+        assert long.expected_throughput(design, ideal) \
+            == short.expected_throughput(design, ideal)
 
     def test_larger_payload_amortises_overhead(self, mac, design):
         small = mac.expected_throughput(design, SlotErrorModel.ideal(),

@@ -9,6 +9,7 @@ kind can kill the link.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.des import EventJournal
 from repro.link import BackoffPolicy, LinkState, LinkSupervisor
+from repro.resilience.chaos import SUPERVISED_BACKOFF
 
 policies = st.builds(
     BackoffPolicy,
@@ -55,6 +57,50 @@ class TestBackoffProperties:
         # serve daemon's link endpoint keeps one) still reads the cap.
         assert BackoffPolicy().timeout_for(10 ** 6) == 0.16
         assert BackoffPolicy().timeout_for(1024) == 0.16
+
+    def test_saturation_attempt(self):
+        policy = BackoffPolicy(base_timeout_s=10e-3, factor=2.0, cap_s=0.16)
+        # 10 -> 20 -> 40 -> 80 -> 160 ms: the cap is first reached at 4.
+        assert policy.timeout_for(3) < policy.cap_s
+        assert policy.timeout_for(4) == policy.cap_s
+
+    @settings(max_examples=60, deadline=None)
+    @given(policy=policies, attempt=st.integers(min_value=0, max_value=60))
+    def test_timeout_for_is_the_running_maximum(self, policy, attempt):
+        # The closed form equals the capped running maximum over every
+        # earlier attempt, the schedule's definition.
+        assert policy.timeout_for(attempt) == running_maximum(policy,
+                                                              attempt)
+
+    @pytest.mark.parametrize("policy", [BackoffPolicy(), SUPERVISED_BACKOFF],
+                             ids=["default", "chaos-supervised"])
+    def test_policies_in_use_match_the_running_maximum(self, policy):
+        # Every attempt whose power is still a float, for the serve
+        # daemon's and the chaos harness's policies.
+        timeout = 0.0
+        for attempt in range(1024):
+            timeout = max(timeout, min(policy.base_timeout_s
+                                       * policy.factor ** attempt,
+                                       policy.cap_s))
+            assert policy.timeout_for(attempt) == timeout
+
+    @pytest.mark.parametrize("factor", [1.25, 2.0, 4.0])
+    def test_cap_holds_across_the_overflow_boundary(self, factor):
+        policy = BackoffPolicy(base_timeout_s=1e-3, factor=factor,
+                               cap_s=0.1)
+        last_finite = math.floor(math.log(sys.float_info.max)
+                                 / math.log(factor))
+        assert math.isfinite(factor ** (last_finite - 2))
+        with pytest.raises(OverflowError):
+            factor ** (last_finite + 2)
+        for attempt in range(last_finite - 2, last_finite + 3):
+            assert policy.timeout_for(attempt) == policy.cap_s
+
+
+def running_maximum(policy: BackoffPolicy, attempt: int) -> float:
+    """The schedule by definition: the capped running maximum."""
+    return max(min(policy.base_timeout_s * policy.factor ** a, policy.cap_s)
+               for a in range(attempt + 1))
 
 
 class TestBackoffValidation:

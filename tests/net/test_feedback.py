@@ -64,6 +64,27 @@ class TestFeedbackPlane:
         plane.deliver(AmbientReport("n0", 0.1, sensed_at=-1.0))
         assert plane.estimate() == pytest.approx(0.9)
 
+    def test_outage_keeps_delivered_reports_until_stale(self, rng):
+        # The uplink going down loses new reports; what already arrived
+        # still steers the controller until it ages out.
+        plane = make_plane(staleness_s=2.0)
+        plane.submit(AmbientReport("n0", 0.3, sensed_at=0.0), rng)
+        plane.scheduler.run()
+        plane.outage = True
+        assert not plane.submit(AmbientReport("n0", 0.9, sensed_at=1.0), rng)
+        assert at(plane, 1.5).estimate(fallback=0.7) == pytest.approx(0.3)
+        assert at(plane, 2.5).estimate(fallback=0.7) == 0.7
+
+    def test_report_in_flight_when_the_outage_starts_still_lands(self, rng):
+        plane = make_plane(WifiUplink(latency_s=2e-3, jitter_s=0.0))
+        assert plane.submit(AmbientReport("n0", 0.5, sensed_at=0.0), rng)
+        plane.outage = True
+        plane.scheduler.run()
+        (arrival,) = plane.journal.of_kind("report-arrival", actor="n0")
+        assert arrival.time == pytest.approx(2e-3)
+        assert arrival.get("value") == 0.5
+        assert plane.estimate() == 0.5
+
 
 class TestDelivery:
     def test_fallback_used_when_empty(self):
@@ -87,6 +108,22 @@ class TestDelivery:
         plane.deliver(AmbientReport("a", 0.4, sensed_at=0.0))
         assert at(plane, 2.0).estimate() == pytest.approx(0.4)
         assert at(plane, 2.0 + 1e-9).estimate(fallback=0.9) == 0.9
+
+    def test_staleness_counts_from_sensing_not_arrival(self):
+        # Sensed at 0 s, delivered at 1.5 s: stale 2 s after sensing,
+        # however recently it arrived.
+        plane = make_plane(staleness_s=2.0)
+        at(plane, 1.5).deliver(AmbientReport("a", 0.4, sensed_at=0.0))
+        assert at(plane, 2.0).estimate() == pytest.approx(0.4)
+        assert at(plane, 2.5).estimate(fallback=0.9) == 0.9
+
+    def test_stale_node_drops_out_of_the_mean(self):
+        plane = make_plane(staleness_s=2.0)
+        plane.deliver(AmbientReport("quiet", 0.9, sensed_at=0.0))
+        plane.deliver(AmbientReport("live", 0.1, sensed_at=0.0))
+        assert at(plane, 1.0).estimate() == pytest.approx(0.5)
+        plane.deliver(AmbientReport("live", 0.3, sensed_at=2.5))
+        assert at(plane, 3.0).estimate() == pytest.approx(0.3)
 
     def test_out_of_order_delivery_keeps_freshest_sensing(self):
         plane = make_plane()
@@ -167,8 +204,11 @@ class TestValidation:
     def test_staleness_positive(self):
         with pytest.raises(ValueError):
             make_plane(staleness_s=0.0)
+        with pytest.raises(ValueError):
+            make_plane(staleness_s=-1.0)
 
-    @pytest.mark.parametrize("staleness", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("staleness", [float("nan"), float("inf"),
+                                           float("-inf")])
     def test_staleness_finite(self, staleness):
         with pytest.raises(ValueError, match="staleness_s"):
             make_plane(staleness_s=staleness)

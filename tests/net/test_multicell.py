@@ -19,6 +19,7 @@ from repro.net import AmbientField, LinearTrace, Luminaire, \
     LuminaireIndex, MobileNode, MulticellSimulation, StaticPosition, \
     default_network, luminaire_grid, strongest_cell
 from repro.net.mobility import RandomWaypoint
+from repro.net.multicell import HYSTERESIS_DB
 from repro.resilience import AckLossBurst, AdcBlinding, AmbientStep, \
     FaultSchedule, NodeDowntime, UplinkOutage
 
@@ -134,6 +135,29 @@ class TestHandover:
         assert handover.get("source") == "cell-r0c0"
         assert handover.get("target") == "cell-r0c1"
         assert result.node("walker").handovers == result.total_handovers
+
+    def test_handover_waits_for_the_hysteresis_margin(self):
+        # A slow walk over the midline (x = 2.5 m at t = 12.5 s): the
+        # neighbour leads from t = 13 s, but the node stays until the
+        # lead exceeds HYSTERESIS_DB.
+        walker = MobileNode("walker", LinearTrace(
+            2.25, 1.25, velocity_x_mps=0.02, end_t_s=40.0))
+        sim = small_network(nodes=(walker,))
+        result = sim.run(30.0)
+        (handover,) = result.journal.of_kind("handover")
+        lead_db = {}
+        for entry in result.journal.of_kind("sense", actor="walker"):
+            x, y = entry.get("x"), entry.get("y")
+            gain = {lum.name: sim.channel.optics.offset_gain(
+                math.hypot(x - lum.x_m, y - lum.y_m), sim.drop_m)
+                for lum in sim.luminaires}
+            lead_db[entry.time] = 10.0 * math.log10(gain["cell-r0c1"]
+                                                    / gain["cell-r0c0"])
+        held = [t for t, lead in lead_db.items()
+                if lead > 0.0 and t < handover.time]
+        assert held, "the neighbour never led before the handover"
+        assert all(lead_db[t] <= HYSTERESIS_DB for t in held)
+        assert lead_db[handover.time] > HYSTERESIS_DB
 
     def test_mobile_fleet_reports_positive_goodput(self):
         result = default_network(rows=2, cols=2, n_nodes=4, seed=3).run(15.0)

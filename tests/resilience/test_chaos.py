@@ -11,11 +11,17 @@ import math
 
 import pytest
 
-from repro.core import SystemConfig
+from repro.core import SystemConfig, shared_designer
+from repro.lighting import SmartLightingController
 from repro.net import default_network
-from repro.resilience import (ChaosScenario, FaultSchedule, NodeDowntime,
-                              UplinkOutage, fault_windows,
+from repro.resilience import (AckLossBurst, ChaosScenario, FaultSchedule,
+                              NodeDowntime, UplinkOutage, fault_windows,
                               shipped_schedules)
+from repro.resilience.chaos import (ACK_TIMEOUT_S, DEGRADED_PAYLOAD_BYTES,
+                                    MAX_RETRIES, PROBE_INTERVAL_S,
+                                    RECOVER_AFTER)
+from repro.schemes import shared_scheme_design
+from repro.sim.linkmodel import frame_slot_count
 
 SCHEDULES = shipped_schedules()
 
@@ -122,6 +128,75 @@ class TestGracefulDegradation:
         acked = supervised.journal.of_kind("frame-acked")
         assert acked, "link never came back"
         assert max(e.time for e in acked) > 16.0
+
+
+def frame_airtime(payload_bytes: int, conservative: bool) -> float:
+    """Airtime of one frame at the default scenario's LED level."""
+    config = SystemConfig()
+    designer = shared_designer(config)
+    controller = SmartLightingController(target_sum=1.0, config=config,
+                                         designer=designer)
+    led = controller.required_led(0.4)  # the default static ambient
+    raw = (controller.conservative_design(led) if conservative
+           else designer.design_clamped(led))
+    design = shared_scheme_design(raw, config)
+    return frame_slot_count(design, config, payload_bytes) * config.t_slot
+
+
+def gaps(entries) -> list[float]:
+    times = [entry.time for entry in entries]
+    return [b - a for a, b in zip(times, times[1:])]
+
+
+class TestMacAndSupervisorTuning:
+    """The MAC and supervisor constants, seen in the journal."""
+
+    ACK_BLACKOUT = FaultSchedule((AckLossBurst(1.0, 6.0),))
+
+    def test_frame_payload_follows_the_link_state(self):
+        result = ChaosScenario(schedule=SCHEDULES["blinding"]).run()
+        sizes = {(entry.get("state"), entry.get("bits"))
+                 for entry in result.journal.of_kind("frame-acked")}
+        assert sizes == {("up", 8 * SystemConfig().payload_bytes),
+                         ("degraded", 8 * DEGRADED_PAYLOAD_BYTES)}
+
+    def test_baseline_abandons_after_max_retries_of_flat_timeouts(self):
+        result = ChaosScenario(schedule=self.ACK_BLACKOUT, duration_s=6.0,
+                               supervised=False).run()
+        abandoned = result.journal.of_kind("frame-abandoned")
+        assert len(abandoned) == result.report.frames_lost > 10
+        # Every abandoned payload is MAX_RETRIES + 1 frames, each
+        # followed by the paper's fixed ACK timeout.
+        airtime = frame_airtime(SystemConfig().payload_bytes, False)
+        for gap in gaps(abandoned):
+            assert gap == pytest.approx((MAX_RETRIES + 1)
+                                        * (airtime + ACK_TIMEOUT_S))
+
+    def test_probes_are_paced_by_timeout_and_interval(self):
+        result = ChaosScenario(schedule=self.ACK_BLACKOUT,
+                               duration_s=6.0).run()
+        lost = result.journal.of_kind("probe-lost")
+        assert len(lost) > 100
+        probe = frame_airtime(0, True)
+        for gap in gaps(lost):
+            assert gap == pytest.approx(probe + ACK_TIMEOUT_S
+                                        + PROBE_INTERVAL_S)
+
+    def test_recovery_takes_recover_after_probe_successes(self):
+        result = ChaosScenario(
+            schedule=FaultSchedule((AckLossBurst(1.0, 3.0),)),
+            duration_s=5.0).run()
+        (recovered,) = [entry for entry in result.journal.of_kind(
+            "link-state") if entry.get("source") == "probing"
+            and entry.get("target") != "down"]
+        # ACK loss never degrades the design: the link goes straight up.
+        assert recovered.get("target") == "up"
+        last_loss = max(entry.time for entry
+                        in result.journal.of_kind("probe-lost"))
+        successes = [entry for entry in result.journal.of_kind("probe-ok")
+                     if last_loss < entry.time <= recovered.time]
+        assert len(successes) == RECOVER_AFTER
+        assert successes[-1].time == recovered.time
 
 
 class TestFlickerGuarantee:

@@ -307,6 +307,36 @@ class TestNdjson:
         assert replies[-1]["result"]["backoff_remaining_s"] == 0.16
         assert status == 200
 
+    def test_link_endpoint_and_gauges_read_the_cap_after_the_streak(
+            self, engine):
+        line = encode({"v": 1, "op": "link",
+                       "report": {"outcome": "failure", "reason": "crc"}})
+
+        async def run():
+            async with running(engine) as plane:
+                reader, writer = await connect(plane)
+                writer.write(line * 1100)
+                await writer.drain()
+                for _ in range(1100):
+                    await reader.readline()
+                writer.close()
+                reader, writer = await connect(plane)
+                link_status, _, link_body = await http_exchange(
+                    reader, writer, "GET", "/v1/link")
+                _, _, metrics_body = await http_exchange(
+                    reader, writer, "GET", "/metrics")
+                writer.close()
+                return link_status, json.loads(link_body), metrics_body
+
+        link_status, reply, metrics_body = asyncio.run(run())
+        assert link_status == 200
+        assert reply["result"]["state"] == "down"
+        assert reply["result"]["fail_streak"] == 1100
+        assert reply["result"]["backoff_remaining_s"] == 0.16
+        text = metrics_body.decode()
+        assert "repro_serve_link_fail_streak 1100" in text
+        assert "repro_serve_link_backoff_remaining_s 0.16" in text
+
     def test_pipelined_adapts_all_answered(self, engine):
         n = 20
 

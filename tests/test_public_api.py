@@ -40,6 +40,11 @@ class TestSubpackages:
         for name in getattr(module, "__all__", []):
             assert hasattr(module, name), f"{module_name}.{name}"
 
+    def test_des_surface_is_the_kernel_and_the_journal(self):
+        des = importlib.import_module("repro.des")
+        assert sorted(des.__all__) == ["EventJournal", "EventScheduler",
+                                       "JournalEntry", "write_journal_jsonl"]
+
     @pytest.mark.parametrize("module_name", SUBPACKAGES)
     def test_public_classes_documented(self, module_name):
         module = importlib.import_module(module_name)
@@ -51,6 +56,7 @@ class TestSubpackages:
 
 class TestPublicMethodDocstrings:
     @pytest.mark.parametrize("cls_path", [
+        "repro.core.Adapter",
         "repro.core.AmppmDesigner",
         "repro.core.SuperSymbol",
         "repro.core.SymbolPattern",
@@ -59,6 +65,7 @@ class TestPublicMethodDocstrings:
         "repro.link.StopAndWaitMac",
         "repro.lighting.SmartLightingController",
         "repro.net.FeedbackPlane",
+        "repro.net.LuminaireIndex",
         "repro.net.MulticellSimulation",
         "repro.des.EventScheduler",
         "repro.des.EventJournal",
