@@ -356,6 +356,8 @@ def _cmd_journal(grid: str, nodes: int, duration: float, seed: int,
                           "--duration finite and > 0")
     if tail < 0:
         return _fail(err, f"--tail must be non-negative, got {tail}")
+    if seed < 0:
+        return _fail(err, f"--seed must be non-negative, got {seed}")
     if regions < 1 or regions > rows * cols:
         return _fail(err, f"--regions must lie in [1, {rows * cols}] for a "
                           f"{rows}x{cols} grid, got {regions}")
@@ -384,6 +386,8 @@ def _cmd_chaos(schedule: str, duration: float, seed: int, intensity: float,
 
     if not 0 < duration < math.inf:
         return _fail(err, "--duration must be finite and > 0")
+    if seed < 0:
+        return _fail(err, f"--seed must be non-negative, got {seed}")
     if schedule == "random":
         if not 0.0 <= intensity <= 1.0:
             return _fail(err,

@@ -176,6 +176,8 @@ class CampaignConfig:
     findings_path: str | None = None
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.budget < 0:
             raise ValueError("budget cannot be negative")
         if self.chunk < 1:

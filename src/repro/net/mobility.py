@@ -11,7 +11,8 @@ ones.  Three models cover the evaluation's needs:
   a rectangular floor: pick a uniform destination, walk at a uniform
   speed, pause, repeat.  Legs are generated lazily from a private
   seeded generator, so ``position(t)`` is deterministic per seed and
-  independent of query order.
+  independent of query order.  The walker holds only the leg under its
+  last query, so its memory is one leg however long the run.
 
 Positions are floor-plane ``(x, y)`` metres; the vertical drop to the
 luminaire plane is a property of the network, not the trace.
@@ -43,37 +44,6 @@ class MobilityModel(ABC):
         x0, y0 = self.position(max(t - dt, 0.0))
         x1, y1 = self.position(t + dt)
         return math.hypot(x1 - x0, y1 - y0) / (dt + min(t, dt))
-
-    def forget_before(self, t: float) -> None:
-        """Promise that ``position`` will never be asked about times
-        before ``t`` again, letting stateful models release history.
-
-        A no-op for memoryless models; long-running simulations should
-        call it with their low-water mark (e.g. the last completed
-        tick) so day-length runs don't accumulate unbounded trace
-        state.
-        """
-
-    def reset(self) -> None:
-        """Rewind the trace to ``t = 0``, undoing :meth:`forget_before`.
-
-        A no-op for memoryless models.  Deterministic models rebuild
-        from their seed, so a reset trace replays identically — this is
-        what lets one simulation instance run twice and journal
-        bit-identically even though runs trim history as they go.
-        """
-
-    def retire(self, t: float) -> None:
-        """Release a trace whose node leaves the simulation at ``t``.
-
-        Equivalent to :meth:`reset` followed by ``forget_before(t)``:
-        all buffered history is dropped, and if the node later rejoins
-        (occupancy churn), positions from ``t`` onward replay exactly
-        as if the trace had never been trimmed — stateful models must
-        not resurrect discarded legs into memory on the way back.
-        """
-        self.reset()
-        self.forget_before(t)
 
 
 @dataclass(frozen=True)
@@ -131,7 +101,9 @@ class RandomWaypoint(MobilityModel):
     Legs take their draws from blocks of standard uniforms, scaled as
     ``lo + (hi - lo)·u`` — what ``Generator.uniform(lo, hi)`` computes
     from the same stream, so the trace equals one drawn a call per
-    coordinate.
+    coordinate.  The walker holds one leg, its generator and the unused
+    draws of the current block: a later ``t`` draws the legs in between,
+    an earlier one replays the trace from the seed.
     """
 
     width_m: float
@@ -149,81 +121,43 @@ class RandomWaypoint(MobilityModel):
             raise ValueError("need 0 < speed_min_mps <= speed_max_mps")
         if self.pause_s < 0:
             raise ValueError("pause_s must be non-negative")
-        self.reset()
+        self._rewind()
 
-    def reset(self) -> None:
-        """Rebuild the trace from the seed (pure, so replays match)."""
+    def _rewind(self) -> None:
+        """Restart the trace from the seed, before its first leg."""
         self._rng = np.random.default_rng(self.seed)
         u, v = self._rng.random(2).tolist()
-        x0, y0 = self.width_m * u, self.depth_m * v
+        start = (self.width_m * u, self.depth_m * v)
         #: unused draws of the current block, the next one last
         self._block: list[float] = []
-        #: legs as (t_start, walk_duration, pause, (x0, y0), (x1, y1))
-        self._legs: list[tuple[float, float, float,
-                               tuple[float, float], tuple[float, float]]] = []
-        self._frontier_t = 0.0
-        self._frontier_pos = (x0, y0)
-        self._low_water = 0.0
+        #: the leg under the last query: (t_start, walk, (x0, y0), (x1, y1))
+        self._leg = (0.0, 0.0, start, start)
+        #: when the next leg starts (its walk plus pause after this one)
+        self._next_t = 0.0
 
-    def _extend_to(self, t: float) -> None:
-        """Generate legs (in deterministic order) until ``t`` is covered.
-
-        Legs that end at or before the low-water mark are consumed from
-        the generator (the trace is a pure function of draw order) but
-        never buffered: after a :meth:`retire`/``reset`` +
-        ``forget_before`` cycle, regenerating the covered prefix must
-        not resurrect trimmed legs into memory.
-        """
+    def _advance(self) -> None:
+        """Draw the leg after the current one, from where it ended."""
         block = self._block
-        low, span = self.speed_min_mps, self.speed_max_mps - self.speed_min_mps
-        while self._frontier_t <= t:
-            if not block:
-                block.extend(reversed(
-                    self._rng.random(3 * _BLOCK_LEGS).tolist()))
-            x1 = self.width_m * block.pop()
-            y1 = self.depth_m * block.pop()
-            speed = low + span * block.pop()
-            x0, y0 = self._frontier_pos
-            walk = math.hypot(x1 - x0, y1 - y0) / speed
-            if self._frontier_t + walk + self.pause_s > self._low_water:
-                self._legs.append((self._frontier_t, walk, self.pause_s,
-                                   (x0, y0), (x1, y1)))
-            self._frontier_t += walk + self.pause_s
-            self._frontier_pos = (x1, y1)
-
-    def forget_before(self, t: float) -> None:
-        """Trim legs that end at or before the (monotone) low-water mark.
-
-        Only the generator's *consumption order* determines the trace,
-        so dropping already-finished legs cannot change any future
-        ``position`` result; the mark only forbids queries about the
-        discarded past.  The mark never moves backwards, which keeps
-        trimming idempotent and query-order independent.
-        """
-        self._low_water = max(self._low_water, t)
-        keep = 0
-        while keep < len(self._legs):
-            t_start, walk, pause, _, _ = self._legs[keep]
-            if t_start + walk + pause > self._low_water:
-                break
-            keep += 1
-        if keep:
-            del self._legs[:keep]
+        if not block:
+            block.extend(reversed(self._rng.random(3 * _BLOCK_LEGS).tolist()))
+        x1 = self.width_m * block.pop()
+        y1 = self.depth_m * block.pop()
+        speed = self.speed_min_mps + (
+            self.speed_max_mps - self.speed_min_mps) * block.pop()
+        x0, y0 = self._leg[3]
+        walk = math.hypot(x1 - x0, y1 - y0) / speed
+        self._leg = (self._next_t, walk, (x0, y0), (x1, y1))
+        self._next_t += walk + self.pause_s
 
     def position(self, t: float) -> tuple[float, float]:
         """The waypoint-interpolated position at time ``t``."""
         t = max(t, 0.0)
-        if t < self._low_water:
-            raise ValueError(
-                f"position({t}) predates forget_before({self._low_water})")
-        self._extend_to(t)
-        # Binary search would be O(log n); traces are short enough that
-        # a reverse linear scan from the frontier is simpler and the
-        # common query pattern (monotone t) hits the last legs anyway.
-        for t_start, walk, pause, (x0, y0), (x1, y1) in reversed(self._legs):
-            if t >= t_start:
-                if walk <= 0.0:
-                    return (x1, y1)
-                frac = min((t - t_start) / walk, 1.0)
-                return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)
-        return self._frontier_pos  # pragma: no cover (t=0 hits leg 0)
+        if t < self._leg[0]:
+            self._rewind()
+        while self._next_t <= t:
+            self._advance()
+        t_start, walk, (x0, y0), (x1, y1) = self._leg
+        if walk <= 0.0:
+            return (x1, y1)
+        frac = min((t - t_start) / walk, 1.0)
+        return (x0 + (x1 - x0) * frac, y0 + (y1 - y0) * frac)

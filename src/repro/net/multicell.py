@@ -361,6 +361,8 @@ class MulticellSimulation:
             raise ValueError("tick_s must be finite and positive")
         if not 0 < self.staleness_s < math.inf:
             raise ValueError("staleness_s must be finite and positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.regions < 1:
             raise ValueError("regions must be positive")
         if self.regions > len(self.luminaires):
@@ -411,8 +413,6 @@ class MulticellSimulation:
         if self.regions > 1:
             from .sharded import run_sharded
             return run_sharded(self, duration_s)
-        for node in self.nodes:
-            node.mobility.reset()
         journal = EventJournal()
         scheduler = EventScheduler()
         rng = np.random.default_rng(self.seed)
@@ -581,14 +581,12 @@ class MulticellSimulation:
 
         Association sees only the luminaires the tick's sample found in
         range; every culled one has gain exactly 0.0, which association
-        ignores.  The loop also trims the mobility trace behind the
-        clock.
+        ignores.
         """
         while True:
             now = view.now
             if not state.down:
                 sample = self._sensed_state(now, state)
-                state.node.mobility.forget_before(now)
                 target = strongest_cell(sample.gains, state.serving,
                                         HYSTERESIS_DB)
                 if target != state.serving:

@@ -153,8 +153,6 @@ class _ShardedRun:
         self.owner = {lum.name: idx
                       for idx, chunk in enumerate(chunks)
                       for lum in chunk}
-        for node in sim.nodes:
-            node.mobility.reset()
         homes = {node.name: self.owner[sim.zone_of(
             node.mobility.position(0.0))] for node in sim.nodes}
         self.regions: list[_Region] = []

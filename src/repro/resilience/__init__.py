@@ -1,8 +1,8 @@
 """Resilience: fault injection, chaos scenarios, and recovery metrics.
 
 The paper's prototype assumes the control plane stays up; this package
-supplies the production-hardening counterpart — a composable, seedable
-fault substrate (:mod:`~repro.resilience.faults`), a supervised-link
+supplies the production-hardening counterpart — seedable fault
+schedules (:mod:`~repro.resilience.faults`), a supervised-link
 chaos harness on the discrete-event kernel
 (:mod:`~repro.resilience.chaos`), and the resilience report
 (:mod:`~repro.resilience.metrics`) that quantifies time-to-detect,

@@ -121,6 +121,8 @@ class ChaosScenario:
         require_finite(self)
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.tick_s <= 0:
             raise ValueError("tick_s must be positive")
         if self.distance_m <= 0:

@@ -1,4 +1,4 @@
-"""Composable, seedable fault schedules for every simulation substrate.
+"""Seedable fault schedules for the chaos harness and the multicell DES.
 
 A :class:`FaultSchedule` is an ordered tuple of typed fault primitives:
 
@@ -7,18 +7,15 @@ A :class:`FaultSchedule` is an ordered tuple of typed fault primitives:
 * :class:`AckLossBurst` — a window of elevated ACK loss on an
   otherwise healthy uplink;
 * :class:`AdcBlinding` — a saturation/blinding window at the
-  photodiode: slot error probabilities scale up (analytic paths) and
-  the ambient pedestal rises (waveform paths);
+  photodiode: slot error probabilities scale up;
 * :class:`AmbientStep` — a step transient in the ambient level that
   persists until the next step;
 * :class:`NodeDowntime` — receiver churn (multicell).
 
-The same schedule injects into two substrates: by-time queries
-(:meth:`FaultSchedule.ack_loss_at` and friends) for the chaos harness
-and :mod:`repro.sim.endtoend`, and discrete-event kernels: the
-multicell simulator installs its churn and outage windows itself, and
-:func:`install_fault_events` journals every boundary for the chaos
-harness.
+The chaos harness reads a schedule through by-time queries
+(:meth:`FaultSchedule.ack_loss_at` and friends), and
+:func:`install_fault_events` journals every boundary on its kernel; the
+multicell simulator installs its churn and outage windows itself.
 
 Everything is frozen and validated at construction (every fault time
 must be finite), and :meth:`FaultSchedule.random` derives an
@@ -70,36 +67,31 @@ class AckLossBurst:
             raise ValueError("loss_probability must lie in [0, 1]")
 
 
+#: slot-error scale of a full-severity blinding window
+MAX_ERROR_SCALE = 100.0
+
+
 @dataclass(frozen=True)
 class AdcBlinding:
     """A photodiode saturation window of a given severity in (0, 1].
 
     Severity maps to an error-probability scale for the analytic slot
-    error model (``1 + severity·(max_error_scale - 1)``) and to an
-    additive ambient pedestal for the waveform path.
+    error model, ``1 + severity·(MAX_ERROR_SCALE - 1)``.
     """
 
     start_s: float
     end_s: float
     severity: float = 0.5
-    max_error_scale: float = 100.0
 
     def __post_init__(self) -> None:
         _check_window(self.start_s, self.end_s, "blinding")
         if not 0.0 < self.severity <= 1.0:
             raise ValueError("severity must lie in (0, 1]")
-        if self.max_error_scale < 1.0:
-            raise ValueError("max_error_scale must be >= 1")
 
     @property
     def error_scale(self) -> float:
         """Multiplier applied to slot error probabilities."""
-        return 1.0 + self.severity * (self.max_error_scale - 1.0)
-
-    @property
-    def ambient_boost(self) -> float:
-        """Additive normalized-ambient pedestal for waveform paths."""
-        return self.severity
+        return 1.0 + self.severity * (MAX_ERROR_SCALE - 1.0)
 
 
 @dataclass(frozen=True)
@@ -148,36 +140,7 @@ class FaultSchedule:
         """All faults of one primitive type, in schedule order."""
         return tuple(f for f in self.faults if isinstance(f, kind))
 
-    def combine(self, other: "FaultSchedule") -> "FaultSchedule":
-        """A schedule containing this schedule's faults then ``other``'s.
-
-        Composition is commutative *in effect*: every by-time query
-        folds active windows with order-independent reductions (max for
-        loss/scale/boost, any() for outages and churn, latest-step for
-        ambient), so ``a.combine(b)`` and ``b.combine(a)`` answer every
-        query identically even though their fault tuples differ.
-        """
-        return FaultSchedule(self.faults + other.faults)
-
-    def shifted(self, dt: float) -> "FaultSchedule":
-        """The same schedule displaced ``dt`` seconds into the future.
-
-        Time-translation equivariance: ``shifted(dt)`` at ``t + dt``
-        answers every by-time query exactly as the original does at
-        ``t``.  Shifting left (``dt < 0``) is allowed as long as no
-        window start would go negative.
-        """
-        from dataclasses import replace
-
-        def move(fault):
-            if isinstance(fault, AmbientStep):
-                return replace(fault, at_s=fault.at_s + dt)
-            return replace(fault, start_s=fault.start_s + dt,
-                           end_s=fault.end_s + dt)
-
-        return FaultSchedule(tuple(move(fault) for fault in self.faults))
-
-    # -- by-time queries (chaos harness, end-to-end link) ---------------
+    # -- by-time queries (chaos harness) --------------------------------
 
     def uplink_outage_at(self, t: float) -> bool:
         """Whether a full uplink outage is active at ``t``."""
@@ -209,7 +172,7 @@ class FaultSchedule:
         the room — so lighting control sees only genuine daylight.
         Steps landing at exactly the same instant resolve to the
         brightest level, not to tuple position, so the answer is
-        independent of the order schedules were combined in.
+        independent of the order of the faults.
         """
         level = base
         last_step = None
@@ -223,30 +186,6 @@ class FaultSchedule:
         if last_step is not None:
             level = last_step.level
         return min(max(level, 0.0), 1.0)
-
-    def ambient_boost_at(self, t: float) -> float:
-        """Receiver-side ambient pedestal from active blinding windows.
-
-        Used by the waveform path (:mod:`repro.sim.endtoend`), where
-        blinding manifests as extra light saturating the ADC.
-        """
-        boost = 0.0
-        for f in self.of_type(AdcBlinding):
-            if f.start_s <= t < f.end_s:
-                boost = max(boost, f.ambient_boost)
-        return boost
-
-    def node_down_at(self, node: str, t: float) -> bool:
-        """Whether ``node`` is churned out at ``t``."""
-        return any(f.node == node and f.start_s <= t < f.end_s
-                   for f in self.of_type(NodeDowntime))
-
-    @property
-    def end_s(self) -> float:
-        """When the last fault window closes (0.0 for an empty schedule)."""
-        ends = [f.at_s if isinstance(f, AmbientStep) else f.end_s
-                for f in self.faults]
-        return max(ends, default=0.0)
 
     @classmethod
     def random(cls, seed: int, duration_s: float,

@@ -66,8 +66,7 @@ class RoomWaypoint(MobilityModel):
 
     Wraps a :class:`RandomWaypoint` drawn in room-local coordinates and
     translates it to the building frame, so occupants roam their own
-    room and never cross a wall.  All trace-state management
-    (``forget_before``/``reset``/``retire``) passes straight through.
+    room and never cross a wall.
     """
 
     origin_x_m: float
@@ -78,18 +77,6 @@ class RoomWaypoint(MobilityModel):
         """The building-frame position at ``t``."""
         x, y = self.inner.position(t)
         return (self.origin_x_m + x, self.origin_y_m + y)
-
-    def forget_before(self, t: float) -> None:
-        """Forward the low-water mark to the wrapped trace."""
-        self.inner.forget_before(t)
-
-    def reset(self) -> None:
-        """Rewind the wrapped trace to ``t = 0``."""
-        self.inner.reset()
-
-    def retire(self, t: float) -> None:
-        """Release the wrapped trace at departure time ``t``."""
-        self.inner.retire(t)
 
 
 @dataclass(frozen=True)

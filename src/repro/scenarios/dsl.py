@@ -5,9 +5,10 @@ with their own luminaire grids, daylight curves behind their own
 windows, seeded occupant populations that arrive, break, and leave, an
 optional chaos overlay, and the SLOs the run is judged against.  The
 schema is versioned (:data:`SCHEMA_VERSION`) and the loader is strict —
-unknown keys, missing keys, version drift, negative durations, and
-duplicate room ids are all hard errors, never silent defaults — so a
-scenario file pinned in CI cannot quietly change meaning.
+unknown keys, missing keys, version drift, negative durations and
+seeds, non-finite numbers, fractional counts, and duplicate room ids
+are all hard errors, never silent defaults — so a scenario file pinned
+in CI cannot quietly change meaning.
 
 Everything here is declarative: specs carry no generators and no
 numpy state.  Compilation to profiles, traces, and the DES lives in
@@ -22,6 +23,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
+
+from ..core.params import require_finite
 
 #: The schema understood by :meth:`Scenario.from_dict`.
 SCHEMA_VERSION = 1
@@ -45,6 +48,17 @@ def _check_keys(row: Any, what: str, required: frozenset,
         raise ValueError(f"{what} missing key(s): {', '.join(missing)}")
 
 
+def _whole(row: Mapping[str, Any], key: str) -> int:
+    """``row[key]`` as an ``int``; anything but a finite whole number is
+    a ``ValueError`` naming the field."""
+    value = row[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DaylightSpec:
     """One room's sky: a piecewise solar arc seen through its window.
@@ -65,6 +79,7 @@ class DaylightSpec:
     window_gain: float = 1.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not 0.0 <= self.sunrise_s < self.sunset_s:
             raise ValueError("need 0 <= sunrise_s < sunset_s")
         if not 0.0 <= self.night_level <= self.peak_level <= 1.0:
@@ -124,6 +139,7 @@ class OccupancySpec:
     pause_s: float = 15.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.population < 1:
             raise ValueError("population must be at least 1")
         if self.arrive_lo_s < 0:
@@ -173,7 +189,7 @@ class OccupancySpec:
         """Strictly parse an occupancy spec (unknown keys are errors)."""
         _check_keys(row, "occupancy", frozenset({"population"}),
                     frozenset(cls.__dataclass_fields__) - {"population"})
-        values: dict[str, Any] = {"population": int(row["population"])}
+        values: dict[str, Any] = {"population": _whole(row, "population")}
         for key in row:
             if key != "population":
                 values[key] = float(row[key])
@@ -197,6 +213,7 @@ class RoomSpec:
     occupancy: OccupancySpec = field(default_factory=OccupancySpec)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.id or not isinstance(self.id, str):
             raise ValueError("room id must be a non-empty string")
         if any(sep in self.id for sep in (".", "/", "\n")):
@@ -227,10 +244,9 @@ class RoomSpec:
                     frozenset({"rows", "cols", "spacing_m", "daylight",
                                "occupancy"}))
         values: dict[str, Any] = {"id": row["id"]}
-        if "rows" in row:
-            values["rows"] = int(row["rows"])
-        if "cols" in row:
-            values["cols"] = int(row["cols"])
+        for key in ("rows", "cols"):
+            if key in row:
+                values[key] = _whole(row, key)
         if "spacing_m" in row:
             values["spacing_m"] = float(row["spacing_m"])
         if "daylight" in row:
@@ -255,6 +271,7 @@ class ChaosSpec:
     intensity: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.schedule not in CHAOS_SCHEDULES:
             raise ValueError(f"unknown chaos schedule {self.schedule!r}; "
                              f"expected one of {', '.join(CHAOS_SCHEDULES)}")
@@ -293,6 +310,7 @@ class SloSpec:
     max_flicker_violations: int | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.min_goodput_bps is not None and self.min_goodput_bps < 0:
             raise ValueError("min_goodput_bps must be non-negative")
         if (self.max_illumination_error is not None
@@ -322,7 +340,7 @@ class SloSpec:
         if ("max_flicker_violations" in row
                 and row["max_flicker_violations"] is not None):
             values["max_flicker_violations"] = \
-                int(row["max_flicker_violations"])
+                _whole(row, "max_flicker_violations")
         return cls(**values)
 
 
@@ -342,8 +360,11 @@ class Scenario:
     slo: SloSpec = field(default_factory=SloSpec)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.name or not isinstance(self.name, str):
             raise ValueError("scenario name must be a non-empty string")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if not 0.0 < self.tick_s <= self.duration_s:
@@ -419,7 +440,7 @@ class Scenario:
         if "description" in row:
             values["description"] = str(row["description"])
         if "seed" in row:
-            values["seed"] = int(row["seed"])
+            values["seed"] = _whole(row, "seed")
         for key in ("duration_s", "tick_s", "report_window_s",
                     "target_sum"):
             if key in row:

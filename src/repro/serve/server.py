@@ -76,6 +76,9 @@ LATENCY_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
 
 _MAX_BODY_BYTES = 1 << 20
 
+#: The ACK backoff under which ``/v1/link`` reports the remaining wait.
+LINK_BACKOFF = BackoffPolicy()
+
 
 def _salvage_id(obj: object) -> str | None:
     """Recover a request id for an error reply, mirroring parse_request.
@@ -106,6 +109,8 @@ class ServeConfig:
     drain_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must lie in [0, 65535], got {self.port}")
         if self.max_connections < 1:
             raise ValueError("max_connections must be positive")
         if self.queue_limit < 1:
@@ -204,18 +209,14 @@ class ControlPlane:
     def __init__(self, serve_config: ServeConfig | None = None,
                  config: SystemConfig | None = None,
                  registry: MetricsRegistry | None = None,
-                 engine: AdaptEngine | None = None,
-                 supervisor: LinkSupervisor | None = None,
-                 backoff: BackoffPolicy | None = None):
+                 engine: AdaptEngine | None = None):
         self.serve_config = (serve_config if serve_config is not None
                              else ServeConfig())
         self.config = config if config is not None else SystemConfig()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.engine = (engine if engine is not None
                        else AdaptEngine(self.config))
-        self.supervisor = (supervisor if supervisor is not None
-                           else LinkSupervisor())
-        self.backoff = backoff if backoff is not None else BackoffPolicy()
+        self.supervisor = LinkSupervisor()
         self.coalescer = AdaptCoalescer(self.engine.design,
                                         registry=self.registry)
         self._server: asyncio.Server | None = None
@@ -343,7 +344,7 @@ class ControlPlane:
         self.registry.gauge("repro_serve_inflight",
                             help="adapt requests in flight").set(
             self._inflight)
-        link_snapshot_metrics(self.supervisor.snapshot(self.backoff),
+        link_snapshot_metrics(self.supervisor.snapshot(LINK_BACKOFF),
                               self.registry)
 
     # -- shared op handlers --------------------------------------------
@@ -373,7 +374,7 @@ class ControlPlane:
             self.supervisor.on_probe_success(now)
         elif request.outcome == "probe-failure":
             self.supervisor.on_probe_failure(now)
-        snapshot = self.supervisor.snapshot(self.backoff)
+        snapshot = self.supervisor.snapshot(LINK_BACKOFF)
         link_snapshot_metrics(snapshot, self.registry)
         recent = [{"time": t.time, "source": t.source.value,
                    "target": t.target.value, "reason": t.reason}

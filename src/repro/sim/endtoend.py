@@ -14,7 +14,6 @@ Used by the integration tests and the ``waveform_link`` example.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,9 +26,6 @@ from ..obs import metrics, span
 from ..phy.channel import VlcChannel, calibrated_channel
 from ..phy.optics import LinkGeometry
 from ..phy.waveform import SlotSampler, WaveformSynthesizer
-
-if TYPE_CHECKING:  # pure annotation; avoids a sim <-> resilience cycle
-    from ..resilience.faults import FaultSchedule
 
 
 @dataclass(frozen=True)
@@ -60,9 +56,6 @@ class EndToEndLink:
     ambient: float = 1.0
     #: samples of ambient-only silence prepended before the frame
     leading_silence_slots: int = 16
-    #: optional fault schedule; ambient-step overrides and ADC-blinding
-    #: pedestals apply at the ``at_s`` passed to each send
-    faults: "FaultSchedule | None" = None
 
     def __post_init__(self) -> None:
         if self.channel is None:
@@ -73,28 +66,9 @@ class EndToEndLink:
         self._sync = SampleSynchronizer(self.config)
         self._sampler = SlotSampler(self.config)
 
-    def ambient_at(self, at_s: float) -> float:
-        """Effective ambient at ``at_s``: faults applied, clamped [0, 1].
-
-        Ambient-step transients replace the base level; ADC-blinding
-        windows add their pedestal on top, saturating at full ambient —
-        the waveform then carries the extra shot noise of the glare.
-        """
-        if self.faults is None:
-            return self.ambient
-        level = self.faults.ambient_at(at_s, self.ambient)
-        level += self.faults.ambient_boost_at(at_s)
-        return min(max(level, 0.0), 1.0)
-
     def send_frame(self, payload: bytes, design: SchemeDesign,
-                   rng: np.random.Generator,
-                   at_s: float = 0.0) -> EndToEndReport:
-        """Push one frame through the full pipeline.
-
-        ``at_s`` stamps the send on the fault clock: when a fault
-        schedule is attached, the ambient pedestal and blinding
-        active at that instant shape the received waveform.
-        """
+                   rng: np.random.Generator) -> EndToEndReport:
+        """Push one frame through the full pipeline."""
         registry = metrics()
         registry.counter("repro_endtoend_frames_total",
                          help="frames pushed through the waveform path").inc()
@@ -102,7 +76,7 @@ class EndToEndLink:
         padded = ([False] * self.leading_silence_slots + slots
                   + [False] * self.leading_silence_slots)
         samples = self._synth.received_samples(
-            padded, self.channel, self.geometry, self.ambient_at(at_s), rng)
+            padded, self.channel, self.geometry, self.ambient, rng)
 
         start = self._sync.find_frame_start(samples)
         available = (samples.size - start) // self.config.oversampling
@@ -131,8 +105,7 @@ class EndToEndLink:
 
     def measure_slot_error_rate(self, design: SchemeDesign, payload: bytes,
                                 n_frames: int, rng: np.random.Generator,
-                                batch: bool = True,
-                                at_s: float = 0.0) -> float:
+                                batch: bool = True) -> float:
         """Average slot error rate over repeated frames.
 
         With ``batch=True`` (the default) the deterministic half of the
@@ -148,7 +121,7 @@ class EndToEndLink:
             total_errors = 0
             total_slots = 0
             for _ in range(n_frames):
-                report = self.send_frame(payload, design, rng, at_s=at_s)
+                report = self.send_frame(payload, design, rng)
                 total_errors += report.slot_errors
                 total_slots += report.n_slots
             return total_errors / total_slots if total_slots else 0.0
@@ -160,8 +133,8 @@ class EndToEndLink:
             padded = ([False] * self.leading_silence_slots + slots
                       + [False] * self.leading_silence_slots)
             sample_rows = self._synth.received_samples_batch(
-                padded, self.channel, self.geometry, self.ambient_at(at_s),
-                rng, n_frames)
+                padded, self.channel, self.geometry, self.ambient, rng,
+                n_frames)
             sent = np.asarray(slots, dtype=bool)
             total_errors = 0
             for row in sample_rows:

@@ -63,6 +63,12 @@ class TestFuzzRun:
         code, _, _ = invoke("fuzz", "run", "--budget", "-3")
         assert code == 2
 
+    def test_negative_seed_exits_two(self):
+        code, out, err = invoke("fuzz", "run", "--seed", "-1", "--budget", "1")
+        assert code == 2
+        assert "seed" in err
+        assert out == ""
+
 
 class TestFuzzReplay:
     def test_replays_the_shipped_corpus(self):

@@ -47,6 +47,11 @@ class TestCampaignDeterminism:
         with pytest.raises(ValueError):
             CampaignConfig(timeout_s=0.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            CampaignConfig(seed=-1)
+        assert CampaignConfig(seed=0).seed == 0
+
     def test_parallel_campaign_builds_the_designer_before_forking(self):
         # Workers forked from the parent inherit its designer; a codec
         # campaign never designs in the parent, so only the pre-fork

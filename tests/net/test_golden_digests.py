@@ -27,3 +27,12 @@ def test_huddle_smoke_digest():
     run = ScenarioRunner(shipped_scenarios()["huddle-smoke"]).run()
     assert run.report.journal_digest == (
         "bd4fc52d3423b91501c4937b408d6d78720bdf95e13b44baee6ea9f9318a17ba")
+
+
+def test_office_day_digest():
+    # Occupants arrive, take breaks and leave, so their traces are
+    # queried again after hours of absence.
+    run = ScenarioRunner(shipped_scenarios()["office-day"]).run()
+    assert len(run.result.journal) == 22226
+    assert run.report.journal_digest == (
+        "b5f112a297955742687bf6fe3d03c8127210865acfbbf34a24dbbd07fc1237d1")

@@ -1,6 +1,7 @@
 """Mobility traces: bounds, determinism, query-order independence."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestRandomWaypoint:
 def scalar_draw_positions(width, depth, speed_min, speed_max, pause, seed,
                           times):
     """Random-waypoint positions from one ``Generator.uniform`` call per
-    coordinate and speed, with no trimming: the reference trace."""
+    coordinate and speed, keeping every leg: the reference trace."""
     rng = np.random.default_rng(seed)
     frontier = (float(rng.uniform(0.0, width)), float(rng.uniform(0.0, depth)))
     legs, frontier_t = [], 0.0
@@ -136,127 +137,83 @@ def scalar_draw_positions(width, depth, speed_min, speed_max, pause, seed,
 class TestBlockDraws:
     """Block-drawn legs against scalar ``Generator.uniform`` calls."""
 
+    ARGS = (5.0, 4.0, 0.3, 1.1, 1.5)
+    # 200 times over 2000 s: well past the first 64-leg block.
+    TIMES = [10.0 * k + 0.37 for k in range(200)]
+
+    def walker(self, seed):
+        width, depth, low, high, pause = self.ARGS
+        return RandomWaypoint(width, depth, low, high, pause_s=pause,
+                              seed=seed)
+
     @pytest.mark.parametrize("seed", [0, 7, 33, 2024])
     def test_positions_equal_the_scalar_draw_trace(self, seed):
-        args = (5.0, 4.0, 0.3, 1.1, 1.5, seed)
-        # 200 times over 2000 s: well past the first 64-leg block.
-        times = [10.0 * k + 0.37 for k in range(200)]
-        expected, n_legs = scalar_draw_positions(*args, times)
+        expected, n_legs = scalar_draw_positions(*self.ARGS, seed,
+                                                 self.TIMES)
         assert n_legs > 2 * 64
-        walker = RandomWaypoint(*args[:4], pause_s=args[4], seed=seed)
-        got = []
-        for t in times[:120]:
-            got.append(walker.position(t))
-            walker.forget_before(t)
-        # Leave and rejoin: the rest replays from a fresh block.
-        walker.retire(times[120])
-        got += [walker.position(t) for t in times[120:]]
-        assert got == expected
+        by_time = dict(zip(self.TIMES, expected))
+        walker = self.walker(seed)
+        assert [walker.position(t) for t in self.TIMES] == expected
+        # Jump back and walk forward again: the trace replays from the
+        # seed.
+        rejoined = self.TIMES[40:] + self.TIMES[:160]
+        assert [walker.position(t) for t in rejoined] \
+            == [by_time[t] for t in rejoined]
+        shuffled = list(self.TIMES)
+        random.Random(seed).shuffle(shuffled)
+        walker = self.walker(seed)
+        assert [walker.position(t) for t in shuffled] \
+            == [by_time[t] for t in shuffled]
 
 
 class TestForgetBefore:
+    """Long runs and backwards queries: the walker holds one leg and
+    replays an earlier time from its seed."""
+
     def test_trimming_preserves_future_positions(self):
         pristine = RandomWaypoint(6.0, 6.0, seed=7)
         reference = [pristine.position(float(t)) for t in range(0, 300, 2)]
-        trimmed = RandomWaypoint(6.0, 6.0, seed=7)
-        got = []
-        for t in range(0, 300, 2):
-            got.append(trimmed.position(float(t)))
-            trimmed.forget_before(float(t))
-        assert got == reference
+        walker = RandomWaypoint(6.0, 6.0, seed=7)
+        walker.position(299.0)
+        assert [walker.position(float(t))
+                for t in range(0, 300, 2)] == reference
 
     def test_legs_stay_bounded_on_long_monotone_runs(self):
         walker = RandomWaypoint(4.0, 4.0, pause_s=0.5, seed=5)
-        peak = 0
-        for t in range(0, 5000, 1):
-            walker.position(float(t))
-            walker.forget_before(float(t))
-            peak = max(peak, len(walker._legs))
-        untrimmed = RandomWaypoint(4.0, 4.0, pause_s=0.5, seed=5)
-        untrimmed.position(5000.0)
-        # The trimmed trace holds a handful of live legs; the untrimmed
-        # one accumulates the whole history.
-        assert peak < 10
-        assert len(untrimmed._legs) > 10 * peak
-
-    def test_queries_behind_the_mark_raise(self):
-        walker = RandomWaypoint(5.0, 5.0, seed=9)
-        walker.position(50.0)
-        walker.forget_before(40.0)
-        with pytest.raises(ValueError, match="predates forget_before"):
-            walker.position(39.9)
-        # At or after the mark stays answerable.
-        walker.position(40.0)
-
-    def test_mark_is_monotone(self):
-        walker = RandomWaypoint(5.0, 5.0, seed=9)
-        walker.position(30.0)
-        walker.forget_before(20.0)
-        walker.forget_before(5.0)  # moving backwards is a no-op
-        with pytest.raises(ValueError):
-            walker.position(10.0)
+        walker.position(5000.0)
+        t_start, walk, _, _ = walker._leg
+        assert t_start <= 5000.0 < walker._next_t
+        assert walker._next_t == t_start + (walk + 0.5)
+        assert len(walker._block) < 3 * 64
+        assert not any(isinstance(value, (list, dict))
+                       for name, value in vars(walker).items()
+                       if name != "_block")
 
     def test_reset_rewinds_and_replays_identically(self):
         walker = RandomWaypoint(6.0, 6.0, seed=13)
         reference = [walker.position(float(t)) for t in range(0, 80)]
-        walker.forget_before(60.0)
-        walker.reset()
         assert [walker.position(float(t)) for t in range(0, 80)] == reference
-
-    def test_base_model_hooks_are_noops(self):
-        desk = StaticPosition(1.0, 1.0)
-        desk.forget_before(100.0)
-        desk.reset()
-        assert desk.position(0.0) == (1.0, 1.0)
+        assert [walker.position(float(t))
+                for t in reversed(range(0, 80))] == reference[::-1]
 
 
 class TestRetire:
-    """The churn contract: leave a room, rejoin, walk the same floor."""
-
-    def test_retire_is_reset_plus_forget(self):
-        retired = RandomWaypoint(6.0, 6.0, seed=21)
-        manual = RandomWaypoint(6.0, 6.0, seed=21)
-        retired.position(120.0)
-        retired.retire(80.0)
-        manual.position(120.0)
-        manual.reset()
-        manual.forget_before(80.0)
-        for t in range(80, 160, 4):
-            assert retired.position(float(t)) == manual.position(float(t))
+    """Churn: an absent occupant's trace is not queried, and on return
+    it draws the legs it missed."""
 
     def test_rejoining_node_matches_a_node_that_never_left(self):
         fresh = RandomWaypoint(5.0, 4.0, seed=33)
-        reference = [fresh.position(float(t)) for t in range(200, 400, 5)]
+        reference = [fresh.position(float(t)) for t in range(2000, 4000, 5)]
         churned = RandomWaypoint(5.0, 4.0, seed=33)
-        churned.position(150.0)          # walked a while...
-        churned.retire(200.0)            # ...then left the room
+        churned.position(150.0)          # walked a while, then left
         assert [churned.position(float(t))
-                for t in range(200, 400, 5)] == reference
-
-    def test_churn_cannot_resurrect_trimmed_legs(self):
-        # Regenerating the covered prefix after a retire must not
-        # re-buffer it: the rejoined trace holds only live legs.
-        walker = RandomWaypoint(4.0, 4.0, pause_s=0.5, seed=5)
-        walker.position(2000.0)
-        walker.retire(2000.0)
-        walker.position(2100.0)
-        untrimmed = RandomWaypoint(4.0, 4.0, pause_s=0.5, seed=5)
-        untrimmed.position(2100.0)
-        assert 4 * len(walker._legs) < len(untrimmed._legs)
-
-    def test_queries_before_the_departure_raise(self):
-        walker = RandomWaypoint(5.0, 5.0, seed=9)
-        walker.position(50.0)
-        walker.retire(60.0)
-        with pytest.raises(ValueError, match="predates forget_before"):
-            walker.position(59.9)
-        walker.position(60.0)  # the rejoin instant stays answerable
+                for t in range(2000, 4000, 5)] == reference
 
     def test_repeated_churn_cycles_stay_consistent(self):
-        fresh = RandomWaypoint(6.0, 3.0, seed=17)
         churned = RandomWaypoint(6.0, 3.0, seed=17)
-        for rejoin in (50.0, 130.0, 400.0):
-            churned.retire(rejoin)
+        for rejoin in (50.0, 130.0, 400.0, 9000.0):
+            fresh = RandomWaypoint(6.0, 3.0, seed=17)
             for dt in (0.0, 3.0, 9.5):
                 assert churned.position(rejoin + dt) \
                     == fresh.position(rejoin + dt)
+            assert churned._leg == fresh._leg

@@ -356,6 +356,10 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             small_network(**{field: value})
 
+    def test_negative_seed_is_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="seed"):
+            small_network(seed=-1)
+
     @pytest.mark.parametrize("duration", [math.nan, math.inf])
     def test_non_finite_duration_is_rejected_before_scheduling(
             self, monkeypatch, duration):

@@ -218,6 +218,10 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             ChaosScenario(distance_m=0.0)
 
+    def test_negative_seed_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="seed"):
+            ChaosScenario(seed=-1)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [
         "duration_s", "target_sum", "tick_s", "distance_m"])

@@ -8,10 +8,17 @@ from repro.des import EventJournal, EventScheduler
 from repro.resilience import (AckLossBurst, AdcBlinding, AmbientStep,
                               FaultSchedule, NodeDowntime, UplinkOutage,
                               install_fault_events, shipped_schedules)
+from repro.resilience.faults import MAX_ERROR_SCALE
 
 #: windows a NaN or an infinity makes unusable
 NON_FINITE_WINDOWS = ((math.nan, 5.0), (1.0, math.nan), (1.0, math.inf),
                       (math.inf, math.inf), (-math.inf, 5.0))
+
+
+def last_end(schedule: FaultSchedule) -> float:
+    """When the schedule's last window closes or its last step lands."""
+    return max((f.at_s if isinstance(f, AmbientStep) else f.end_s
+                for f in schedule.faults), default=0.0)
 
 
 class TestPrimitiveValidation:
@@ -33,8 +40,9 @@ class TestPrimitiveValidation:
             AdcBlinding(0.0, 1.0, severity=0.0)
         with pytest.raises(ValueError):
             AdcBlinding(0.0, 1.0, severity=1.1)
-        with pytest.raises(ValueError):
-            AdcBlinding(0.0, 1.0, max_error_scale=0.5)
+        # Full severity reaches the cap and no further.
+        assert AdcBlinding(0.0, 1.0, severity=1.0).error_scale \
+            == MAX_ERROR_SCALE
 
     def test_ambient_step_range(self):
         with pytest.raises(ValueError):
@@ -43,9 +51,11 @@ class TestPrimitiveValidation:
             AmbientStep(1.0, 1.5)
 
     def test_blinding_derived_scales(self):
-        blinding = AdcBlinding(0.0, 1.0, severity=0.5, max_error_scale=100.0)
+        assert MAX_ERROR_SCALE == 100.0
+        blinding = AdcBlinding(0.0, 1.0, severity=0.5)
         assert blinding.error_scale == pytest.approx(50.5)
-        assert blinding.ambient_boost == pytest.approx(0.5)
+        assert blinding.error_scale \
+            == 1.0 + 0.5 * (MAX_ERROR_SCALE - 1.0)
 
     def test_schedule_rejects_foreign_objects(self):
         with pytest.raises(TypeError):
@@ -114,26 +124,14 @@ class TestScheduleQueries:
         # Blinding never enters the room-ambient query.
         assert self.SCHEDULE.ambient_at(3.5, 0.5) == 0.5
 
-    def test_ambient_boost_only_during_blinding(self):
-        assert self.SCHEDULE.ambient_boost_at(1.0) == 0.0
-        assert self.SCHEDULE.ambient_boost_at(3.5) == pytest.approx(0.6)
-
-    def test_node_down_at(self):
-        assert self.SCHEDULE.node_down_at("n1", 2.5)
-        assert not self.SCHEDULE.node_down_at("n1", 3.0)
-        assert not self.SCHEDULE.node_down_at("n2", 2.5)
-
     def test_of_type_and_len_and_end(self):
         assert len(self.SCHEDULE) == 7
-        assert len(self.SCHEDULE.of_type(AdcBlinding)) == 2
-        assert self.SCHEDULE.end_s == pytest.approx(9.0)
-        assert FaultSchedule().end_s == 0.0
-
-    def test_combine_preserves_order(self):
-        first = FaultSchedule((AmbientStep(1.0, 0.5),))
-        second = FaultSchedule((AmbientStep(2.0, 0.7),))
-        combined = first.combine(second)
-        assert combined.faults == first.faults + second.faults
+        assert len(FaultSchedule()) == 0
+        assert self.SCHEDULE.of_type(AdcBlinding) \
+            == self.SCHEDULE.faults[:2]
+        assert self.SCHEDULE.of_type(AmbientStep) \
+            == self.SCHEDULE.faults[4:6]
+        assert FaultSchedule().of_type(NodeDowntime) == ()
 
 
 class TestRandomSchedules:
@@ -151,7 +149,8 @@ class TestRandomSchedules:
 
     def test_windows_fit_the_duration(self):
         schedule = FaultSchedule.random(11, 20.0, 1.0, nodes=("a",))
-        assert schedule.end_s <= 20.0
+        assert len(schedule) == 6
+        assert 0.0 < last_end(schedule) <= 20.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -171,8 +170,8 @@ class TestShippedSchedules:
     def test_windows_scale_with_duration(self):
         short = shipped_schedules(20.0)["mixed"]
         long = shipped_schedules(40.0)["mixed"]
-        assert short.end_s == pytest.approx(long.end_s / 2.0)
-        assert short.end_s <= 20.0
+        assert last_end(short) == pytest.approx(last_end(long) / 2.0)
+        assert last_end(short) <= 20.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The scenario DSL: strict loading, validation, exact round-trips."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,31 @@ class TestValidation:
             SloSpec(min_goodput_bps=-1.0)
         with pytest.raises(ValueError, match="max_flicker"):
             SloSpec(max_flicker_violations=-1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            tiny_scenario(seed=-1)
+        assert tiny_scenario(seed=0).seed == 0
+
+    @pytest.mark.parametrize("spec, field", [
+        (DaylightSpec, "sunset_s"), (DaylightSpec, "peak_level"),
+        (OccupancySpec, "depart_hi_s"), (OccupancySpec, "pause_s"),
+        (ChaosSpec, "intensity"), (SloSpec, "min_goodput_bps"),
+        (SloSpec, "max_illumination_error"),
+    ])
+    def test_non_finite_numbers_rejected(self, spec, field):
+        # NaN fails every range check, and an SLO bound of NaN would
+        # pass every run.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                spec(**{field: bad})
+
+    def test_non_finite_scenario_times_rejected(self):
+        for field in ("duration_s", "tick_s", "report_window_s"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                tiny_scenario(**{field: math.inf})
+        with pytest.raises(ValueError, match="spacing_m must be finite"):
+            RoomSpec(id="a", spacing_m=math.nan)
 
 
 # One case per guard: the spec, the offending fields, the message naming them.
@@ -199,6 +225,27 @@ class TestLoader:
     def test_non_mapping_rejected(self):
         with pytest.raises(ValueError, match="must be a mapping"):
             Scenario.from_dict("not a scenario")  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("path", [
+        ("seed",), ("rooms", 0, "rows"), ("rooms", 0, "cols"),
+        ("rooms", 0, "occupancy", "population"),
+        ("slo", "max_flicker_violations"),
+    ], ids=lambda path: path[-1])
+    def test_counts_must_be_whole_numbers(self, path):
+        def with_field(value):
+            row = tiny_scenario().to_dict()
+            leaf = row
+            for step in path[:-1]:
+                leaf = leaf[step]
+            leaf[path[-1]] = value
+            return row
+
+        for bad in (2.7, math.inf, math.nan, True, "3"):
+            with pytest.raises(ValueError,
+                               match=f"{path[-1]} must be a whole number"):
+                Scenario.from_dict(with_field(bad))
+        assert Scenario.from_dict(with_field(1.0)) \
+            == Scenario.from_dict(with_field(1))
 
     def test_rooms_must_be_a_list(self):
         row = tiny_scenario().to_dict()

@@ -95,6 +95,12 @@ class TestServeConfig:
                 ServeConfig(drain_grace_s=grace)
         assert ServeConfig(drain_grace_s=0.0).drain_grace_s == 0.0
 
+    def test_port_must_fit_sixteen_bits(self):
+        for port in (-1, 65536, 70000):
+            with pytest.raises(ValueError, match="port"):
+                ServeConfig(port=port)
+        assert ServeConfig(port=65535).port == 65535
+
     @pytest.mark.parametrize("cap", ["max_connections", "queue_limit",
                                      "max_inflight"])
     def test_caps_must_be_positive(self, cap):

@@ -6,6 +6,7 @@ stderr and return exit code 2, while stdout stays reserved for results.
 
 import io
 import json
+import math
 
 import pytest
 
@@ -191,6 +192,12 @@ class TestJournal:
         assert code == 2
         assert "--tail" in err
 
+    def test_negative_seed_rejected(self):
+        code, text, err = run_cli("journal", "--grid", "1x1", "--seed", "-1")
+        assert code == 2
+        assert "--seed" in err
+        assert text == ""
+
     @pytest.mark.parametrize("duration", ["nan", "inf"])
     def test_non_finite_duration_rejected(self, monkeypatch, duration):
         from repro.des import EventScheduler
@@ -266,6 +273,14 @@ class TestChaos:
         assert code == 2
         assert "--intensity" in err
 
+    @pytest.mark.parametrize("schedule", ["mixed", "random"])
+    def test_negative_seed_rejected(self, schedule):
+        code, text, err = run_cli("chaos", "--schedule", schedule,
+                                  "--seed", "-1")
+        assert code == 2
+        assert "--seed" in err
+        assert text == ""
+
 
 class TestScenario:
     """The trace-driven scenario engine behind ``repro scenario``."""
@@ -329,6 +344,34 @@ class TestScenario:
         code, _, err = run_cli("scenario", "show", str(bad), "--file")
         assert code == 2
         assert "invalid scenario file" in err
+
+    @pytest.mark.parametrize("path, value", [
+        (("seed",), -5),
+        (("rooms", 0, "rows"), math.inf),
+        (("rooms", 0, "rows"), 2.7),
+        (("duration_s",), math.inf),
+        (("rooms", 0, "occupancy", "pause_s"), math.inf),
+        (("slo", "min_goodput_bps"), math.nan),
+        (("slo", "max_illumination_error"), math.nan),
+    ], ids=lambda case: case[-1] if isinstance(case, tuple) else repr(case))
+    def test_unrunnable_file_exits_2(self, tmp_path, path, value):
+        # One field of a shipped scenario's own document, made
+        # unrunnable: each would crash, run something else, or pass
+        # its SLO vacuously.
+        _, shown, _ = run_cli("scenario", "show", "huddle-smoke")
+        doc = json.loads(shown)
+        *parents, key = path
+        row = doc
+        for step in parents:
+            row = row[step]
+        row[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, text, err = run_cli("scenario", "run", str(bad), "--file")
+        assert code == 2
+        assert text == ""
+        assert "invalid scenario file" in err
+        assert path[-1] in err
 
     def test_run_reports_passes_and_writes_the_artifact(self, tmp_path):
         target = tmp_path / "report.json"
@@ -421,6 +464,13 @@ class TestServe:
         code, _, err = run_cli("serve", "--queue-limit", "0", "--load")
         assert code == 2
         assert "queue_limit" in err
+
+    def test_out_of_range_port_rejected(self):
+        for port in ("70000", "-1"):
+            code, text, err = run_cli("serve", "--port", port, "--load")
+            assert code == 2
+            assert "port" in err
+            assert text == ""
 
     def test_bad_clients_rejected(self):
         code, _, err = run_cli("serve", "--load", "--clients", "0")
