@@ -38,6 +38,11 @@ Commands:
 
 Error contract: every subcommand reports bad arguments on ``stderr``
 and returns exit code 2; ``stdout`` carries results only.
+
+Each option is declared once, in :func:`build_parser`: every subparser
+binds its handler with ``set_defaults(handler=...)``, every handler
+takes ``(args, out, err)`` and reads the parsed ``args.<dest>``, and
+:func:`main` only parses and calls the handler.
 """
 
 from __future__ import annotations
@@ -72,9 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list experiment ids")
+    sub.add_parser("list", help="list experiment ids").set_defaults(
+        handler=_cmd_list)
 
     run_cmd = sub.add_parser("run", help="regenerate experiments")
+    run_cmd.set_defaults(handler=_cmd_run)
     run_cmd.add_argument("ids", nargs="*", metavar="ID",
                          help="experiment ids (default: all)")
     run_cmd.add_argument("--csv", metavar="DIR", default=None,
@@ -97,11 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     design_cmd = sub.add_parser("design",
                                 help="design a super-symbol for a dimming level")
+    design_cmd.set_defaults(handler=_cmd_design)
     design_cmd.add_argument("dimming", type=float,
                             help="required dimming level in (0, 1)")
 
     journal_cmd = sub.add_parser(
         "journal", help="trace a multicell run's event journal")
+    journal_cmd.set_defaults(handler=_cmd_journal)
     journal_cmd.add_argument("--grid", default="2x2", metavar="RxC",
                              help="luminaire grid, e.g. 2x3 (default 2x2)")
     journal_cmd.add_argument("--nodes", type=int, default=4, metavar="N",
@@ -120,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos_cmd = sub.add_parser(
         "chaos", help="run a fault schedule against the supervised link")
+    chaos_cmd.set_defaults(handler=_cmd_chaos)
     chaos_cmd.add_argument("--schedule", default="mixed", metavar="NAME",
                            help="shipped fault schedule name, or 'random' "
                                 "(default mixed)")
@@ -139,6 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_sub = fuzz_cmd.add_subparsers(dest="fuzz_command", required=True)
     fuzz_run = fuzz_sub.add_parser(
         "run", help="run a seeded, budgeted fuzz campaign")
+    fuzz_run.set_defaults(handler=_cmd_fuzz_run)
     fuzz_run.add_argument("--budget", type=int, default=200, metavar="N",
                           help="cases to execute (default 200)")
     fuzz_run.add_argument("--seed", type=int, default=0,
@@ -152,8 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="S",
                           help="per-case deadline in seconds before a "
                                "case counts as hung (default 30)")
-    fuzz_run.add_argument("--chunk", type=int, default=128, metavar="K",
-                          help="cases per scheduling round (default 128)")
     fuzz_run.add_argument("--findings", metavar="FILE", default=None,
                           help="journal findings as JSON lines into FILE")
     fuzz_run.add_argument("--self-test", action="store_true",
@@ -161,11 +170,13 @@ def build_parser() -> argparse.ArgumentParser:
                                "the harness finds, shrinks, and replays it")
     fuzz_replay = fuzz_sub.add_parser(
         "replay", help="re-execute repro artifacts, check digests")
+    fuzz_replay.set_defaults(handler=_cmd_fuzz_replay)
     fuzz_replay.add_argument("paths", nargs="*", metavar="FILE",
                              help="artifact files (default: the shipped "
                                   "corpus directory)")
     fuzz_corpus = fuzz_sub.add_parser(
         "corpus", help="list the regression corpus, or pin new entries")
+    fuzz_corpus.set_defaults(handler=_cmd_fuzz_corpus)
     fuzz_corpus.add_argument("--dir", default=None, metavar="DIR",
                              help="corpus directory "
                                   "(default tests/fuzz/corpus)")
@@ -177,9 +188,12 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario", help="trace-driven scenarios: list, show, run")
     scenario_sub = scenario_cmd.add_subparsers(dest="scenario_command",
                                                required=True)
-    scenario_sub.add_parser("list", help="list the shipped scenarios")
+    scenario_sub.add_parser(
+        "list", help="list the shipped scenarios").set_defaults(
+            handler=_cmd_scenario_list)
     scenario_show = scenario_sub.add_parser(
         "show", help="print one scenario as its JSON document")
+    scenario_show.set_defaults(handler=_cmd_scenario_show)
     scenario_show.add_argument("name", metavar="NAME",
                                help="shipped scenario name")
     scenario_show.add_argument("--file", action="store_true",
@@ -187,6 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "path instead")
     scenario_run = scenario_sub.add_parser(
         "run", help="compile, run, and judge one scenario")
+    scenario_run.set_defaults(handler=_cmd_scenario_run)
     scenario_run.add_argument("name", metavar="NAME",
                               help="shipped scenario name")
     scenario_run.add_argument("--file", action="store_true",
@@ -201,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_cmd = sub.add_parser(
         "serve", help="run the always-on adaptation control plane")
+    serve_cmd.set_defaults(handler=_cmd_serve)
     serve_cmd.add_argument("--host", default="127.0.0.1",
                            help="bind address (default 127.0.0.1)")
     serve_cmd.add_argument("--port", type=int, default=0,
@@ -235,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     stats_cmd = sub.add_parser(
         "stats", help="render a telemetry JSONL dump")
+    stats_cmd.set_defaults(handler=_cmd_stats)
     stats_cmd.add_argument("file", metavar="FILE",
                            help="JSONL file written by run --telemetry")
     stats_cmd.add_argument("--prometheus", action="store_true",
@@ -244,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print the hot-path table aggregated from "
                                 "the recorded spans instead of aligned text")
 
-    sub.add_parser("info", help="show the active configuration")
+    sub.add_parser("info", help="show the active configuration").set_defaults(
+        handler=_cmd_info)
     return parser
 
 
@@ -254,7 +272,7 @@ def _fail(err, message: str) -> int:
     return 2
 
 
-def _cmd_list(out) -> int:
+def _cmd_list(args, out, err) -> int:
     for experiment_id in experiment_ids():
         print(experiment_id, file=out)
     return 0
@@ -286,52 +304,50 @@ def _write_exports(result, experiment_id: str, csv_dir: str | None,
         print(f"[json] {path}", file=out)
 
 
-def _cmd_run(ids: Sequence[str], csv_dir: str | None, json_dir: str | None,
-             out, err, jobs: int | None = None,
-             telemetry: str | None = None, trace: str | None = None,
-             profile: bool = False) -> int:
-    requested = list(ids) or experiment_ids()
+def _cmd_run(args, out, err) -> int:
+    requested = args.ids or experiment_ids()
     unknown = sorted(set(requested) - set(experiment_ids()))
     if unknown:
         return _fail(err, f"unknown experiment ids: {unknown}")
-    if jobs is not None and jobs < 1:
-        return _fail(err, f"--jobs must be a positive integer, got {jobs}")
-    for target_dir in (csv_dir, json_dir):
+    if args.jobs is not None and args.jobs < 1:
+        return _fail(err, f"--jobs must be a positive integer, "
+                          f"got {args.jobs}")
+    for target_dir in (args.csv, args.json):
         if target_dir is not None:
             Path(target_dir).mkdir(parents=True, exist_ok=True)
 
     def run_all() -> None:
         for experiment_id in requested:
-            result = run_experiment(experiment_id, jobs=jobs)
+            result = run_experiment(experiment_id, jobs=args.jobs)
             print("=" * 72, file=out)
             print(result.render(), file=out)
-            _write_exports(result, experiment_id, csv_dir, json_dir, out)
+            _write_exports(result, experiment_id, args.csv, args.json, out)
 
-    if telemetry is None and trace is None and not profile:
+    if args.telemetry is None and args.trace is None and not args.profile:
         run_all()
         return 0
     with telemetry_session() as session:
         run_all()
-    if telemetry is not None:
-        path = write_telemetry_jsonl(session, telemetry)
+    if args.telemetry is not None:
+        path = write_telemetry_jsonl(session, args.telemetry)
         print(f"[telemetry] {path}", file=out)
-    if trace is not None:
-        path = write_chrome_trace(session, trace)
+    if args.trace is not None:
+        path = write_chrome_trace(session, args.trace)
         print(f"[trace] {path}", file=out)
-    if profile:
+    if args.profile:
         print(ProfileSession.from_session(session).render(), file=out)
     return 0
 
 
-def _cmd_design(dimming: float, out, err) -> int:
+def _cmd_design(args, out, err) -> int:
     config = SystemConfig()
     designer = AmppmDesigner(config)
     lo, hi = designer.supported_range
-    if not lo <= dimming <= hi:
-        return _fail(err, f"dimming {dimming} outside supported range "
+    if not lo <= args.dimming <= hi:
+        return _fail(err, f"dimming {args.dimming} outside supported range "
                           f"[{lo:.3f}, {hi:.3f}]")
-    design = designer.design(dimming)
-    print(f"target dimming   : {dimming:.4f}", file=out)
+    design = designer.design(args.dimming)
+    print(f"target dimming   : {args.dimming:.4f}", file=out)
     print(f"super-symbol     : {design.super_symbol}", file=out)
     print(f"achieved dimming : {design.achieved_dimming:.4f}", file=out)
     print(f"slots / bits     : {design.super_symbol.n_slots} / "
@@ -341,83 +357,82 @@ def _cmd_design(dimming: float, out, err) -> int:
     return 0
 
 
-def _cmd_journal(grid: str, nodes: int, duration: float, seed: int,
-                 regions: int, tail: int, jsonl: str | None, out, err) -> int:
+def _cmd_journal(args, out, err) -> int:
     from .des import write_journal_jsonl
     from .net.multicell import default_network
 
     try:
-        rows_str, _, cols_str = grid.lower().partition("x")
+        rows_str, _, cols_str = args.grid.lower().partition("x")
         rows, cols = int(rows_str), int(cols_str)
     except ValueError:
-        return _fail(err, f"--grid expects RxC (e.g. 2x3), got {grid!r}")
-    if rows < 1 or cols < 1 or nodes < 1 or not 0 < duration < math.inf:
+        return _fail(err, f"--grid expects RxC (e.g. 2x3), got {args.grid!r}")
+    if (rows < 1 or cols < 1 or args.nodes < 1
+            or not 0 < args.duration < math.inf):
         return _fail(err, "grid dimensions and --nodes must be positive, "
                           "--duration finite and > 0")
-    if tail < 0:
-        return _fail(err, f"--tail must be non-negative, got {tail}")
-    if seed < 0:
-        return _fail(err, f"--seed must be non-negative, got {seed}")
-    if regions < 1 or regions > rows * cols:
+    if args.tail < 0:
+        return _fail(err, f"--tail must be non-negative, got {args.tail}")
+    if args.seed < 0:
+        return _fail(err, f"--seed must be non-negative, got {args.seed}")
+    if args.regions < 1 or args.regions > rows * cols:
         return _fail(err, f"--regions must lie in [1, {rows * cols}] for a "
-                          f"{rows}x{cols} grid, got {regions}")
-    simulation = default_network(rows=rows, cols=cols, n_nodes=nodes,
-                                 seed=seed, regions=regions)
-    result = simulation.run(duration)
-    shards = (f", {regions} regions ({len(result.shards)} shards)"
-              if regions > 1 else "")
-    print(f"multicell {rows}x{cols}, {nodes} nodes, {duration:g} s, "
-          f"seed {seed}{shards}", file=out)
+                          f"{rows}x{cols} grid, got {args.regions}")
+    simulation = default_network(rows=rows, cols=cols, n_nodes=args.nodes,
+                                 seed=args.seed, regions=args.regions)
+    result = simulation.run(args.duration)
+    shards = (f", {args.regions} regions ({len(result.shards)} shards)"
+              if args.regions > 1 else "")
+    print(f"multicell {rows}x{cols}, {args.nodes} nodes, "
+          f"{args.duration:g} s, seed {args.seed}{shards}", file=out)
     print(f"  aggregate goodput : "
           f"{result.aggregate_throughput_bps / 1e3:.1f} Kbps", file=out)
     print(f"  handovers         : {result.total_handovers}", file=out)
     print(f"  adjustments       : {result.total_adjustments}", file=out)
     print(f"  journal digest    : {result.journal.digest()[:16]}", file=out)
-    print(result.journal.render(n_tail=tail), file=out)
-    if jsonl is not None:
-        path = write_journal_jsonl(result.journal, jsonl)
+    print(result.journal.render(n_tail=args.tail), file=out)
+    if args.jsonl is not None:
+        path = write_journal_jsonl(result.journal, args.jsonl)
         print(f"[jsonl] {path}", file=out)
     return 0
 
 
-def _cmd_chaos(schedule: str, duration: float, seed: int, intensity: float,
-               unsupervised: bool, out, err) -> int:
+def _cmd_chaos(args, out, err) -> int:
     from .resilience import ChaosScenario, FaultSchedule, shipped_schedules
 
-    if not 0 < duration < math.inf:
+    if not 0 < args.duration < math.inf:
         return _fail(err, "--duration must be finite and > 0")
-    if seed < 0:
-        return _fail(err, f"--seed must be non-negative, got {seed}")
-    if schedule == "random":
-        if not 0.0 <= intensity <= 1.0:
-            return _fail(err,
-                         f"--intensity must lie in [0, 1], got {intensity}")
-        plan = FaultSchedule.random(seed, duration, intensity)
+    if args.seed < 0:
+        return _fail(err, f"--seed must be non-negative, got {args.seed}")
+    if args.schedule == "random":
+        if not 0.0 <= args.intensity <= 1.0:
+            return _fail(err, f"--intensity must lie in [0, 1], "
+                              f"got {args.intensity}")
+        plan = FaultSchedule.random(args.seed, args.duration, args.intensity)
     else:
-        shipped = shipped_schedules(duration)
-        if schedule not in shipped:
+        shipped = shipped_schedules(args.duration)
+        if args.schedule not in shipped:
             known = sorted(shipped) + ["random"]
-            return _fail(err, f"unknown schedule {schedule!r}; known: {known}")
-        plan = shipped[schedule]
-    scenario = ChaosScenario(schedule=plan, duration_s=duration, seed=seed,
-                             supervised=not unsupervised)
+            return _fail(err, f"unknown schedule {args.schedule!r}; "
+                              f"known: {known}")
+        plan = shipped[args.schedule]
+    scenario = ChaosScenario(schedule=plan, duration_s=args.duration,
+                             seed=args.seed, supervised=not args.unsupervised)
     result = scenario.run()
-    print(f"chaos schedule {schedule!r}, seed {seed}, "
+    print(f"chaos schedule {args.schedule!r}, seed {args.seed}, "
           f"{len(plan)} faults", file=out)
     print(result.report.render(), file=out)
     return 0
 
 
-def _cmd_fuzz_run(budget: int, seed: int, jobs: int | None,
-                  oracles: str | None, timeout: float, chunk: int,
-                  findings: str | None, selftest: bool, out, err) -> int:
+def _cmd_fuzz_run(args, out, err) -> int:
     from .fuzz import CampaignConfig, run_campaign, self_test
     from .fuzz.generators import DEFAULT_WEIGHTS
 
-    if jobs is not None and jobs < 1:
-        return _fail(err, f"--jobs must be a positive integer, got {jobs}")
-    if selftest:
-        report = self_test(jobs=jobs,
+    if args.jobs is not None and args.jobs < 1:
+        return _fail(err, f"--jobs must be a positive integer, "
+                          f"got {args.jobs}")
+    if args.self_test:
+        report = self_test(jobs=args.jobs,
                            progress=lambda line: print(f"  {line}",
                                                        file=out))
         print(f"self-test: {'PASS' if report.passed else 'FAIL'} — "
@@ -431,18 +446,19 @@ def _cmd_fuzz_run(budget: int, seed: int, jobs: int | None,
             print("  replay of the minimal repro was not bit-identical",
                   file=out)
         return 0 if report.passed else 1
-    names = (tuple(part.strip() for part in oracles.split(",") if
-                   part.strip()) if oracles is not None
+    names = (tuple(part.strip() for part in args.oracles.split(",") if
+                   part.strip()) if args.oracles is not None
              else tuple(DEFAULT_WEIGHTS))
     try:
-        config = CampaignConfig(seed=seed, budget=budget, jobs=jobs,
-                                oracles=names, timeout_s=timeout,
-                                chunk=chunk, findings_path=findings)
+        config = CampaignConfig(seed=args.seed, budget=args.budget,
+                                jobs=args.jobs, oracles=names,
+                                timeout_s=args.timeout,
+                                findings_path=args.findings)
     except ValueError as exc:
         return _fail(err, str(exc))
-    print(f"fuzz campaign: seed {seed}, budget {budget}, "
+    print(f"fuzz campaign: seed {args.seed}, budget {args.budget}, "
           f"oracles {','.join(names)}"
-          + (f", {jobs} jobs" if jobs else ""), file=out)
+          + (f", {args.jobs} jobs" if args.jobs else ""), file=out)
     report = run_campaign(config,
                           progress=lambda line: print(f"  {line}", file=out))
     mix = ", ".join(f"{oracle}:{count}"
@@ -460,18 +476,18 @@ def _cmd_fuzz_run(budget: int, seed: int, jobs: int | None,
               f"({finding.case.oracle}): {finding.detail}", file=out)
         print(f"    minimal repro ({steps} shrink steps): "
               f"{finding.minimal_params}", file=out)
-    if findings:
-        print(f"[findings] {findings}", file=out)
+    if args.findings:
+        print(f"[findings] {args.findings}", file=out)
     return 1
 
 
-def _cmd_fuzz_replay(paths: Sequence[str], out, err) -> int:
+def _cmd_fuzz_replay(args, out, err) -> int:
     from .fuzz import DEFAULT_CORPUS_DIR, replay_artifact, replay_corpus
 
     try:
-        if paths:
+        if args.paths:
             outcomes = []
-            for raw in paths:
+            for raw in args.paths:
                 path = Path(raw)
                 if path.is_dir():
                     outcomes.extend(replay_corpus(path))
@@ -498,16 +514,15 @@ def _cmd_fuzz_replay(paths: Sequence[str], out, err) -> int:
     return 1 if drift else 0
 
 
-def _cmd_fuzz_corpus(directory: str | None, add: str | None,
-                     out, err) -> int:
+def _cmd_fuzz_corpus(args, out, err) -> int:
     import json as json_module
 
     from .fuzz import (DEFAULT_CORPUS_DIR, iter_corpus, load_artifact,
                        pin_artifact, write_artifact)
 
-    corpus_dir = Path(directory) if directory else DEFAULT_CORPUS_DIR
-    if add is not None:
-        journal = Path(add)
+    corpus_dir = Path(args.dir) if args.dir else DEFAULT_CORPUS_DIR
+    if args.add is not None:
+        journal = Path(args.add)
         if not journal.is_file():
             return _fail(err, f"no findings journal at {journal}")
         added = 0
@@ -547,26 +562,27 @@ def _cmd_fuzz_corpus(directory: str | None, add: str | None,
     return 0
 
 
-def _load_cli_scenario(name: str, from_file: bool, err):
-    """Resolve a CLI scenario argument to a Scenario, or an exit code."""
+def _load_cli_scenario(args, err):
+    """Resolve ``args.name`` (a file with ``--file``) to a Scenario, or
+    an exit code."""
     from .scenarios import load_scenario, shipped_scenarios
 
-    if from_file:
-        path = Path(name)
+    if args.file:
+        path = Path(args.name)
         if not path.is_file():
             return None, _fail(err, f"no such scenario file: {path}")
         try:
             return load_scenario(path), 0
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             return None, _fail(err, f"invalid scenario file {path}: {exc}")
     shipped = shipped_scenarios()
-    if name not in shipped:
-        return None, _fail(err, f"unknown scenario {name!r}; known: "
+    if args.name not in shipped:
+        return None, _fail(err, f"unknown scenario {args.name!r}; known: "
                                 f"{sorted(shipped)} (or pass --file)")
-    return shipped[name], 0
+    return shipped[args.name], 0
 
 
-def _cmd_scenario_list(out) -> int:
+def _cmd_scenario_list(args, out, err) -> int:
     from .scenarios import shipped_scenarios
 
     for name, scenario in shipped_scenarios().items():
@@ -580,43 +596,39 @@ def _cmd_scenario_list(out) -> int:
     return 0
 
 
-def _cmd_scenario_show(name: str, from_file: bool, out, err) -> int:
-    scenario, code = _load_cli_scenario(name, from_file, err)
+def _cmd_scenario_show(args, out, err) -> int:
+    scenario, code = _load_cli_scenario(args, err)
     if scenario is None:
         return code
     print(scenario.to_json(), file=out)
     return 0
 
 
-def _cmd_scenario_run(name: str, from_file: bool, regions: int,
-                      report_path: str | None, out, err) -> int:
+def _cmd_scenario_run(args, out, err) -> int:
     import json as json_module
 
     from .scenarios import ScenarioRunner
 
-    scenario, code = _load_cli_scenario(name, from_file, err)
+    scenario, code = _load_cli_scenario(args, err)
     if scenario is None:
         return code
-    if regions < 1 or regions > scenario.n_luminaires:
+    if not 1 <= args.regions <= scenario.n_luminaires:
         return _fail(err, f"--regions must lie in "
                           f"[1, {scenario.n_luminaires}] for scenario "
-                          f"{scenario.name!r}, got {regions}")
-    run = ScenarioRunner(scenario, regions=regions).run()
+                          f"{scenario.name!r}, got {args.regions}")
+    run = ScenarioRunner(scenario, regions=args.regions).run()
     print(run.report.render(), file=out)
-    if report_path is not None:
+    if args.report is not None:
         payload = run.report.as_dict()
         payload["manifest"] = run.manifest.as_dict()
-        path = Path(report_path)
+        path = Path(args.report)
         path.write_text(json_module.dumps(payload, indent=2,
                                           sort_keys=True) + "\n")
         print(f"[report] {path}", file=out)
     return 0 if run.report.passed else 1
 
 
-def _cmd_serve(host: str, port: int, max_connections: int,
-               queue_limit: int, max_inflight: int, drain_grace: float,
-               load: bool, clients: int, requests: int, seed: int,
-               telemetry: str | None, out, err) -> int:
+def _cmd_serve(args, out, err) -> int:
     import asyncio
 
     from .serve import ControlPlane, LoadProfile, ServeConfig, run_loadgen
@@ -624,11 +636,13 @@ def _cmd_serve(host: str, port: int, max_connections: int,
 
     try:
         serve_config = ServeConfig(
-            host=host, port=port, max_connections=max_connections,
-            queue_limit=queue_limit, max_inflight=max_inflight,
-            drain_grace_s=drain_grace)
-        profile = (LoadProfile(clients=clients, requests_per_client=requests,
-                               seed=seed) if load else None)
+            host=args.host, port=args.port,
+            max_connections=args.max_connections,
+            queue_limit=args.queue_limit, max_inflight=args.max_inflight,
+            drain_grace_s=args.drain_grace)
+        profile = (LoadProfile(clients=args.clients,
+                               requests_per_client=args.requests,
+                               seed=args.seed) if args.load else None)
     except ValueError as exc:
         return _fail(err, str(exc))
 
@@ -647,40 +661,41 @@ def _cmd_serve(host: str, port: int, max_connections: int,
 
     with telemetry_session() as session:
         try:
-            if load:
+            if args.load:
                 code, plane = asyncio.run(serve_and_load(session.registry))
             else:
                 plane = asyncio.run(run_daemon(
                     serve_config, registry=session.registry, out=out))
                 code = 0
         except OSError as exc:
-            return _fail(err, f"cannot serve on {host}:{port}: {exc}")
+            return _fail(err, f"cannot serve on {args.host}:{args.port}: "
+                              f"{exc}")
         print(f"serve: {plane.coalescer.requests} adapt requests, "
               f"{plane.shed_count} shed", file=out)
-    if telemetry is not None:
-        path = write_telemetry_jsonl(session, telemetry)
+    if args.telemetry is not None:
+        path = write_telemetry_jsonl(session, args.telemetry)
         print(f"[telemetry] {path}", file=out)
     return code
 
 
-def _cmd_stats(file: str, prometheus: bool, profile: bool, out, err) -> int:
-    path = Path(file)
+def _cmd_stats(args, out, err) -> int:
+    path = Path(args.file)
     if not path.is_file():
         return _fail(err, f"no such telemetry file: {path}")
     try:
         session = read_telemetry_jsonl(path)
     except ValueError as exc:
         return _fail(err, f"not a telemetry JSONL file: {exc}")
-    if prometheus:
+    if args.prometheus:
         out.write(render_prometheus(session.registry))
-    elif profile:
+    elif args.profile:
         print(ProfileSession.from_session(session).render(), file=out)
     else:
         print(render_text(session), file=out)
     return 0
 
 
-def _cmd_info(out) -> int:
+def _cmd_info(args, out, err) -> int:
     config = SystemConfig()
     print("SmartVLC reproduction — active configuration", file=out)
     print(f"  t_slot        : {config.t_slot * 1e6:.1f} us "
@@ -706,53 +721,9 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     ``out`` carries results, ``err`` carries error messages (defaults:
     ``sys.stdout`` / ``sys.stderr``); bad arguments return exit code 2.
     """
-    out = out if out is not None else sys.stdout
-    err = err if err is not None else sys.stderr
     args = build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list(out)
-    if args.command == "run":
-        return _cmd_run(args.ids, args.csv, args.json, out, err,
-                        jobs=args.jobs, telemetry=args.telemetry,
-                        trace=args.trace, profile=args.profile)
-    if args.command == "design":
-        return _cmd_design(args.dimming, out, err)
-    if args.command == "journal":
-        return _cmd_journal(args.grid, args.nodes, args.duration, args.seed,
-                            args.regions, args.tail, args.jsonl, out, err)
-    if args.command == "chaos":
-        return _cmd_chaos(args.schedule, args.duration, args.seed,
-                          args.intensity, args.unsupervised, out, err)
-    if args.command == "fuzz":
-        if args.fuzz_command == "run":
-            return _cmd_fuzz_run(args.budget, args.seed, args.jobs,
-                                 args.oracles, args.timeout, args.chunk,
-                                 args.findings, args.self_test, out, err)
-        if args.fuzz_command == "replay":
-            return _cmd_fuzz_replay(args.paths, out, err)
-        if args.fuzz_command == "corpus":
-            return _cmd_fuzz_corpus(args.dir, args.add, out, err)
-        raise AssertionError(f"unhandled fuzz command {args.fuzz_command!r}")
-    if args.command == "scenario":
-        if args.scenario_command == "list":
-            return _cmd_scenario_list(out)
-        if args.scenario_command == "show":
-            return _cmd_scenario_show(args.name, args.file, out, err)
-        if args.scenario_command == "run":
-            return _cmd_scenario_run(args.name, args.file, args.regions,
-                                     args.report, out, err)
-        raise AssertionError(
-            f"unhandled scenario command {args.scenario_command!r}")
-    if args.command == "serve":
-        return _cmd_serve(args.host, args.port, args.max_connections,
-                          args.queue_limit, args.max_inflight,
-                          args.drain_grace, args.load, args.clients,
-                          args.requests, args.seed, args.telemetry, out, err)
-    if args.command == "stats":
-        return _cmd_stats(args.file, args.prometheus, args.profile, out, err)
-    if args.command == "info":
-        return _cmd_info(out)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return args.handler(args, out if out is not None else sys.stdout,
+                        err if err is not None else sys.stderr)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -50,7 +50,7 @@ from .shrinker import ShrinkOutcome, ShrinkStats, shrink
 DEFAULT_TIMEOUT_S = 30.0
 
 #: Cases shipped to the pool per scheduling round.
-DEFAULT_CHUNK = 128
+CHUNK = 128
 
 #: Oracle-execution budget for shrinking one finding.
 SHRINK_ATTEMPTS = 400
@@ -162,9 +162,9 @@ class Finding:
 class CampaignConfig:
     """Everything that determines a campaign's outcome — and only that.
 
-    ``jobs``, ``chunk`` and ``findings_path`` affect scheduling and
-    reporting, never results: the campaign digest is pinned to
-    ``(seed, budget, oracles)`` alone.
+    ``jobs`` and ``findings_path`` affect scheduling and reporting,
+    never results: the campaign digest is pinned to ``(seed, budget,
+    oracles)`` alone.
     """
 
     seed: int = 0
@@ -172,7 +172,6 @@ class CampaignConfig:
     jobs: int | None = None
     oracles: tuple[str, ...] = tuple(DEFAULT_WEIGHTS)
     timeout_s: float = DEFAULT_TIMEOUT_S
-    chunk: int = DEFAULT_CHUNK
     findings_path: str | None = None
 
     def __post_init__(self) -> None:
@@ -180,8 +179,6 @@ class CampaignConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.budget < 0:
             raise ValueError("budget cannot be negative")
-        if self.chunk < 1:
-            raise ValueError("chunk must be positive")
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         unknown = sorted(set(self.oracles) - set(ORACLES))
@@ -285,7 +282,7 @@ def run_campaign(config: CampaignConfig,
             # parent's designer instead of each building their own.
             _designer()
         executed = 0
-        for chunk in _chunks(cases, config.chunk):
+        for chunk in _chunks(cases, CHUNK):
             jobs = [{**case.as_dict(), "timeout_s": config.timeout_s}
                     for case in chunk]
             guarded = runner.map_guarded(_run_case, jobs)

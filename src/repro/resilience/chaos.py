@@ -40,7 +40,7 @@ from ..phy.optics import LinkGeometry
 from ..schemes import shared_scheme_design
 from ..sim.linkmodel import frame_slot_count, frame_success_probability
 from .faults import FaultSchedule, install_fault_events
-from .metrics import ResilienceReport, build_report
+from .metrics import ResilienceReport, fault_attribution
 
 #: The paper's fixed ACK timeout: the baseline waits it out after every
 #: lost frame, and a supervised link after every lost probe.
@@ -319,11 +319,9 @@ class ChaosScenario:
             time_degraded = 0.0
             time_down = 0.0
         not_up = time_degraded + time_down
-        report = build_report(
+        report = ResilienceReport(
             duration_s=self.duration_s,
             supervised=self.supervised,
-            schedule=self.schedule,
-            transitions=transitions,
             goodput_bps=counters.bits_acked / self.duration_s,
             delivered_goodput_bps=counters.bits_delivered / self.duration_s,
             degraded_goodput_bps=(counters.bits_acked_degraded / not_up
@@ -334,10 +332,12 @@ class ChaosScenario:
             retransmissions=counters.retransmissions,
             duplicates_suppressed=counters.duplicates_suppressed,
             probes_sent=counters.probes_sent,
+            transitions=len(transitions),
             time_degraded_s=time_degraded,
             time_down_s=time_down,
             max_perceived_step=counters.max_step,
             digest=journal.digest(),
+            **fault_attribution(self.schedule, transitions),
         )
         return ChaosResult(report=report, journal=journal,
                            schedule=self.schedule)

@@ -245,34 +245,29 @@ def shipped_schedules(duration_s: float = 40.0) -> dict[str, FaultSchedule]:
     if duration_s <= 0:
         raise ValueError("duration_s must be positive")
     s = duration_s / 40.0
-
-    def blinding() -> tuple:
-        return (AdcBlinding(8.0 * s, 14.0 * s, severity=0.35),
-                AdcBlinding(22.0 * s, 30.0 * s, severity=0.55))
-
-    def ack_burst() -> tuple:
-        return (AckLossBurst(10.0 * s, 16.0 * s, loss_probability=0.7),
-                AdcBlinding(24.0 * s, 30.0 * s, severity=0.4))
-
-    def transients() -> tuple:
-        return (AmbientStep(6.0 * s, 0.85),
-                AdcBlinding(12.0 * s, 18.0 * s, severity=0.45),
-                AmbientStep(20.0 * s, 0.3),
-                AdcBlinding(26.0 * s, 31.0 * s, severity=0.3))
-
-    def mixed() -> tuple:
-        return (AdcBlinding(5.0 * s, 10.0 * s, severity=0.4),
-                UplinkOutage(13.0 * s, 16.0 * s),
-                AckLossBurst(19.0 * s, 23.0 * s, loss_probability=0.8),
-                AmbientStep(25.0 * s, 0.8),
-                AdcBlinding(28.0 * s, 34.0 * s, severity=0.5))
-
     return {
-        "blinding": FaultSchedule(blinding()),
-        "ack-burst": FaultSchedule(ack_burst()),
-        "transients": FaultSchedule(transients()),
-        "mixed": FaultSchedule(mixed()),
+        "blinding": FaultSchedule((
+            AdcBlinding(8.0 * s, 14.0 * s, severity=0.35),
+            AdcBlinding(22.0 * s, 30.0 * s, severity=0.55))),
+        "ack-burst": FaultSchedule((
+            AckLossBurst(10.0 * s, 16.0 * s, loss_probability=0.7),
+            AdcBlinding(24.0 * s, 30.0 * s, severity=0.4))),
+        "transients": FaultSchedule((
+            AmbientStep(6.0 * s, 0.85),
+            AdcBlinding(12.0 * s, 18.0 * s, severity=0.45),
+            AmbientStep(20.0 * s, 0.3),
+            AdcBlinding(26.0 * s, 31.0 * s, severity=0.3))),
+        "mixed": FaultSchedule((
+            AdcBlinding(5.0 * s, 10.0 * s, severity=0.4),
+            UplinkOutage(13.0 * s, 16.0 * s),
+            AckLossBurst(19.0 * s, 23.0 * s, loss_probability=0.8),
+            AmbientStep(25.0 * s, 0.8),
+            AdcBlinding(28.0 * s, 34.0 * s, severity=0.5))),
     }
+
+
+#: The shipped schedules' names, in :func:`shipped_schedules` order.
+SHIPPED_SCHEDULES = tuple(shipped_schedules())
 
 
 def install_fault_events(schedule: FaultSchedule,

@@ -170,36 +170,15 @@ class ResilienceReport:
         return "\n".join(lines)
 
 
-def build_report(*, duration_s: float, supervised: bool,
-                 schedule: FaultSchedule,
-                 transitions: list[LinkTransition],
-                 goodput_bps: float, delivered_goodput_bps: float,
-                 degraded_goodput_bps: float, frames_sent: int,
-                 frames_delivered: int, frames_lost: int,
-                 retransmissions: int, duplicates_suppressed: int,
-                 probes_sent: int, time_degraded_s: float,
-                 time_down_s: float, max_perceived_step: float,
-                 digest: str) -> ResilienceReport:
-    """Assemble a :class:`ResilienceReport` with fault attribution."""
+def fault_attribution(schedule: FaultSchedule,
+                      transitions: list[LinkTransition]) -> dict:
+    """The report's fault fields: ``n_faults`` and the mean times to
+    detect and to recover over the schedule's channel windows."""
     windows = fault_windows(schedule)
-    return ResilienceReport(
-        duration_s=duration_s,
-        supervised=supervised,
-        goodput_bps=goodput_bps,
-        delivered_goodput_bps=delivered_goodput_bps,
-        degraded_goodput_bps=degraded_goodput_bps,
-        frames_sent=frames_sent,
-        frames_delivered=frames_delivered,
-        frames_lost=frames_lost,
-        retransmissions=retransmissions,
-        duplicates_suppressed=duplicates_suppressed,
-        probes_sent=probes_sent,
-        transitions=len(transitions),
-        time_degraded_s=time_degraded_s,
-        time_down_s=time_down_s,
-        n_faults=len(windows),
-        mean_time_to_detect_s=_mean(detection_delays(windows, transitions)),
-        mean_time_to_recover_s=_mean(recovery_delays(windows, transitions)),
-        max_perceived_step=max_perceived_step,
-        digest=digest,
-    )
+    return {
+        "n_faults": len(windows),
+        "mean_time_to_detect_s": _mean(detection_delays(windows,
+                                                        transitions)),
+        "mean_time_to_recover_s": _mean(recovery_delays(windows,
+                                                        transitions)),
+    }

@@ -1,14 +1,24 @@
-"""The declarative scenario DSL: frozen specs plus a strict loader.
+"""The declarative scenario DSL: frozen specs plus one strict reader.
 
 A :class:`Scenario` is a day (or any stretch) of building life: rooms
 with their own luminaire grids, daylight curves behind their own
 windows, seeded occupant populations that arrive, break, and leave, an
 optional chaos overlay, and the SLOs the run is judged against.  The
-schema is versioned (:data:`SCHEMA_VERSION`) and the loader is strict —
-unknown keys, missing keys, version drift, negative durations and
-seeds, non-finite numbers, fractional counts, and duplicate room ids
-are all hard errors, never silent defaults — so a scenario file pinned
-in CI cannot quietly change meaning.
+schema is versioned (:data:`SCHEMA_VERSION`).
+
+One reader and one writer, both driven by the spec dataclasses, turn
+documents into specs and back: a document's keys are its spec's
+fields, a key is required exactly when its field has no default, and
+each value must already have its field's declared type — a float
+field takes a JSON number (never a string or a boolean), an int field
+a whole number, a str field a string, a spec field a mapping,
+``rooms`` a list, and an optional field also null.  Every range check
+lives in the specs' ``__post_init__``.  Unknown keys, missing keys,
+version drift, mistyped values, negative durations and seeds,
+non-finite numbers, fractional counts, duplicate room ids, and runs of
+more than :data:`MAX_STEPS` ticks or report windows are all hard
+errors, never silent defaults, so a scenario file pinned in CI cannot
+quietly change meaning.
 
 Everything here is declarative: specs carry no generators and no
 numpy state.  Compilation to profiles, traces, and the DES lives in
@@ -20,43 +30,93 @@ exactly (floats included), which the test suite checks by hypothesis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping
 
 from ..core.params import require_finite
+from ..resilience.faults import SHIPPED_SCHEDULES
 
 #: The schema understood by :meth:`Scenario.from_dict`.
 SCHEMA_VERSION = 1
 
-#: Chaos overlays resolvable by name (see ``resilience.shipped_schedules``
-#: plus the seeded ``random`` mix).
-CHAOS_SCHEDULES = ("blinding", "ack-burst", "transients", "mixed", "random")
+#: Chaos overlays resolvable by name: the shipped fault schedules plus
+#: the seeded ``random`` mix.
+CHAOS_SCHEDULES = SHIPPED_SCHEDULES + ("random",)
+
+#: Most sense ticks, and most report windows, one scenario may ask for:
+#: past it a run would not finish in useful time, or its report's
+#: window list would exhaust memory.
+MAX_STEPS = 100_000
 
 
-def _check_keys(row: Any, what: str, required: frozenset,
-                optional: frozenset = frozenset()) -> None:
-    """Reject non-mappings, unknown keys, and missing required keys."""
+def _label(spec: type) -> str:
+    """How messages name a spec: ``RoomSpec`` is ``room``."""
+    return spec.__name__.removesuffix("Spec").lower()
+
+
+def _read(spec: type, row: Any) -> Any:
+    """Build ``spec`` from a document mapping.
+
+    The keys are the spec's fields, those without a default are
+    required, and each value is checked by :func:`_typed` against its
+    field's annotation.
+    """
+    what = _label(spec)
     if not isinstance(row, Mapping):
         raise ValueError(f"{what} must be a mapping, "
                          f"got {type(row).__name__}")
-    unknown = sorted(set(row) - required - optional)
+    declared = {f.name: f for f in fields(spec)}
+    unknown = sorted(set(row) - set(declared))
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
-    missing = sorted(required - set(row))
+    missing = sorted(name for name, f in declared.items()
+                     if name not in row and f.default is MISSING
+                     and f.default_factory is MISSING)
     if missing:
         raise ValueError(f"{what} missing key(s): {', '.join(missing)}")
+    return spec(**{key: _typed(key, declared[key].type, value)
+                   for key, value in row.items()})
 
 
-def _whole(row: Mapping[str, Any], key: str) -> int:
-    """``row[key]`` as an ``int``; anything but a finite whole number is
-    a ``ValueError`` naming the field."""
-    value = row[key]
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"{key} must be a whole number, got {value!r}")
+def _typed(key: str, annotation: str, value: Any) -> Any:
+    """``value`` checked against the annotation of field ``key``.
+
+    An integer for a float field comes back as a float, a whole float
+    for an int field as an int, and a mapping for a spec field as the
+    spec.  Annotations are matched as the strings this module spells
+    (``from __future__ import annotations``), never evaluated: before
+    Python 3.10, ``X | None`` does not evaluate.  A value of any other
+    type is a ``ValueError`` naming ``key``.
+    """
+    if annotation.endswith(" | None"):
+        if value is None:
+            return None
+        annotation = annotation[:-len(" | None")]
+    if annotation == "float":
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                return float(value)
+            except OverflowError:
+                pass
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    if annotation == "int":
+        if isinstance(value, float) and value.is_integer():
+            return int(value)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    if annotation == "str":
+        if isinstance(value, str):
+            return value
+        raise ValueError(f"{key} must be a string, got {value!r}")
+    if annotation.startswith("tuple["):
+        item = _SPECS[annotation[len("tuple["):-len(", ...]")]]
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"{key} must be a list of {_label(item)} "
+                             f"mappings")
+        return tuple(_read(item, entry) for entry in value)
+    return _read(_SPECS[annotation], value)
 
 
 @dataclass(frozen=True)
@@ -91,25 +151,6 @@ class DaylightSpec:
         if not 0.0 < self.window_gain <= 1.0:
             raise ValueError("window_gain must lie in (0, 1]")
 
-    def to_dict(self) -> dict[str, Any]:
-        """The exact JSON-able form (round-trips via :meth:`from_dict`)."""
-        return {
-            "sunrise_s": self.sunrise_s,
-            "sunset_s": self.sunset_s,
-            "peak_level": self.peak_level,
-            "night_level": self.night_level,
-            "cloud_depth": self.cloud_depth,
-            "cloud_time_scale_s": self.cloud_time_scale_s,
-            "window_gain": self.window_gain,
-        }
-
-    @classmethod
-    def from_dict(cls, row: Mapping[str, Any]) -> "DaylightSpec":
-        """Strictly parse a daylight spec (unknown keys are errors)."""
-        _check_keys(row, "daylight", frozenset(),
-                    frozenset(cls.__dataclass_fields__))
-        return cls(**{key: (float(row[key])) for key in row})
-
 
 @dataclass(frozen=True)
 class OccupancySpec:
@@ -125,7 +166,7 @@ class OccupancySpec:
     valid presence timeline.
     """
 
-    population: int = 2
+    population: int
     arrive_lo_s: float = 0.0
     arrive_hi_s: float = 0.0
     depart_lo_s: float = 3600.0
@@ -167,34 +208,6 @@ class OccupancySpec:
         if self.pause_s < 0:
             raise ValueError("pause_s must be non-negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        """The exact JSON-able form (round-trips via :meth:`from_dict`)."""
-        return {
-            "population": self.population,
-            "arrive_lo_s": self.arrive_lo_s,
-            "arrive_hi_s": self.arrive_hi_s,
-            "depart_lo_s": self.depart_lo_s,
-            "depart_hi_s": self.depart_hi_s,
-            "break_probability": self.break_probability,
-            "break_lo_s": self.break_lo_s,
-            "break_hi_s": self.break_hi_s,
-            "break_duration_s": self.break_duration_s,
-            "speed_min_mps": self.speed_min_mps,
-            "speed_max_mps": self.speed_max_mps,
-            "pause_s": self.pause_s,
-        }
-
-    @classmethod
-    def from_dict(cls, row: Mapping[str, Any]) -> "OccupancySpec":
-        """Strictly parse an occupancy spec (unknown keys are errors)."""
-        _check_keys(row, "occupancy", frozenset({"population"}),
-                    frozenset(cls.__dataclass_fields__) - {"population"})
-        values: dict[str, Any] = {"population": _whole(row, "population")}
-        for key in row:
-            if key != "population":
-                values[key] = float(row[key])
-        return cls(**values)
-
 
 @dataclass(frozen=True)
 class RoomSpec:
@@ -210,7 +223,8 @@ class RoomSpec:
     cols: int = 2
     spacing_m: float = 2.5
     daylight: DaylightSpec = field(default_factory=DaylightSpec)
-    occupancy: OccupancySpec = field(default_factory=OccupancySpec)
+    occupancy: OccupancySpec = field(
+        default_factory=lambda: OccupancySpec(population=2))
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -226,35 +240,6 @@ class RoomSpec:
             raise ValueError("spacing_m must lie in (0, 4] so every "
                              "occupant stays in their own room's zones")
 
-    def to_dict(self) -> dict[str, Any]:
-        """The exact JSON-able form (round-trips via :meth:`from_dict`)."""
-        return {
-            "id": self.id,
-            "rows": self.rows,
-            "cols": self.cols,
-            "spacing_m": self.spacing_m,
-            "daylight": self.daylight.to_dict(),
-            "occupancy": self.occupancy.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, row: Mapping[str, Any]) -> "RoomSpec":
-        """Strictly parse a room spec (unknown keys are errors)."""
-        _check_keys(row, "room", frozenset({"id"}),
-                    frozenset({"rows", "cols", "spacing_m", "daylight",
-                               "occupancy"}))
-        values: dict[str, Any] = {"id": row["id"]}
-        for key in ("rows", "cols"):
-            if key in row:
-                values[key] = _whole(row, key)
-        if "spacing_m" in row:
-            values["spacing_m"] = float(row["spacing_m"])
-        if "daylight" in row:
-            values["daylight"] = DaylightSpec.from_dict(row["daylight"])
-        if "occupancy" in row:
-            values["occupancy"] = OccupancySpec.from_dict(row["occupancy"])
-        return cls(**values)
-
 
 @dataclass(frozen=True)
 class ChaosSpec:
@@ -267,7 +252,7 @@ class ChaosSpec:
     rest are surfaced in the report notes rather than silently applied.
     """
 
-    schedule: str = "mixed"
+    schedule: str
     intensity: float = 0.5
 
     def __post_init__(self) -> None:
@@ -277,20 +262,6 @@ class ChaosSpec:
                              f"expected one of {', '.join(CHAOS_SCHEDULES)}")
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError("intensity must lie in [0, 1]")
-
-    def to_dict(self) -> dict[str, Any]:
-        """The exact JSON-able form (round-trips via :meth:`from_dict`)."""
-        return {"schedule": self.schedule, "intensity": self.intensity}
-
-    @classmethod
-    def from_dict(cls, row: Mapping[str, Any]) -> "ChaosSpec":
-        """Strictly parse a chaos spec (unknown keys are errors)."""
-        _check_keys(row, "chaos", frozenset({"schedule"}),
-                    frozenset({"intensity"}))
-        values: dict[str, Any] = {"schedule": row["schedule"]}
-        if "intensity" in row:
-            values["intensity"] = float(row["intensity"])
-        return cls(**values)
 
 
 @dataclass(frozen=True)
@@ -320,28 +291,11 @@ class SloSpec:
                 and self.max_flicker_violations < 0):
             raise ValueError("max_flicker_violations must be non-negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        """The exact JSON-able form (round-trips via :meth:`from_dict`)."""
-        return {
-            "min_goodput_bps": self.min_goodput_bps,
-            "max_illumination_error": self.max_illumination_error,
-            "max_flicker_violations": self.max_flicker_violations,
-        }
 
-    @classmethod
-    def from_dict(cls, row: Mapping[str, Any]) -> "SloSpec":
-        """Strictly parse an SLO spec (unknown keys are errors)."""
-        _check_keys(row, "slo", frozenset(),
-                    frozenset(cls.__dataclass_fields__))
-        values: dict[str, Any] = {}
-        for key in ("min_goodput_bps", "max_illumination_error"):
-            if key in row and row[key] is not None:
-                values[key] = float(row[key])
-        if ("max_flicker_violations" in row
-                and row["max_flicker_violations"] is not None):
-            values["max_flicker_violations"] = \
-                _whole(row, "max_flicker_violations")
-        return cls(**values)
+#: The specs a document nests, by the names their annotations spell.
+_SPECS = {spec.__name__: spec
+          for spec in (DaylightSpec, OccupancySpec, RoomSpec, ChaosSpec,
+                       SloSpec)}
 
 
 @dataclass(frozen=True)
@@ -369,8 +323,14 @@ class Scenario:
             raise ValueError("duration_s must be positive")
         if not 0.0 < self.tick_s <= self.duration_s:
             raise ValueError("tick_s must lie in (0, duration_s]")
+        if self.duration_s / self.tick_s > MAX_STEPS:
+            raise ValueError(f"tick_s must leave at most {MAX_STEPS} "
+                             f"ticks in duration_s")
         if self.report_window_s <= 0:
             raise ValueError("report_window_s must be positive")
+        if self.duration_s / self.report_window_s > MAX_STEPS:
+            raise ValueError(f"report_window_s must leave at most "
+                             f"{MAX_STEPS} report windows in duration_s")
         if not 0.0 < self.target_sum <= 1.5:
             raise ValueError("target_sum must lie in (0, 1.5]")
         if not self.rooms:
@@ -399,57 +359,27 @@ class Scenario:
 
     def to_dict(self) -> dict[str, Any]:
         """The exact JSON-able form (round-trips via :meth:`from_dict`)."""
-        return {
-            "version": SCHEMA_VERSION,
-            "name": self.name,
-            "description": self.description,
-            "seed": self.seed,
-            "duration_s": self.duration_s,
-            "tick_s": self.tick_s,
-            "report_window_s": self.report_window_s,
-            "target_sum": self.target_sum,
-            "rooms": [room.to_dict() for room in self.rooms],
-            "chaos": self.chaos.to_dict() if self.chaos else None,
-            "slo": self.slo.to_dict(),
-        }
+        document = asdict(self)
+        document["rooms"] = list(document["rooms"])
+        return {"version": SCHEMA_VERSION, **document}
 
     @classmethod
     def from_dict(cls, row: Mapping[str, Any]) -> "Scenario":
-        """Strictly parse a scenario dict (the versioned schema).
+        """Strictly parse a scenario document (the versioned schema).
 
-        Unknown keys anywhere, a missing or mismatched ``version``,
-        and every constraint of the spec dataclasses are hard errors.
+        A missing or mismatched ``version`` and everything the reader
+        rejects (see the module docstring) are hard errors.
         """
-        _check_keys(row, "scenario",
-                    frozenset({"version", "name", "rooms"}),
-                    frozenset({"description", "seed", "duration_s",
-                               "tick_s", "report_window_s", "target_sum",
-                               "chaos", "slo"}))
-        version = row["version"]
-        if version != SCHEMA_VERSION:
-            raise ValueError(f"unsupported scenario schema version "
-                             f"{version!r} (this build reads "
-                             f"{SCHEMA_VERSION})")
-        rooms = row["rooms"]
-        if not isinstance(rooms, (list, tuple)):
-            raise ValueError("rooms must be a list of room mappings")
-        values: dict[str, Any] = {
-            "name": row["name"],
-            "rooms": tuple(RoomSpec.from_dict(r) for r in rooms),
-        }
-        if "description" in row:
-            values["description"] = str(row["description"])
-        if "seed" in row:
-            values["seed"] = _whole(row, "seed")
-        for key in ("duration_s", "tick_s", "report_window_s",
-                    "target_sum"):
-            if key in row:
-                values[key] = float(row[key])
-        if row.get("chaos") is not None:
-            values["chaos"] = ChaosSpec.from_dict(row["chaos"])
-        if "slo" in row:
-            values["slo"] = SloSpec.from_dict(row["slo"])
-        return cls(**values)
+        if isinstance(row, Mapping):
+            row = dict(row)
+            if "version" not in row:
+                raise ValueError("scenario missing key(s): version")
+            version = row.pop("version")
+            if type(version) is not int or version != SCHEMA_VERSION:
+                raise ValueError(f"unsupported scenario schema version "
+                                 f"{version!r} (this build reads "
+                                 f"{SCHEMA_VERSION})")
+        return _read(cls, row)
 
     def to_json(self) -> str:
         """The scenario as an indented JSON document."""

@@ -104,28 +104,18 @@ class EndToEndLink:
                               failure="" if delivered else "payload mismatch")
 
     def measure_slot_error_rate(self, design: SchemeDesign, payload: bytes,
-                                n_frames: int, rng: np.random.Generator,
-                                batch: bool = True) -> float:
+                                n_frames: int,
+                                rng: np.random.Generator) -> float:
         """Average slot error rate over repeated frames.
 
-        With ``batch=True`` (the default) the deterministic half of the
-        pipeline — frame assembly, LED edge filter, optics, ambient
-        pedestal — is synthesised once and all frames' noise is drawn
-        in a single ``(n_frames, n_samples)`` pass; per-row work is
-        reduced to the C-level sync correlation and slot decisions.
-        ``batch=False`` keeps the frame-at-a-time reference loop; both
-        paths consume the identical random stream and return the same
-        value for the same seed.
+        The deterministic half of the pipeline — frame assembly, LED
+        edge filter, optics, ambient pedestal — is synthesised once and
+        all frames' noise is drawn in a single ``(n_frames, n_samples)``
+        pass; per-row work is reduced to the C-level sync correlation
+        and slot decisions.  It consumes the random stream that
+        :meth:`send_frame` in a loop would, and returns the same rate
+        for the same seed.
         """
-        if not batch:
-            total_errors = 0
-            total_slots = 0
-            for _ in range(n_frames):
-                report = self.send_frame(payload, design, rng)
-                total_errors += report.slot_errors
-                total_slots += report.n_slots
-            return total_errors / total_slots if total_slots else 0.0
-
         if n_frames < 1:
             return 0.0
         with span("endtoend.measure_slot_error_rate", n_frames=n_frames):

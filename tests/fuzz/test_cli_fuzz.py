@@ -31,7 +31,7 @@ class TestFuzzRun:
         args = ("fuzz", "run", "--budget", "10", "--seed", "3",
                 "--oracles", "codec")
         _, serial, _ = invoke(*args)
-        _, parallel, _ = invoke(*args, "--jobs", "2", "--chunk", "5")
+        _, parallel, _ = invoke(*args, "--jobs", "2")
         digest = [line for line in serial.splitlines()
                   if line.startswith("campaign digest:")]
         assert digest

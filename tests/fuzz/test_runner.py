@@ -13,6 +13,7 @@ from repro.fuzz import (
     CampaignConfig,
     replay_params,
     run_campaign,
+    runner,
     self_test,
 )
 from repro.fuzz.oracles import DEFECT_ENV
@@ -27,12 +28,12 @@ class TestCampaignDeterminism:
         assert report.by_status == {"ok": 24}
         assert sum(report.by_oracle.values()) == 24
 
-    def test_digest_is_jobs_invariant(self):
+    def test_digest_is_jobs_invariant(self, monkeypatch):
         serial = run_campaign(CampaignConfig(seed=1, budget=16,
                                              oracles=("codec", "design",
                                                       "roundtrip")))
+        monkeypatch.setattr(runner, "CHUNK", 4)
         parallel = run_campaign(CampaignConfig(seed=1, budget=16, jobs=2,
-                                               chunk=4,
                                                oracles=("codec", "design",
                                                         "roundtrip")))
         assert serial.digest == parallel.digest
@@ -87,8 +88,9 @@ class TestFindingsPipeline:
 
     def test_crash_is_isolated_not_fatal(self, monkeypatch):
         monkeypatch.setenv(DEFECT_ENV, "crash")
+        monkeypatch.setattr(runner, "CHUNK", 5)
         report = run_campaign(CampaignConfig(
-            seed=0, budget=10, jobs=2, chunk=5, oracles=("codec",),
+            seed=0, budget=10, jobs=2, oracles=("codec",),
             timeout_s=10.0))
         assert report.executed == 10
         assert report.by_status.get("crash", 0) >= 1
@@ -99,8 +101,9 @@ class TestFindingsPipeline:
 
     def test_hang_is_deadlined_not_fatal(self, monkeypatch):
         monkeypatch.setenv(DEFECT_ENV, "hang")
+        monkeypatch.setattr(runner, "CHUNK", 2)
         report = run_campaign(CampaignConfig(
-            seed=0, budget=4, jobs=2, chunk=2, oracles=("codec",),
+            seed=0, budget=4, jobs=2, oracles=("codec",),
             timeout_s=1.0))
         assert report.executed == 4
         assert report.by_status.get("hang", 0) >= 1

@@ -17,6 +17,11 @@ from repro.scenarios import (
     SloSpec,
     load_scenario,
 )
+from repro.scenarios.dsl import MAX_STEPS
+
+#: The fields a spec has no default for, set to a valid value.
+REQUIRED = {OccupancySpec: dict(population=2),
+            ChaosSpec: dict(schedule="mixed")}
 
 
 def tiny_room(room_id="a", **occupancy):
@@ -84,11 +89,12 @@ class TestValidation:
 
     def test_occupancy_window_ordering(self):
         with pytest.raises(ValueError, match="arrive_lo_s"):
-            OccupancySpec(arrive_lo_s=-1.0)
+            OccupancySpec(population=2, arrive_lo_s=-1.0)
         with pytest.raises(ValueError):
-            OccupancySpec(arrive_lo_s=10.0, arrive_hi_s=5.0)
+            OccupancySpec(population=2, arrive_lo_s=10.0, arrive_hi_s=5.0)
         with pytest.raises(ValueError, match="break"):
-            OccupancySpec(break_probability=0.5, break_duration_s=0.0)
+            OccupancySpec(population=2, break_probability=0.5,
+                          break_duration_s=0.0)
 
     def test_unknown_chaos_schedule_rejected(self):
         with pytest.raises(ValueError, match="unknown chaos schedule"):
@@ -116,7 +122,19 @@ class TestValidation:
         # pass every run.
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
-                spec(**{field: bad})
+                spec(**REQUIRED.get(spec, {}), **{field: bad})
+
+    def test_runs_past_the_step_cap_rejected(self):
+        # A tick or window this fine asks for a run that does not
+        # finish, or a window list that exhausts memory.
+        with pytest.raises(ValueError, match="tick_s must leave at most"):
+            tiny_scenario(duration_s=1800.0, tick_s=1e-4)
+        with pytest.raises(ValueError,
+                           match="report_window_s must leave at most"):
+            tiny_scenario(duration_s=1800.0, report_window_s=1e-6)
+        at_cap = tiny_scenario(duration_s=float(MAX_STEPS), tick_s=1.0,
+                               report_window_s=1.0)
+        assert at_cap.duration_s / at_cap.report_window_s == MAX_STEPS
 
     def test_non_finite_scenario_times_rejected(self):
         for field in ("duration_s", "tick_s", "report_window_s"):
@@ -176,7 +194,7 @@ class TestFieldBounds:
     @pytest.mark.parametrize("spec, fields, message", OUT_OF_BOUNDS)
     def test_out_of_bounds_field_rejected(self, spec, fields, message):
         with pytest.raises(ValueError, match=message):
-            spec(**fields)
+            spec(**{**REQUIRED.get(spec, {}), **fields})
 
     def test_empty_scenario_name_rejected(self):
         with pytest.raises(ValueError, match="scenario name"):
@@ -211,10 +229,14 @@ class TestLoader:
             Scenario.from_dict(row)
 
     def test_version_mismatch_rejected(self):
-        row = tiny_scenario().to_dict()
-        row["version"] = 2
-        with pytest.raises(ValueError, match="unsupported scenario schema"):
-            Scenario.from_dict(row)
+        # The version is the integer 1: true and 1.0 compare equal to
+        # it but are not it.
+        for version in (2, True, 1.0):
+            row = tiny_scenario().to_dict()
+            row["version"] = version
+            with pytest.raises(ValueError,
+                               match="unsupported scenario schema"):
+                Scenario.from_dict(row)
 
     def test_missing_version_rejected(self):
         row = tiny_scenario().to_dict()
@@ -246,6 +268,24 @@ class TestLoader:
                 Scenario.from_dict(with_field(bad))
         assert Scenario.from_dict(with_field(1.0)) \
             == Scenario.from_dict(with_field(1))
+
+    @pytest.mark.parametrize("path, value", [
+        pytest.param(("duration_s",), "1800", id="float-as-string"),
+        pytest.param(("rooms", 0, "spacing_m"), True, id="float-as-bool"),
+        pytest.param(("duration_s",), 10 ** 400, id="float-out-of-range"),
+        pytest.param(("description",), ["a", "list"], id="str-as-list"),
+        pytest.param(("description",), None, id="str-as-null"),
+        pytest.param(("tick_s",), None, id="float-as-null"),
+    ])
+    def test_values_must_have_their_field_type(self, path, value):
+        row = tiny_scenario().to_dict()
+        *parents, key = path
+        leaf = row
+        for step in parents:
+            leaf = leaf[step]
+        leaf[key] = value
+        with pytest.raises(ValueError, match=key):
+            Scenario.from_dict(row)
 
     def test_rooms_must_be_a_list(self):
         row = tiny_scenario().to_dict()

@@ -75,9 +75,11 @@ class TestBatchParity:
         link = EndToEndLink(config=config,
                             geometry=LinkGeometry.on_axis(4.8))
         batched = link.measure_slot_error_rate(
-            design, bytes(48), 8, np.random.default_rng(1234), batch=True)
-        scalar = link.measure_slot_error_rate(
-            design, bytes(48), 8, np.random.default_rng(1234), batch=False)
+            design, bytes(48), 8, np.random.default_rng(1234))
+        rng = np.random.default_rng(1234)
+        reports = [link.send_frame(bytes(48), design, rng) for _ in range(8)]
+        scalar = (sum(r.slot_errors for r in reports)
+                  / sum(r.n_slots for r in reports))
         assert batched == scalar
         assert batched > 0  # 4.8 m is noisy enough to exercise errors
 

@@ -353,6 +353,9 @@ class TestScenario:
         (("rooms", 0, "occupancy", "pause_s"), math.inf),
         (("slo", "min_goodput_bps"), math.nan),
         (("slo", "max_illumination_error"), math.nan),
+        (("duration_s",), "1800"),
+        (("rooms", 0, "spacing_m"), True),
+        pytest.param(("duration_s",), 10 ** 400, id="duration_s-10**400"),
     ], ids=lambda case: case[-1] if isinstance(case, tuple) else repr(case))
     def test_unrunnable_file_exits_2(self, tmp_path, path, value):
         # One field of a shipped scenario's own document, made
