@@ -57,13 +57,6 @@ class AdaptationPlan:
             previous = level
         return worst
 
-    def is_flicker_safe(self, tau_perceived: float,
-                        tolerance: float = 1e-12) -> bool:
-        """Whether no step along the trajectory exceeds the Type-II bound."""
-        if tau_perceived <= 0:
-            raise ValueError("tau_perceived must be positive")
-        return self.max_perceived_step <= tau_perceived + tolerance
-
     def __iter__(self):
         return iter(self.levels)
 

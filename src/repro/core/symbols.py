@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .combinatorics import binomial, bits_per_symbol
+from .combinatorics import bits_per_symbol
 from .errormodel import SlotErrorModel
 from .params import SystemConfig
 
@@ -45,11 +45,6 @@ class SymbolPattern:
     def bits(self) -> int:
         """Data bits carried per symbol: floor(log2 C(N, K))."""
         return bits_per_symbol(self.n_slots, self.n_on)
-
-    @property
-    def shape_count(self) -> int:
-        """Number of distinct ON placements, C(N, K)."""
-        return binomial(self.n_slots, self.n_on)
 
     def duration(self, config: SystemConfig) -> float:
         """Symbol duration T = N * t_slot in seconds."""

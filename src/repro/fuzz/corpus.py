@@ -1,4 +1,4 @@
-"""The regression corpus: shrunk repros replayed on every CI run.
+"""The regression corpus: shrunk repros replayed by the test suite.
 
 A corpus artifact is one JSON file pinning a minimal repro and the
 digest its replay must reproduce bit-identically:
@@ -18,7 +18,7 @@ trigger keeps guarding the code path that once broke.
 
 ``repro fuzz corpus`` writes new artifacts from findings;
 :func:`replay_corpus` (also ``repro fuzz replay``) checks a directory
-of them, and the ``fuzz-smoke`` CI job fails on any drift.
+of them, and ``tests/fuzz/test_cli_fuzz.py`` fails on any drift.
 """
 
 from __future__ import annotations

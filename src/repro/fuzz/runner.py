@@ -20,7 +20,7 @@ record, ready for ``repro fuzz replay`` or the regression corpus.
 
 The campaign digest is a SHA-256 over the per-case result digests *in
 index order*, which makes it independent of ``--jobs``: the
-determinism property the CLI and the CI smoke job assert.
+determinism property the CLI and ``tests/test_contracts.py`` assert.
 """
 
 from __future__ import annotations

@@ -34,6 +34,11 @@ from .receiver import Receiver
 from .transmitter import Transmitter
 from .wifi import WifiUplink
 
+#: The paper's fixed ACK timeout before a retransmission (Section 6.1).
+ACK_TIMEOUT_S = 10.0e-3
+#: Retransmissions of one payload before it is abandoned.
+MAX_RETRIES = 8
+
 
 @dataclass
 class MacStats:
@@ -109,8 +114,8 @@ class StopAndWaitMac:
 
     config: SystemConfig = field(default_factory=SystemConfig)
     uplink: WifiUplink = field(default_factory=WifiUplink)
-    ack_timeout_s: float = 10.0e-3
-    max_retries: int = 8
+    ack_timeout_s: float = ACK_TIMEOUT_S
+    max_retries: int = MAX_RETRIES
 
     def __post_init__(self) -> None:
         if self.ack_timeout_s <= 0:

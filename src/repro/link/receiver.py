@@ -52,11 +52,6 @@ class DecodedFrame:
     start: int
     end: int
 
-    @property
-    def slot_count(self) -> int:
-        """Slots consumed from preamble start to the last decoded slot."""
-        return self.end - self.start
-
 
 def _payload_decoder(header: FrameHeader,
                      config: SystemConfig) -> tuple[Callable[[Sequence[bool], int], list[int]], Callable[[int], int]]:

@@ -27,6 +27,7 @@ from enum import Enum
 from typing import TYPE_CHECKING
 
 from ..core.params import require_finite
+from .mac import ACK_TIMEOUT_S
 
 if TYPE_CHECKING:  # avoid a link <-> des import cycle at runtime
     from ..des.journal import EventJournal
@@ -51,7 +52,7 @@ class BackoffPolicy:
     non-decreasing in the attempt and never above ``cap_s``.
     """
 
-    base_timeout_s: float = 10.0e-3
+    base_timeout_s: float = ACK_TIMEOUT_S
     factor: float = 2.0
     cap_s: float = 0.16
 

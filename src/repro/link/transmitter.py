@@ -99,10 +99,6 @@ class Transmitter:
         slots.extend(design.encode_payload(body_bits))
         return slots
 
-    def frame_duration(self, payload: bytes, design: SchemeDesign) -> float:
-        """Airtime of one frame in seconds."""
-        return len(self.encode_frame(payload, design)) * self.config.t_slot
-
 
 @functools.lru_cache(maxsize=4096)
 def overhead_slots(descriptor: PatternDescriptor, dimming: float,

@@ -31,22 +31,25 @@ from ..core.ampdesign import shared_designer
 from ..core.params import SystemConfig, require_finite
 from ..des.journal import EventJournal
 from ..des.kernel import EventScheduler
-from ..lighting.ambient import AmbientProfile, StaticAmbient
 from ..lighting.controller import SmartLightingController
+from ..link.mac import ACK_TIMEOUT_S, MAX_RETRIES
 from ..link.supervision import BackoffPolicy, LinkState, LinkSupervisor
 from ..link.wifi import WifiUplink
-from ..phy.channel import VlcChannel, calibrated_channel
+from ..phy.channel import REFERENCE_DISTANCE_M, calibrated_channel
 from ..phy.optics import LinkGeometry
 from ..schemes import shared_scheme_design
 from ..sim.linkmodel import frame_slot_count, frame_success_probability
 from .faults import FaultSchedule, install_fault_events
 from .metrics import ResilienceReport, fault_attribution
 
-#: The paper's fixed ACK timeout: the baseline waits it out after every
-#: lost frame, and a supervised link after every lost probe.
-ACK_TIMEOUT_S = 10.0e-3
-#: Retransmissions of one payload before it is abandoned.
-MAX_RETRIES = 8
+#: The static ambient level behind the link, before faults perturb it.
+AMBIENT = 0.4
+#: The illumination target the lighting controller holds.
+TARGET_SUM = 1.0
+#: Period of the control loop, and the MAC's wait when no design fits.
+TICK_S = 1.0
+#: The Wi-Fi path that carries ACKs.
+UPLINK = WifiUplink()
 #: The supervised link's backoff: half the flat timeout as base (retry
 #: sooner on a first loss) with a gentle 1.25 factor — the losses here
 #: are random, not congestive, so aggressive escalation would only idle
@@ -76,7 +79,6 @@ class ChaosResult:
 
     report: ResilienceReport
     journal: EventJournal
-    schedule: FaultSchedule
 
 
 class _Counters:
@@ -109,13 +111,6 @@ class ChaosScenario:
     duration_s: float = 40.0
     seed: int = 13
     supervised: bool = True
-    ambient: AmbientProfile = field(default_factory=lambda: StaticAmbient(0.4))
-    target_sum: float = 1.0
-    tick_s: float = 1.0
-    uplink: WifiUplink = field(default_factory=WifiUplink)
-    #: paper's worst-case operating point (Section 3's 3.6 m reference)
-    distance_m: float = 3.6
-    channel: VlcChannel | None = None
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -123,23 +118,17 @@ class ChaosScenario:
             raise ValueError("duration_s must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.tick_s <= 0:
-            raise ValueError("tick_s must be positive")
-        if self.distance_m <= 0:
-            raise ValueError("distance_m must be positive")
 
     def run(self) -> ChaosResult:
         """Simulate the scenario and assemble its resilience report."""
         journal = EventJournal()
         scheduler = EventScheduler()
         rng = np.random.default_rng(self.seed)
-        channel = (self.channel if self.channel is not None
-                   else calibrated_channel(self.config))
-        geometry = LinkGeometry.on_axis(self.distance_m)
+        channel = calibrated_channel(self.config)
+        geometry = LinkGeometry.on_axis(REFERENCE_DISTANCE_M)
         designer = shared_designer(self.config)
         controller = SmartLightingController(
-            target_sum=self.target_sum, config=self.config,
-            designer=designer)
+            target_sum=TARGET_SUM, config=self.config, designer=designer)
         supervisor = (LinkSupervisor(degraded_after=DEGRADED_AFTER,
                                      down_after=DOWN_AFTER,
                                      recover_after=RECOVER_AFTER,
@@ -153,7 +142,7 @@ class ChaosScenario:
         frame_cache: dict = {}
 
         def ambient_now(t: float) -> float:
-            return self.schedule.ambient_at(t, self.ambient.intensity(t))
+            return self.schedule.ambient_at(t, AMBIENT)
 
         def errors_now(t: float):
             key = (round(ambient_now(t), 12),
@@ -186,7 +175,7 @@ class ChaosScenario:
             burst = self.schedule.ack_loss_at(t)
             if burst > 0.0 and rng.random() < burst:
                 return None
-            return self.uplink.deliver(t, rng)
+            return UPLINK.deliver(t, rng)
 
         # -- processes ---------------------------------------------------
 
@@ -203,7 +192,7 @@ class ChaosScenario:
                 journal.record(now, "control", "controller",
                                ambient=amb, led=sample.led,
                                state=state.value, step=step)
-                yield self.tick_s
+                yield TICK_S
 
         def mac_loop():
             pending_bytes: int | None = None
@@ -220,7 +209,7 @@ class ChaosScenario:
                     led = controller.led_intensity
                     design = design_for(led, conservative=True)
                     if design is None:
-                        yield self.tick_s
+                        yield TICK_S
                         continue
                     counters.probes_sent += 1
                     errors = errors_now(now)
@@ -259,7 +248,7 @@ class ChaosScenario:
                 conservative = state is LinkState.DEGRADED
                 design = design_for(led, conservative)
                 if design is None:
-                    yield self.tick_s
+                    yield TICK_S
                     continue
                 errors = errors_now(now)
                 t_frame, p_ok = frame_params(design, pending_bytes, errors)
@@ -339,5 +328,4 @@ class ChaosScenario:
             digest=journal.digest(),
             **fault_attribution(self.schedule, transitions),
         )
-        return ChaosResult(report=report, journal=journal,
-                           schedule=self.schedule)
+        return ChaosResult(report=report, journal=journal)

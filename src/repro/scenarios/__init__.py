@@ -10,7 +10,7 @@ and runs it at fleet scale and emits a :class:`ScenarioReport` of
 per-room/per-window SLOs under :class:`~repro.obs.manifest.
 RunManifest` provenance.  ``shipped_scenarios()`` holds the curated
 named days used by ``repro scenario``, the ``ext-scenarios``
-experiment, CI, and the benchmarks.
+experiment, the tests, and the benchmarks.
 """
 
 from .compiler import (

@@ -15,10 +15,10 @@ a whole number, a str field a string, a spec field a mapping,
 ``rooms`` a list, and an optional field also null.  Every range check
 lives in the specs' ``__post_init__``.  Unknown keys, missing keys,
 version drift, mistyped values, negative durations and seeds,
-non-finite numbers, fractional counts, duplicate room ids, and runs of
-more than :data:`MAX_STEPS` ticks or report windows are all hard
-errors, never silent defaults, so a scenario file pinned in CI cannot
-quietly change meaning.
+non-finite numbers, fractional counts, duplicate room ids, more than
+:data:`MAX_STEPS` ticks, report windows or cloud knots, and more than
+:data:`MAX_DEVICE_TICKS` ticks x (luminaires + occupants) are hard
+errors, never silent defaults, so a pinned file keeps its meaning.
 
 Everything here is declarative: specs carry no generators and no
 numpy state.  Compilation to profiles, traces, and the DES lives in
@@ -44,10 +44,12 @@ SCHEMA_VERSION = 1
 #: the seeded ``random`` mix.
 CHAOS_SCHEDULES = SHIPPED_SCHEDULES + ("random",)
 
-#: Most sense ticks, and most report windows, one scenario may ask for:
-#: past it a run would not finish in useful time, or its report's
-#: window list would exhaust memory.
+#: Most sense ticks, report windows or cloud knots one scenario may
+#: ask for: past it a run would not finish in useful time, or its
+#: report's window list or a room's cloud knots would exhaust memory.
 MAX_STEPS = 100_000
+#: Most ticks x (luminaires + occupants) one scenario may ask for.
+MAX_DEVICE_TICKS = 10 * MAX_STEPS
 
 
 def _label(spec: type) -> str:
@@ -148,6 +150,10 @@ class DaylightSpec:
             raise ValueError("cloud_depth must lie in [0, 1)")
         if self.cloud_time_scale_s <= 0:
             raise ValueError("cloud_time_scale_s must be positive")
+        if ((self.sunset_s - self.sunrise_s) / self.cloud_time_scale_s
+                > MAX_STEPS):
+            raise ValueError(f"cloud_time_scale_s must leave at most "
+                             f"{MAX_STEPS} cloud knots in daylight")
         if not 0.0 < self.window_gain <= 1.0:
             raise ValueError("window_gain must lie in (0, 1]")
 
@@ -346,6 +352,11 @@ class Scenario:
                     f"room {room.id!r}: departures extend past the "
                     f"scenario duration ({room.occupancy.depart_hi_s:g} > "
                     f"{self.duration_s:g})")
+        if (self.n_luminaires + self.population
+                > MAX_DEVICE_TICKS * self.tick_s / self.duration_s):
+            raise ValueError(f"tick_s, rows, cols and population must leave "
+                             f"at most {MAX_DEVICE_TICKS} ticks x (luminaires"
+                             f" + occupants) in duration_s")
 
     @property
     def n_luminaires(self) -> int:

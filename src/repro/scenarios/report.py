@@ -144,7 +144,7 @@ class ScenarioReport:
         }
 
     def as_dict(self) -> dict[str, Any]:
-        """The JSON artifact form (uploaded by the CI smoke job)."""
+        """The JSON artifact form (``repro scenario run --report``)."""
         return {
             "kind": "scenario-report",
             "scenario": self.scenario,

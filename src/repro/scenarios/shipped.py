@@ -1,10 +1,10 @@
-"""The shipped named scenarios: curated days for CI, bench, and demos.
+"""The shipped named scenarios: curated days for tests, bench, and demos.
 
 Each scenario is a pure :class:`~repro.scenarios.dsl.Scenario` value —
 no I/O, no ambient state — so ``shipped_scenarios()`` is as
 deterministic as the DSL itself.  ``huddle-smoke`` is deliberately the
 smallest (two luminaires, two occupants, half an hour) and is the one
-CI replays twice for byte-identical journal digests; the rest scale up
+whose journal digest the tests pin at two region counts; the rest scale up
 through a working day, a lunch-rush open plan, an overcast flicker
 stress, and a chaos-laced night shift.
 
@@ -192,5 +192,5 @@ def shipped_scenarios() -> dict[str, Scenario]:
     return {scenario.name: scenario for scenario in scenarios}
 
 
-#: The scenario CI replays twice for byte-identical digests.
+#: The smallest shipped scenario, whose digest the tests pin.
 SMOKE_SCENARIO = "huddle-smoke"

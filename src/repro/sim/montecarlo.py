@@ -71,13 +71,6 @@ class SymbolErrorEstimate:
             return 0.0
         return self.n_errors / self.n_symbols
 
-    @property
-    def undetected_fraction(self) -> float:
-        """Fraction of symbols that aliased silently (CRC territory)."""
-        if self.n_symbols == 0:
-            return 0.0
-        return self.n_undetected / self.n_symbols
-
     def consistent_with_analytic(self, sigmas: float = 4.0) -> bool:
         """Binomial consistency test against Eq. (3)."""
         p = self.analytic_ser

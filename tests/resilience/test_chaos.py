@@ -1,10 +1,11 @@
 """The chaos harness: determinism, graceful degradation, flicker.
 
-These are the PR's acceptance pins: same seed → bit-identical report
-and journal digest; under *every* shipped fault schedule the
-supervised link must beat the unsupervised baseline; the Type-II
-flicker bound holds through degradation and recovery; and the
-multicell simulator's faulted journal stays pinned.
+Same seed → bit-identical report and journal digest; under *every*
+shipped fault schedule the supervised link must beat the unsupervised
+baseline; the Type-II flicker bound holds through degradation and
+recovery; and the multicell simulator journals a fault schedule the
+same whatever order it lists its faults in.  The harness's digests are
+pinned by value in ``tests/test_contracts.py``.
 """
 
 import math
@@ -13,13 +14,14 @@ import pytest
 
 from repro.core import SystemConfig, shared_designer
 from repro.lighting import SmartLightingController
+from repro.link.mac import ACK_TIMEOUT_S, MAX_RETRIES
 from repro.net import default_network
 from repro.resilience import (AckLossBurst, ChaosScenario, FaultSchedule,
                               NodeDowntime, UplinkOutage, fault_windows,
                               shipped_schedules)
-from repro.resilience.chaos import (ACK_TIMEOUT_S, DEGRADED_PAYLOAD_BYTES,
-                                    MAX_RETRIES, PROBE_INTERVAL_S,
-                                    RECOVER_AFTER)
+from repro.resilience.chaos import (AMBIENT, DEGRADED_PAYLOAD_BYTES,
+                                    PROBE_INTERVAL_S, RECOVER_AFTER,
+                                    TARGET_SUM)
 from repro.schemes import shared_scheme_design
 from repro.sim.linkmodel import frame_slot_count
 
@@ -55,34 +57,6 @@ class TestDeterminism:
         result = ChaosScenario(schedule=SCHEDULES["transients"],
                                seed=13).run()
         assert result.report.digest == result.journal.digest()
-
-
-class TestGoldenDigests:
-    """The harness's own journals pinned by value.
-
-    Control ticks, MAC frames and fault boundaries share one DES clock
-    at priorities -1, 0 and 1, so any change in the kernel's dispatch
-    order moves these bytes.  Pinned on CPython 3.11 with NumPy 2.4;
-    the journals hold only plain ``int``/``float``/``str`` values, so
-    the digest does not depend on NumPy's scalar repr.
-    """
-
-    @pytest.mark.parametrize("name,supervised,digest", [
-        pytest.param("mixed", True, "46ffdcd580fde2b4d2347ad227960045"
-                     "cd072fde94a607b14d370bb712b9bfb9", id="mixed-supervised"),
-        pytest.param("mixed", False, "593b601cd44ee0e5fe1091e8cb78e4b9"
-                     "97c234783193d69d076422d7c71915a5", id="mixed-baseline"),
-        pytest.param("blinding", True, "4abe98e3a599ad38bf2865521b6b3cb3"
-                     "ff63b9c24926c0007f6fefa295990f15",
-                     id="blinding-supervised"),
-        pytest.param("blinding", False, "e3e4320bb9ac87e3083a4e65d9747826"
-                     "211394c201b673498b91ba57f000cd44",
-                     id="blinding-baseline"),
-    ])
-    def test_shipped_schedule_digest(self, name, supervised, digest):
-        result = ChaosScenario(schedule=SCHEDULES[name], seed=13,
-                               supervised=supervised).run()
-        assert result.journal.digest() == digest
 
 
 class TestGracefulDegradation:
@@ -134,9 +108,9 @@ def frame_airtime(payload_bytes: int, conservative: bool) -> float:
     """Airtime of one frame at the default scenario's LED level."""
     config = SystemConfig()
     designer = shared_designer(config)
-    controller = SmartLightingController(target_sum=1.0, config=config,
-                                         designer=designer)
-    led = controller.required_led(0.4)  # the default static ambient
+    controller = SmartLightingController(target_sum=TARGET_SUM,
+                                         config=config, designer=designer)
+    led = controller.required_led(AMBIENT)
     raw = (controller.conservative_design(led) if conservative
            else designer.design_clamped(led))
     design = shared_scheme_design(raw, config)
@@ -213,18 +187,13 @@ class TestScenarioValidation:
     def test_guards(self):
         with pytest.raises(ValueError):
             ChaosScenario(duration_s=0.0)
-        with pytest.raises(ValueError):
-            ChaosScenario(tick_s=0.0)
-        with pytest.raises(ValueError):
-            ChaosScenario(distance_m=0.0)
 
     def test_negative_seed_rejected_at_construction(self):
         with pytest.raises(ValueError, match="seed"):
             ChaosScenario(seed=-1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", [
-        "duration_s", "target_sum", "tick_s", "distance_m"])
+    @pytest.mark.parametrize("name", ["duration_s"])
     def test_non_finite_fields_rejected(self, name, bad):
         # Construction only: at duration_s=inf a run would never return.
         with pytest.raises(ValueError, match=f"{name} must be finite"):
@@ -250,13 +219,3 @@ class TestMulticellRefactorEquivalence:
                 faults=FaultSchedule(faults.faults[::-1])).run(30.0)
             assert direct.journal.digest() == reordered.journal.digest()
             assert direct.metrics() == reordered.metrics()
-
-    def test_golden_seed_digests(self):
-        """Pins the multicell journal, with and without faults."""
-        plain = default_network(rows=2, cols=2, n_nodes=4, seed=13).run(30.0)
-        faulted = default_network(rows=2, cols=2, n_nodes=4, seed=13,
-                                  faults=self.FAULTS).run(30.0)
-        assert plain.journal.digest() == (
-            "980ce7357a220787a5fb8a423263a32ba5e1636b50a84c73f6595a0dcf093afb")
-        assert faulted.journal.digest() == (
-            "65dddb4527a1d412d4fea84658544b94f290fd186c270bb7107deaf5a8412b0c")

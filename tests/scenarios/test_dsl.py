@@ -17,7 +17,7 @@ from repro.scenarios import (
     SloSpec,
     load_scenario,
 )
-from repro.scenarios.dsl import MAX_STEPS
+from repro.scenarios.dsl import MAX_DEVICE_TICKS, MAX_STEPS
 
 #: The fields a spec has no default for, set to a valid value.
 REQUIRED = {OccupancySpec: dict(population=2),
@@ -135,6 +135,34 @@ class TestValidation:
         at_cap = tiny_scenario(duration_s=float(MAX_STEPS), tick_s=1.0,
                                report_window_s=1.0)
         assert at_cap.duration_s / at_cap.report_window_s == MAX_STEPS
+
+    def test_cloud_knots_past_the_step_cap_rejected(self):
+        # The sky stores one knot per cloud_time_scale_s of daylight: a
+        # scale this fine asks for more than memory holds.
+        at_cap = DaylightSpec(sunrise_s=0.0, sunset_s=float(MAX_STEPS),
+                              cloud_time_scale_s=1.0)
+        assert at_cap.sunset_s / at_cap.cloud_time_scale_s == MAX_STEPS
+        with pytest.raises(ValueError,
+                           match="cloud_time_scale_s must leave at most"):
+            DaylightSpec(sunrise_s=0.0, sunset_s=MAX_STEPS + 1.0,
+                         cloud_time_scale_s=1.0)
+
+    def test_buildings_past_the_device_tick_cap_rejected(self):
+        # 1000 ticks of one luminaire and 999 occupants is the cap; one
+        # more occupant is past it.
+        def building(population):
+            return tiny_scenario(
+                duration_s=1000.0, tick_s=1.0, report_window_s=1000.0,
+                rooms=(tiny_room(population=population, depart_lo_s=900.0,
+                                 depart_hi_s=1000.0),))
+
+        at_cap = building(999)
+        assert (at_cap.duration_s / at_cap.tick_s
+                * (at_cap.n_luminaires + at_cap.population)
+                == MAX_DEVICE_TICKS)
+        with pytest.raises(ValueError,
+                           match="tick_s, rows, cols and population"):
+            building(1000)
 
     def test_non_finite_scenario_times_rejected(self):
         for field in ("duration_s", "tick_s", "report_window_s"):

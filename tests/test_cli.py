@@ -169,6 +169,12 @@ class TestJournal:
         assert rows
         assert {"seq", "time", "kind"} <= set(rows[0])
 
+    def test_sharded_run_reports_its_shards(self):
+        code, text, _ = run_cli("journal", "--grid", "2x2", "--nodes", "2",
+                                "--regions", "2", "--duration", "4")
+        assert code == 0
+        assert "2 regions (2 shards)" in text
+
     def test_same_seed_same_digest(self):
         _, first, _ = run_cli("journal", "--grid", "1x2", "--nodes", "2",
                               "--duration", "6", "--seed", "9")
@@ -356,11 +362,16 @@ class TestScenario:
         (("duration_s",), "1800"),
         (("rooms", 0, "spacing_m"), True),
         pytest.param(("duration_s",), 10 ** 400, id="duration_s-10**400"),
+        (("tick_s",), 1e-4),
+        (("rooms", 0, "daylight", "cloud_time_scale_s"), 1e-6),
+        (("rooms", 0, "occupancy", "population"), 1_000_000),
+        (("rooms", 0, "rows"), 3000),
     ], ids=lambda case: case[-1] if isinstance(case, tuple) else repr(case))
     def test_unrunnable_file_exits_2(self, tmp_path, path, value):
         # One field of a shipped scenario's own document, made
-        # unrunnable: each would crash, run something else, or pass
-        # its SLO vacuously.
+        # unrunnable: each would crash, run something else, pass its
+        # SLO vacuously, or ask for a run that does not finish or
+        # exhausts memory.
         _, shown, _ = run_cli("scenario", "show", "huddle-smoke")
         doc = json.loads(shown)
         *parents, key = path
