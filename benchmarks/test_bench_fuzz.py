@@ -1,9 +1,10 @@
 """Bench: fuzz-campaign throughput.
 
-Times a seeded in-process campaign over the cheap oracles (the mix CI's
-``fuzz-smoke`` job runs) against its execs/s floor, and re-checks the
-determinism contract (two same-seed campaigns, identical digests, zero
-findings).
+Times a seeded in-process campaign over the four cheap oracles against
+its execs/s floor, and re-checks the determinism contract (two
+same-seed campaigns, identical digests, zero findings).  Tier-1 runs
+the full six-oracle mix as the ``fuzz-300`` row of
+``tests/test_contracts.py``.
 """
 
 import pytest
@@ -27,6 +28,7 @@ def test_bench_fuzz():
     print(f"\nfuzz: {BUDGET}-case campaign at "
           f"{first.execs_per_s:.0f} execs/s")
 
-    # The floor: the cheap-oracle mix must stay fast enough that the
-    # CI smoke campaign (hundreds of cases) finishes in seconds.
+    # The floor: the cheap-oracle mix must stay fast enough that a
+    # campaign of hundreds of cases, like tier-1's ``fuzz-300`` row,
+    # finishes in seconds.
     assert first.execs_per_s > 10.0

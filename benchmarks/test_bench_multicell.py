@@ -6,6 +6,7 @@ contract (two same-seed runs, identical journals), and checks that the
 bench additionally runs the sharded kernel on an 8x8 grid and races
 the spatial index against a brute-force gain scan over every luminaire
 at the positions that run sensed, pinning the index's speedup floor.
+The digest bench bounds the journal digest's share of a fleet run.
 """
 
 import math
@@ -96,3 +97,24 @@ def test_bench_multicell_fleet(best_of, config):
     # The index floor: 25.7-30.3x over five runs on a shared 2-vCPU
     # host, so 10x leaves room for a noisy runner.
     assert speedup >= 10.0
+
+
+@pytest.mark.perf
+def test_bench_journal_digest_share(best_of, config):
+    """The journal digest stays a small share of the run it fingerprints.
+
+    The fleet is perfbench's: 8x8 luminaires, 32 receivers, 4 regions,
+    120 simulated seconds.  Both timings are best of 3 on one host, so
+    their ratio survives the host's speed swings.
+    """
+    run_s, result = best_of(lambda: default_network(
+        config, rows=8, cols=8, n_nodes=32, seed=11, regions=4).run(120.0))
+    digest_s, _ = best_of(result.journal.digest)
+    share = digest_s / run_s
+    print(f"\njournal digest: {len(result.journal)} entries in "
+          f"{digest_s * 1e3:.0f} ms, {share:.1%} of a "
+          f"{run_s * 1e3:.0f} ms fleet run")
+
+    # The floor: hashing each entry's repr line took 10-16% of this run
+    # on a shared 2-vCPU host, one marshal record per entry 5-7%.
+    assert share <= 0.10

@@ -360,6 +360,7 @@ def _cmd_design(args, out, err) -> int:
 def _cmd_journal(args, out, err) -> int:
     from .des import write_journal_jsonl
     from .net.multicell import default_network
+    from .scenarios.dsl import MAX_DEVICE_TICKS
 
     try:
         rows_str, _, cols_str = args.grid.lower().partition("x")
@@ -370,6 +371,10 @@ def _cmd_journal(args, out, err) -> int:
             or not 0 < args.duration < math.inf):
         return _fail(err, "grid dimensions and --nodes must be positive, "
                           "--duration finite and > 0")
+    ticks = (rows * cols + args.nodes) * math.ceil(args.duration)
+    if ticks > MAX_DEVICE_TICKS:
+        return _fail(err, f"--grid, --nodes and --duration ask for {ticks} "
+                          f"device ticks, more than {MAX_DEVICE_TICKS}")
     if args.tail < 0:
         return _fail(err, f"--tail must be non-negative, got {args.tail}")
     if args.seed < 0:
@@ -415,8 +420,11 @@ def _cmd_chaos(args, out, err) -> int:
             return _fail(err, f"unknown schedule {args.schedule!r}; "
                               f"known: {known}")
         plan = shipped[args.schedule]
-    scenario = ChaosScenario(schedule=plan, duration_s=args.duration,
-                             seed=args.seed, supervised=not args.unsupervised)
+    try:
+        scenario = ChaosScenario(schedule=plan, duration_s=args.duration,
+                                 seed=args.seed, supervised=not args.unsupervised)
+    except ValueError as exc:
+        return _fail(err, f"--duration: {exc}")
     result = scenario.run()
     print(f"chaos schedule {args.schedule!r}, seed {args.seed}, "
           f"{len(plan)} faults", file=out)

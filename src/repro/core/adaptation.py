@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .perception import (
     measured_step_for,
@@ -35,17 +36,30 @@ class AdaptationPlan:
 
     ``levels`` holds every intermediate measured intensity *including*
     the final target but excluding the starting point, so ``len(levels)``
-    is the number of brightness adjustments the hardware performs.
+    is the number of brightness adjustments the hardware performs.  Steps
+    are uniform in ``domain``; ``levels`` is built on first access.
     """
 
     start: float
     target: float
-    levels: tuple[float, ...]
+    n_steps: int
+    domain: str
 
-    @property
-    def n_steps(self) -> int:
-        """Number of brightness adjustments."""
-        return len(self.levels)
+    @cached_property
+    def levels(self) -> tuple[float, ...]:
+        """The measured intensity after each step, ending at the target."""
+        start, n_steps = self.start, self.n_steps
+        if self.domain == "perceived":
+            p_start = to_perceived(start)
+            span = to_perceived(self.target) - p_start
+            levels = [to_measured(p_start + span * i / n_steps)
+                      for i in range(1, n_steps + 1)]
+        else:
+            span = self.target - start
+            levels = [start + span * i / n_steps for i in range(1, n_steps + 1)]
+        if levels:
+            levels[-1] = self.target  # kill the round-trip float residue
+        return tuple(levels)
 
     @property
     def max_perceived_step(self) -> float:
@@ -56,9 +70,6 @@ class AdaptationPlan:
             worst = max(worst, perceived_step(previous, level))
             previous = level
         return worst
-
-    def __iter__(self):
-        return iter(self.levels)
 
 
 def _validate_intensities(start: float, target: float) -> None:
@@ -78,17 +89,9 @@ def plan_perceived_steps(start: float, target: float,
     _validate_intensities(start, target)
     if tau_perceived <= 0:
         raise ValueError("tau_perceived must be positive")
-    p_start = to_perceived(start)
-    p_target = to_perceived(target)
-    span = p_target - p_start
+    span = to_perceived(target) - to_perceived(start)
     n_steps = max(1, math.ceil(abs(span) / tau_perceived)) if span else 0
-    levels = []
-    for i in range(1, n_steps + 1):
-        p = p_start + span * i / n_steps
-        levels.append(to_measured(p))
-    if levels:
-        levels[-1] = target  # kill the round-trip float residue
-    return AdaptationPlan(start, target, tuple(levels))
+    return AdaptationPlan(start, target, n_steps, "perceived")
 
 
 def plan_measured_steps(start: float, target: float, tau_measured: float) -> AdaptationPlan:
@@ -98,12 +101,7 @@ def plan_measured_steps(start: float, target: float, tau_measured: float) -> Ada
         raise ValueError("tau_measured must be positive")
     span = target - start
     n_steps = max(1, math.ceil(abs(span) / tau_measured)) if span else 0
-    levels = []
-    for i in range(1, n_steps + 1):
-        levels.append(start + span * i / n_steps)
-    if levels:
-        levels[-1] = target
-    return AdaptationPlan(start, target, tuple(levels))
+    return AdaptationPlan(start, target, n_steps, "measured")
 
 
 def safe_measured_tau(range_min: float, tau_perceived: float) -> float:

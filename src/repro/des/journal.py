@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,20 +119,20 @@ class EventJournal:
     def digest(self) -> str:
         """A SHA-256 fingerprint of the entire trace.
 
-        Floats are hashed through ``repr`` (exact, round-trippable), so
-        two digests agree iff the journals are bit-identical.  Each
-        entry contributes one ``seq|time|kind|actor|detail`` line; the
-        lines are hashed a chunk of entries per update, which digests
-        the same bytes as one update per line.
+        Each entry is hashed, in order, as its ``marshal`` version 2
+        record: values type-tagged, floats as their 8 IEEE bytes and no
+        back-references, so two digests agree iff the journals hold the
+        same values of the same types.  A chunk of records per update
+        digests the same bytes as one update per record.
         """
         hasher = hashlib.sha256()
         entries = self.entries
         for start in range(0, len(entries), _DIGEST_CHUNK):
-            hasher.update("".join([
-                f"{seq}|{time!r}|{kind}|{actor}|{detail!r}\n"
+            hasher.update(b"".join([
+                marshal.dumps((seq, time, kind, actor, detail), 2)
                 for seq, time, kind, actor, detail
                 in entries[start:start + _DIGEST_CHUNK]
-            ]).encode())
+            ]))
         return hasher.hexdigest()
 
     def render(self, n_tail: int = 12) -> str:

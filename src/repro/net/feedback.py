@@ -92,17 +92,17 @@ class FeedbackPlane:
         if current is None or report.sensed_at > current.sensed_at:
             self._delivered[report.node] = report
 
-    def estimate(self, fallback: float | None = None) -> float | None:
+    def estimate(self) -> float | None:
         """The mean of the fresh reports as of the scheduler clock.
 
         A report is fresh while its age is at most ``staleness_s``;
-        ``fallback`` is returned when none is.
+        ``None`` when none is.
         """
         now = self.scheduler.now
         values = [report.value for report in self._delivered.values()
                   if now - report.sensed_at <= self.staleness_s]
         if not values:
-            return fallback
+            return None
         # Left to right from the first value, as np.mean sums up to 7
         # values; not builtin sum(), which Python 3.12 compensates.
         total = values[0]

@@ -662,8 +662,9 @@ class MulticellSimulation:
         design = None
         while True:
             now = scheduler.now
-            fallback = self.ambient.level(now, cell.name)
-            fused = cell.plane.estimate(fallback=fallback)
+            fused = cell.plane.estimate()
+            if fused is None:
+                fused = self.ambient.level(now, cell.name)
             sample = cell.controller.tick(now, fused)
             cell.led = sample.led
             if sample.design is not design:

@@ -71,6 +71,8 @@ DOWN_AFTER = 16
 #: DEGRADED->UP excursions retry large frames against a channel that
 #: is still faulted, and each excursion costs ~100 ms.
 RECOVER_AFTER = 6
+#: Longest run a scenario may ask for; one at the cap took 26 s and 337 MB.
+MAX_DURATION_S = 10_000.0
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,8 @@ class ChaosScenario:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
+        if not 0 < self.duration_s <= MAX_DURATION_S:
+            raise ValueError(f"duration_s must lie in (0, {MAX_DURATION_S:g}]")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
 

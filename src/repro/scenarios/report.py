@@ -224,9 +224,11 @@ def build_report(compiled: CompiledScenario,
     ticks = {r: list(z) for r, z in izeros.items()}
     last_led: dict[str, float] = {}
     last_adjustments: dict[str, int] = {}
+    # A room's cells share one daylight profile and tick together.
     ambient = compiled.simulation.ambient
-    profiles = {cell: ambient.profile_for(cell)
-                for cell in compiled.cell_room}
+    profiles = {layout.id: ambient.profile_for(layout.luminaires[0])
+                for layout in compiled.rooms}
+    required: dict[tuple[str, float], float] = {}
 
     for entry in result.journal.entries:
         if entry.kind == "link":
@@ -239,9 +241,11 @@ def build_report(compiled: CompiledScenario,
             w = window_of(entry.time)
             led = entry.get("led", 0.0)
             adjustments = entry.get("adjustments", 0)
-            daylight = profiles[entry.actor].intensity(entry.time)
-            required = min(max(target - daylight, 0.0), 1.0)
-            err_sum[room][w] += abs(led - required)
+            key = (room, entry.time)
+            if key not in required:
+                daylight = profiles[room].intensity(entry.time)
+                required[key] = min(max(target - daylight, 0.0), 1.0)
+            err_sum[room][w] += abs(led - required[key])
             err_n[room][w] += 1
             previous = last_led.get(entry.actor)
             if previous is not None:

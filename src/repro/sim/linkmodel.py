@@ -12,22 +12,23 @@ overheads (Table 1) included.  Two flavours:
 * :func:`stop_and_wait_goodput` — the conservative one-outstanding-
   frame variant (delegates to the MAC), for the ARQ-focused analyses.
 
-A design's frame structure is fixed: the header-plus-compensation
-overhead is cached by value (:func:`~repro.link.transmitter.overhead_slots`)
-and an AMPPM design plans its symbol walk once per payload size, so a
-link sample only evaluates the per-pattern symbol error rates.  Every
-result equals the per-symbol computation bit for bit.
+A design's frame structure is fixed: its slot count is computed once
+per (design, payload size) and an AMPPM design plans its symbol walk
+once per payload size, so a link sample only evaluates the per-pattern
+symbol error rates.  Every result equals the per-symbol computation bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from ..baselines.base import ModulationScheme, SchemeDesign
 from ..core.errormodel import SlotErrorModel
 from ..core.params import MAX_PAYLOAD_BYTES, SystemConfig
 from ..link.mac import StopAndWaitMac, header_success_probability
-from ..link.transmitter import Transmitter
+from ..link.transmitter import descriptor_for_design, overhead_slots
 from ..phy.channel import VlcChannel, calibrated_channel
 from ..phy.optics import LinkGeometry
 
@@ -44,11 +45,17 @@ def _payload_size(config: SystemConfig, payload_bytes: int | None) -> int:
 def frame_slot_count(design: SchemeDesign, config: SystemConfig,
                      payload_bytes: int | None = None) -> int:
     """Expected slots per frame: Table 1 overhead + modulated section."""
-    tx = Transmitter(config)
-    n_payload = _payload_size(config, payload_bytes)
-    n_bits = 8 * (n_payload + 2)  # payload + CRC
-    return (tx.frame_overhead_slots(design, n_payload)
-            + design.payload_slots(n_bits))
+    return _frame_slots(design, _payload_size(config, payload_bytes),
+                        config.n_max_super)
+
+
+@functools.lru_cache(maxsize=4096)
+def _frame_slots(design: SchemeDesign, n_payload: int,
+                 n_max_super: int) -> int:
+    # Keyed by the (fixed-layout) design; bounded for sweeps' fresh designs.
+    overhead = overhead_slots(descriptor_for_design(design),
+                              design.achieved_dimming, n_payload, n_max_super)
+    return overhead + design.payload_slots(8 * (n_payload + 2))
 
 
 def frame_success_probability(design: SchemeDesign, errors: SlotErrorModel,
@@ -69,7 +76,7 @@ def expected_goodput(design: SchemeDesign, errors: SlotErrorModel,
     goodput = payload_bits · P(frame ok) / (frame_slots · t_slot)
     """
     n_payload = _payload_size(config, payload_bytes)
-    slots = frame_slot_count(design, config, n_payload)
+    slots = _frame_slots(design, n_payload, config.n_max_super)
     p_ok = frame_success_probability(design, errors, config, n_payload)
     return 8 * n_payload * p_ok / (slots * config.t_slot)
 

@@ -1,16 +1,76 @@
 """Flicker-free adaptation planners (Section 4.3)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    DEFAULT_CONFIG,
     Adapter,
     perceived_step,
     plan_measured_steps,
     plan_perceived_steps,
     safe_measured_tau,
+    shared_designer,
+    to_measured,
+    to_perceived,
 )
+from repro.lighting import SmartLightingController
+
+
+def eager_perceived_levels(start, target, tau):
+    """The perceived planner's levels as built eagerly before they
+    became lazy: the reference the lazy build must match bit for bit."""
+    p_start = to_perceived(start)
+    span = to_perceived(target) - p_start
+    n_steps = max(1, math.ceil(abs(span) / tau)) if span else 0
+    levels = [to_measured(p_start + span * i / n_steps)
+              for i in range(1, n_steps + 1)]
+    if levels:
+        levels[-1] = target
+    return tuple(levels)
+
+
+def eager_measured_levels(start, target, tau):
+    """The measured planner's eager levels, likewise."""
+    span = target - start
+    n_steps = max(1, math.ceil(abs(span) / tau)) if span else 0
+    levels = [start + span * i / n_steps for i in range(1, n_steps + 1)]
+    if levels:
+        levels[-1] = target
+    return tuple(levels)
+
+
+def bits(levels):
+    """Each float's exact bits, so -0.0 and 0.0 would differ."""
+    return [level.hex() for level in levels]
+
+
+class TestLazyLevels:
+    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(1e-3, 0.5))
+    @settings(max_examples=200)
+    def test_levels_equal_the_eager_formula(self, start, target, tau):
+        perceived = plan_perceived_steps(start, target, tau)
+        measured = plan_measured_steps(start, target, tau)
+        assert bits(perceived.levels) == bits(
+            eager_perceived_levels(start, target, tau))
+        assert bits(measured.levels) == bits(
+            eager_measured_levels(start, target, tau))
+        assert perceived.n_steps == len(perceived.levels)
+        assert measured.n_steps == len(measured.levels)
+
+    def test_a_retargeting_tick_leaves_levels_unbuilt(self):
+        controller = SmartLightingController(
+            config=DEFAULT_CONFIG, designer=shared_designer(DEFAULT_CONFIG))
+        controller.tick(0.0, 0.2)
+        plan = controller.last_plan
+        assert plan is not None and plan.n_steps > 0
+        assert "levels" not in vars(plan)
+        assert len(plan.levels) == plan.n_steps
+        assert "levels" in vars(plan)
 
 
 class TestPerceivedPlanner:

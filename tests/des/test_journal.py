@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import marshal
+import math
 
 import pytest
 
@@ -93,17 +95,41 @@ class TestDeterminismWitness:
         b.record(0.3, "x")
         assert a.digest() != b.digest()
 
-    def test_digest_hashes_one_line_per_entry_across_chunks(self):
+    def test_digest_hashes_one_record_per_entry_across_chunks(self):
         j = EventJournal()
         for i in range(2500):  # several digest chunks and a partial one
             j.record(i * 0.1, f"k{i % 3}", f"a{i % 5}", value=i / 7, n=i)
         reference = hashlib.sha256()
         for e in j.entries:
-            reference.update(
-                f"{e.seq}|{e.time!r}|{e.kind}|{e.actor}|{e.detail!r}\n"
-                .encode())
+            reference.update(marshal.dumps(tuple(e), 2))
         assert j.digest() == reference.hexdigest()
-        assert EventJournal().digest() == hashlib.sha256().hexdigest()
+
+    def test_empty_journal_digests_no_bytes(self):
+        assert EventJournal().digest() == hashlib.sha256(b"").hexdigest()
+
+    def test_digest_of_edge_values_is_pinned(self):
+        # Marshal version 2 bytes of -0.0, a subnormal, inf, a big int,
+        # booleans, a non-ASCII actor and an empty detail.  Tier-1 runs
+        # on CPython 3.11 and 3.12: an interpreter that encodes them
+        # differently fails here rather than in a contract row.
+        j = EventJournal()
+        j.record(0.0, "edge", "lampe-é", neg_zero=-0.0, subnormal=5e-324,
+                 big=10 ** 30, on=True)
+        j.record(math.inf, "empty")
+        j.record(1.5, "plain", "node-00", level=0.1 + 0.2, n=7, state="up",
+                 off=False)
+        assert j.digest() == ("a137ab50de5fff6aac984ad817914245"
+                              "af3c36aaef4595515ab98d4e4d999c9f")
+
+    def test_zeros_false_and_a_subnormal_digest_apart(self):
+        # 0, 0.0, -0.0 and False compare equal, but their records
+        # differ by type tag or by IEEE bytes.
+        digests = set()
+        for value in (0.0, -0.0, 0, False, 1e-320):
+            j = EventJournal()
+            j.record(0.0, "x", v=value)
+            digests.add(j.digest())
+        assert len(digests) == 5
 
     def test_render_mentions_counters(self):
         text = make_journal().render(n_tail=2)

@@ -1,7 +1,9 @@
 """Corpus artifacts: pin, persist, replay, detect drift.
 
-The shipped-corpus test is the same check CI's ``fuzz-smoke`` job runs:
-every committed artifact replays onto its pinned digest, bit for bit.
+The shipped-corpus test,
+``TestShippedCorpus::test_every_artifact_replays_bit_identically`` in
+tier-1, replays every committed artifact onto its pinned digest, bit
+for bit.
 """
 
 import json

@@ -72,8 +72,8 @@ class TestFeedbackPlane:
         plane.scheduler.run()
         plane.outage = True
         assert not plane.submit(AmbientReport("n0", 0.9, sensed_at=1.0), rng)
-        assert at(plane, 1.5).estimate(fallback=0.7) == pytest.approx(0.3)
-        assert at(plane, 2.5).estimate(fallback=0.7) == 0.7
+        assert at(plane, 1.5).estimate() == pytest.approx(0.3)
+        assert at(plane, 2.5).estimate() is None
 
     def test_report_in_flight_when_the_outage_starts_still_lands(self, rng):
         plane = make_plane(WifiUplink(latency_s=2e-3, jitter_s=0.0))
@@ -87,14 +87,15 @@ class TestFeedbackPlane:
 
 
 class TestDelivery:
-    def test_fallback_used_when_empty(self):
-        assert at(make_plane(), 1.0).estimate(fallback=0.7) == 0.7
+    def test_empty_plane_has_no_estimate(self):
+        # None sends the control loop to its zone's daylight.
+        assert at(make_plane(), 1.0).estimate() is None
 
     def test_stale_reports_dropped(self):
         plane = make_plane(staleness_s=2.0)
         plane.deliver(AmbientReport("a", 0.4, sensed_at=0.0))
         assert at(plane, 1.0).estimate() == pytest.approx(0.4)
-        assert at(plane, 5.0).estimate(fallback=0.9) == 0.9
+        assert at(plane, 5.0).estimate() is None
 
     def test_fresher_sensing_wins_per_node(self):
         plane = make_plane()
@@ -107,7 +108,7 @@ class TestDelivery:
         plane = make_plane(staleness_s=2.0)
         plane.deliver(AmbientReport("a", 0.4, sensed_at=0.0))
         assert at(plane, 2.0).estimate() == pytest.approx(0.4)
-        assert at(plane, 2.0 + 1e-9).estimate(fallback=0.9) == 0.9
+        assert at(plane, 2.0 + 1e-9).estimate() is None
 
     def test_staleness_counts_from_sensing_not_arrival(self):
         # Sensed at 0 s, delivered at 1.5 s: stale 2 s after sensing,
@@ -115,7 +116,7 @@ class TestDelivery:
         plane = make_plane(staleness_s=2.0)
         at(plane, 1.5).deliver(AmbientReport("a", 0.4, sensed_at=0.0))
         assert at(plane, 2.0).estimate() == pytest.approx(0.4)
-        assert at(plane, 2.5).estimate(fallback=0.9) == 0.9
+        assert at(plane, 2.5).estimate() is None
 
     def test_stale_node_drops_out_of_the_mean(self):
         plane = make_plane(staleness_s=2.0)

@@ -1,9 +1,10 @@
 """Journals and ambient profiles hold plain Python scalars.
 
-A journal digest hashes every value through ``repr``.  A NumPy scalar
-reprs as ``np.float64(...)`` under NumPy 2 and as a bare float under
-NumPy 1, so one in a journal would tie the digest to the NumPy version;
-its arithmetic is also slower on the per-event path.
+A journal digest hashes every value's ``marshal`` record.  A NumPy
+scalar marshals as its raw buffer, not as a type-tagged float, so it
+hashes unlike the same plain float: one in a journal would move the
+digest without moving any value.  Its arithmetic is also slower on the
+per-event path.
 """
 
 import numpy as np

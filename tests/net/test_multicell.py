@@ -212,6 +212,17 @@ class TestFaultInjection:
         assert all(e.get("ambient") == pytest.approx(0.2) for e in left)
         assert all(e.get("ambient") == pytest.approx(0.9) for e in right)
 
+    def test_cell_without_fresh_reports_fuses_its_zone_daylight(self):
+        ambient = AmbientField(
+            base=StaticAmbient(0.2),
+            zone_overrides=(("cell-r0c1", StaticAmbient(0.9)),))
+        result = small_network(ambient=ambient).run(10.0)
+        # n0 sits under cell-r0c0, so cell-r0c1 never hears a report.
+        fused = [e.get("fused") for e in
+                 result.journal.of_kind("control", actor="cell-r0c1")]
+        assert len(fused) == 11
+        assert set(fused) == {0.9}
+
     def test_fault_validation(self):
         with pytest.raises(ValueError):
             small_network(faults=FaultSchedule((

@@ -22,6 +22,7 @@ from repro.schemes import (
     AmppmSchemeDesign,
     Mppm,
     OokCt,
+    Vppm,
     shared_scheme_design,
 )
 from repro.sim import (
@@ -181,6 +182,23 @@ class TestCachedFrameStructure:
             for design in bucket_wrappers for n in PAYLOAD_SIZES
             if frame_slot_count(design, config, n)
             != len(tx.encode_frame(bytes(n), design))]
+        assert mismatches == []
+
+    def test_cached_slot_count_equals_a_fresh_transmitter(self, config):
+        designs = [shared_scheme_design(d, config)
+                   for d in bucket_designs(shared_designer(config))]
+        designs += [OokCt(config).design(0.3), Mppm(config).design(0.5),
+                    Vppm(config).design(0.7)]
+        mismatches = []
+        for design in designs:
+            for n in PAYLOAD_SIZES:
+                fresh = (Transmitter(config).frame_overhead_slots(design, n)
+                         + design.payload_slots(8 * (n + 2)))
+                # The first call computes the count, the second reads it.
+                counts = [frame_slot_count(design, config, n)
+                          for _ in range(2)]
+                if counts != [fresh, fresh]:
+                    mismatches.append((design, n, counts, fresh))
         assert mismatches == []
 
     @pytest.mark.parametrize("model", sorted(ERROR_MODELS))

@@ -7,16 +7,35 @@ stderr and return exit code 2, while stdout stays reserved for results.
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = main(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+class Reached(Exception):
+    """Raised by a stand-in for the run a handler starts once it has
+    accepted its arguments."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
+
+
+def never_built(*args, **kwargs):
+    raise AssertionError("a rejected run was started")
 
 
 class TestList:
@@ -218,6 +237,42 @@ class TestJournal:
         assert "--duration" in err
         assert text == ""
 
+    def test_run_past_the_device_tick_cap_exits_2_at_once(self,
+                                                           monkeypatch):
+        import repro.net.multicell as multicell
+
+        monkeypatch.setattr(multicell, "default_network", never_built)
+        code, text, err = run_cli("journal", "--grid", "2000x2000",
+                                  "--nodes", "2", "--duration", "1")
+        assert code == 2
+        assert "--grid" in err and "Traceback" not in err
+        assert text == ""
+
+    @pytest.mark.parametrize("nodes, duration, code",
+                             [("2", "3", 0), ("2", "3.5", 2), ("3", "3", 2)])
+    def test_a_run_at_the_cap_passes_and_one_past_it_does_not(
+            self, monkeypatch, nodes, duration, code):
+        import repro.scenarios.dsl as dsl
+
+        # (1x2 luminaires + 2 nodes) x 3 ticks is exactly the cap.
+        monkeypatch.setattr(dsl, "MAX_DEVICE_TICKS", 12)
+        got, _, err = run_cli("journal", "--grid", "1x2", "--nodes", nodes,
+                              "--duration", duration)
+        assert got == code
+        assert ("--duration" in err) == (code == 2)
+
+    @pytest.mark.parametrize("args", [
+        (),
+        ("--grid", "8x8", "--nodes", "32", "--regions", "4",
+         "--duration", "120"),
+        ("--grid", "4x4", "--nodes", "8", "--duration", "20")])
+    def test_default_and_pinned_sizes_are_accepted(self, monkeypatch, args):
+        import repro.net.multicell as multicell
+
+        monkeypatch.setattr(multicell, "default_network", reached)
+        with pytest.raises(Reached):
+            run_cli("journal", *args)
+
 
 class TestChaos:
     def test_prints_the_resilience_report(self):
@@ -272,6 +327,37 @@ class TestChaos:
         assert code == 2
         assert "--duration" in err
         assert text == ""
+
+    @pytest.mark.parametrize("schedule", ["mixed", "random"])
+    def test_run_past_the_duration_cap_exits_2_at_once(self, monkeypatch,
+                                                       schedule):
+        from repro.des import EventScheduler
+
+        monkeypatch.setattr(EventScheduler, "run", never_built)
+        code, text, err = run_cli("chaos", "--schedule", schedule,
+                                  "--duration", "1e9")
+        assert code == 2
+        assert "--duration" in err and "Traceback" not in err
+        assert text == ""
+
+    @pytest.mark.parametrize("duration, code", [("5", 0), ("5.001", 2)])
+    def test_a_run_at_the_cap_passes_and_one_past_it_does_not(
+            self, monkeypatch, duration, code):
+        import repro.resilience.chaos as chaos
+
+        monkeypatch.setattr(chaos, "MAX_DURATION_S", 5.0)
+        got, _, err = run_cli("chaos", "--duration", duration)
+        assert got == code
+        assert ("--duration" in err) == (code == 2)
+
+    @pytest.mark.parametrize("args", [(), ("--duration", "10000"),
+                                      ("--schedule", "blinding")])
+    def test_default_and_pinned_sizes_are_accepted(self, monkeypatch, args):
+        from repro.resilience import ChaosScenario
+
+        monkeypatch.setattr(ChaosScenario, "run", reached)
+        with pytest.raises(Reached):
+            run_cli("chaos", *args)
 
     def test_bad_intensity_rejected(self):
         code, _, err = run_cli("chaos", "--schedule", "random",
@@ -560,6 +646,32 @@ class TestTraceAndProfile:
         assert err == ""
         assert text.startswith("profile:")
         assert "experiment.fig04" in text
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_exits_141_without_a_traceback(self, tmp_path, unbuffered):
+        # The read end is closed before the child starts, so its first
+        # write to stdout fails, whatever the timing: at a print when
+        # unbuffered, else at the flush before exit.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = ("journal", "--grid", "1x1", "--nodes", "1", "--duration", "2")
+        try:
+            done = subprocess.run([sys.executable, "-m", "repro", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  cwd=tmp_path, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 141
+        assert b"Traceback" not in done.stderr
+        assert b"Exception ignored" not in done.stderr
 
 
 class TestParser:

@@ -12,10 +12,10 @@ A fresh interpreter per run means a digest cannot lean on what an
 earlier test left in a process-wide cache (the shared designer, the
 scheme-design and frame caches).  The child inherits the environment,
 ``PYTHONHASHSEED`` included.  Journals hold only plain ``int``,
-``float``, ``str`` and ``bool`` values, so no pin depends on NumPy's
-scalar repr or on the hash seed.  Pinned on CPython 3.11 with NumPy
-2.4.  A change that means to move a digest re-pins its row on purpose
-and says so in CHANGES.md.
+``float``, ``str`` and ``bool`` values, so no pin depends on how
+NumPy encodes its scalars or on the hash seed.  Pinned on CPython 3.11
+with NumPy 2.4.  A change that means to move a digest re-pins its row
+on purpose and says so in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -68,46 +68,46 @@ CONTRACTS = (
         "fleet-4x4-regions-1",
         (journal_of("default_network(rows=4, cols=4, n_nodes=8, seed=11)"
                     ".run(20.0)"),),
-        "1fbf3c740ed2899f8d42e06fde16d7cd7644d9b340bafafab970ba09daf9eff1",
+        "32be6f5339597a7ec5918e1fd0f275a0b4735019bd21fae4f294096b3b181694",
         "any change to a result anywhere in the stack (designer, link "
         "model, DES kernel, sharding) shows here"),
     Contract(
         "fleet-4x4-regions-4",
         (journal_of("default_network(rows=4, cols=4, n_nodes=8, seed=11, "
                     "regions=4).run(20.0)"),),
-        "6b87048417bb9bd8ad66fa4bc5fef32dcb2e9736905bbe02bb47138cb13f6073",
+        "187184915f1fab0106d748f1213c1de3d3f2f8900d5411b654a80b5f37de75f8",
         "the same fleet sharded: a given (seed, regions) pair gives the "
         "same bytes on every run"),
     Contract(
         "fleet-8x8-regions-4",
         (journal_of("default_network(rows=8, cols=8, n_nodes=32, seed=11, "
                     "regions=4).run(10.0)"),),
-        "bf74b8383a9d233acb921e41f93e3cfa9cb2186bb4579956c6c9db21a71c869c",
+        "106fecce1f01c1742fd2a8923ae447a962c4fe241c53fe0e6985877f5681a3bd",
         "a city-block fleet (8x8 luminaires, 32 receivers) sharded "
         "across 4 regions must be deterministic"),
     Contract(
         "fleet-2x2",
         (journal_of("default_network(rows=2, cols=2, n_nodes=4, seed=13)"
                     ".run(30.0)"),),
-        "980ce7357a220787a5fb8a423263a32ba5e1636b50a84c73f6595a0dcf093afb",
+        "39d474f75fd133164b92fd4a0f0476dd5259c03c6cd579ea1121327051393cfb",
         "pins the multicell journal without faults"),
     Contract(
         "fleet-2x2-faulted",
         (journal_of("default_network(rows=2, cols=2, n_nodes=4, seed=13, "
                     "faults=FaultSchedule((NodeDowntime('node-01', 5.0, "
                     "12.0), UplinkOutage(8.0, 15.0)))).run(30.0)"),),
-        "65dddb4527a1d412d4fea84658544b94f290fd186c270bb7107deaf5a8412b0c",
+        "518e4d3fdd8bd0d09eaccd0613896070df9bfeb8442b9a64719e5c57a5cc101a",
         "pins the multicell journal with a node down and an uplink "
         "outage"),
     Contract(
         "huddle-smoke", (cli("scenario", "run", "huddle-smoke"),),
-        "bd4fc52d3423b91501c4937b408d6d78720bdf95e13b44baee6ea9f9318a17ba",
+        "532e60cfb6a5bf45d699c09bd113e99bc43068f1a0a326c916a29fcdccf4c62e",
         "the smallest shipped scenario passes its SLOs, byte for byte, "
         "through the whole scenario compiler"),
     Contract(
         "huddle-smoke-regions-2",
         (cli("scenario", "run", "huddle-smoke", "--regions", "2"),),
-        "4132a6fbfed2fd44c3a0be8549a7e6fd3d29a613625b6bbbe01c37d72f552202",
+        "e1ec932f6f06638547229463afd6106ea36979d3f7c87ce5d9b3dfd06754b361",
         "regions=2 must keep the scenario deterministic and passing"),
     Contract(
         "office-day", (script("""
@@ -117,35 +117,35 @@ CONTRACTS = (
             assert len(run.result.journal) == 22226, len(run.result.journal)
             print(run.report.journal_digest)
             """),),
-        "b5f112a297955742687bf6fe3d03c8127210865acfbbf34a24dbbd07fc1237d1",
+        "37e744ada2a3561594de241b37821766c006cf5739b02bc214bac35ef3146957",
         "occupants arrive, take breaks and leave, so their traces are "
         "queried again after hours of absence"),
     Contract(
         "chaos-mixed-supervised", (cli("chaos", "--seed", "13"),),
-        "46ffdcd580fde2b4d2347ad227960045cd072fde94a607b14d370bb712b9bfb9",
+        "e898261a545535834a799cc99f5ee3b7a80c9917b2ea503044e9ce3b6b3c633b",
         "control ticks, MAC frames and fault boundaries share one DES "
         "clock, so any change in the kernel's dispatch order moves it"),
     Contract(
         "chaos-mixed-baseline",
         (cli("chaos", "--seed", "13", "--unsupervised"),),
-        "593b601cd44ee0e5fe1091e8cb78e4b997c234783193d69d076422d7c71915a5",
+        "bcad4a24b650fbe301d2f953b1ee8766eb361ed9148db4992d56e88b857b2676",
         "the paper-faithful arm: fixed timeout, fixed payload, no state "
         "machine"),
     Contract(
         "chaos-blinding-supervised",
         (cli("chaos", "--schedule", "blinding", "--seed", "13"),),
-        "4abe98e3a599ad38bf2865521b6b3cb3ff63b9c24926c0007f6fefa295990f15",
+        "aa9138fb32b7b8bcb43781507cc6c29ab7a15ad57f06e5658af6ce2d9f698174",
         "ADC blinding drives the supervised link through DEGRADED and "
         "back"),
     Contract(
         "chaos-blinding-baseline",
         (cli("chaos", "--schedule", "blinding", "--seed", "13",
              "--unsupervised"),),
-        "e3e4320bb9ac87e3083a4e65d9747826211394c201b673498b91ba57f000cd44",
+        "45c88b92efdb82caada5b8d4255f9070abbd62b6cbe0c3bfb2060d0485ee3f45",
         "the baseline under ADC blinding"),
     Contract(
         "desk-room", (journal_of("desk_room().run(30.0)"),),
-        "afed42ea3eb1a12ffd397d224e199dc3cb46fc828a8ae10824f38cf2aea27413",
+        "84b36734ad7b0543164dd13348c43e2dcb4168d0b7cb74b5afa0e9cc5a7fa5b3",
         "the one network where three desks' reports meet one fusion "
         "every tick, so any change to the feedback plane moves it"),
     Contract(
@@ -153,7 +153,7 @@ CONTRACTS = (
         (journal_of("desk_room(profile=BlindRampAmbient(duration_s=67.0), "
                     "uplink=WifiUplink(latency_s=2e-3, jitter_s=0.5e-3, "
                     "loss_probability=0.05)).run(67.0)"),),
-        "a52ac28eb6f2d1e04d914711bd945f72025762a4766941c08d8ec9e6c2054057",
+        "a253571c178685c24a3af12e7ae5dd8ca320b22f7c0aaa7b0c8513fb2d1b81de",
         "the multi-receiver example's run: a 67 s blind pull over a "
         "jittery uplink that loses one report in twenty"),
     Contract(
@@ -161,7 +161,7 @@ CONTRACTS = (
         (cli("fuzz", "run", "--budget", "300", "--seed", "0"),
          cli("fuzz", "run", "--budget", "300", "--seed", "0",
              "--jobs", "2")),
-        "3991d751a8b4fbfe50137bf82e586ce605eb188fcba9afeb3f0ff19d887979fb",
+        "d3db1a927e4f6b0d5847ea751473d5b6eb71221a8a68ec26375baa49dfc86303",
         "a short campaign on the shipped tree comes back clean, and no "
         "oracle's results drift with the worker count"),
 )
