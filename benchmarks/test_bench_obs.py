@@ -1,8 +1,8 @@
-"""Bench: telemetry overhead on the batched Monte-Carlo hot path.
+"""Bench: telemetry overhead on the Monte-Carlo replay.
 
-The permanent instrumentation in :mod:`repro.sim.batch` is only
-acceptable if it is effectively free.  This bench times the batched
-SER validator with telemetry off (the default null path) and under an
+The permanent instrumentation in :mod:`repro.sim.montecarlo` is only
+acceptable if it is effectively free.  This bench times the SER
+replay with telemetry off (the default null path) and under an
 active session in interleaved off/on pairs, flipping which side runs
 first each pair, so a slow spell on the host lands on both sides
 instead of on one block.  It asserts the identical estimate both ways
@@ -21,9 +21,9 @@ import pytest
 from repro.core.errormodel import SlotErrorModel
 from repro.core.symbols import SymbolPattern
 from repro.obs import render_prometheus, telemetry_session
-from repro.sim.batch import BatchMonteCarloValidator
+from repro.sim.montecarlo import MonteCarloValidator
 
-N_SYMBOLS = 50_000
+N_SYMBOLS = 5_000
 PATTERN = SymbolPattern(30, 15)
 ERRORS = SlotErrorModel(2e-3, 2e-3)
 PAIRS = 15
@@ -43,7 +43,7 @@ def _timed(func):
 
 @pytest.mark.perf
 def test_bench_obs_overhead(config):
-    validator = BatchMonteCarloValidator(config=config)
+    validator = MonteCarloValidator(config=config)
 
     def off():
         return _run_ser(validator)
@@ -67,13 +67,13 @@ def test_bench_obs_overhead(config):
     # Telemetry observes — the estimate must be bit-identical either way.
     assert traced_estimate == baseline
     registry = session.registry
-    assert (registry.counter("repro_batch_symbols_total").value()
+    assert (registry.counter("repro_montecarlo_symbols_total").value()
             == N_SYMBOLS)
-    assert "repro_batch_symbols_total" in render_prometheus(registry)
+    assert "repro_montecarlo_symbols_total" in render_prometheus(registry)
 
     # Clamp at zero: pair jitter can dip below the null path.
     overhead = max(0.0, statistics.median(ratios) - 1.0)
-    print(f"\nobs: batched SER {N_SYMBOLS} symbols — median on/off ratio "
+    print(f"\nobs: SER replay of {N_SYMBOLS} symbols — median on/off ratio "
           f"over {PAIRS} pairs {statistics.median(ratios):.3f} "
           f"({overhead * 100:+.1f}%)")
 

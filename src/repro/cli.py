@@ -732,7 +732,3 @@ def main(argv: Sequence[str] | None = None, out=None, err=None) -> int:
     args = build_parser().parse_args(argv)
     return args.handler(args, out if out is not None else sys.stdout,
                         err if err is not None else sys.stderr)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

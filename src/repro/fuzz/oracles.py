@@ -11,12 +11,13 @@ replay contract behind ``repro fuzz replay``.
 
 The oracles:
 
-* ``codec`` — differential: the scalar combinadic codec
-  (:func:`repro.core.encode_symbol` / :func:`~repro.core.decode_symbol`
-  + :func:`repro.link.mac.corrupt_slots`) against the vectorized
-  :class:`repro.sim.batch.BatchCodec` / :func:`~repro.sim.batch.
-  corrupt_batch` on a shared random stream — encode, corruption, and
-  decode (weight verdicts included) must agree bit-for-bit.
+* ``codec`` — differential: the production codec
+  (:func:`repro.core.encode_symbol` / :func:`~repro.core.decode_symbol`)
+  against the combinadic order itself
+  (:func:`repro.core.combinatorics.rank_of_codeword`).  Every codeword
+  has weight k and ranks as its value; after
+  :func:`repro.link.mac.corrupt_slots`, every received word of weight k
+  decodes to its rank, and any other weight counts as a symbol error.
 * ``roundtrip`` — invariant: CRC-16 round-trips, every single-bit
   corruption is detected, and a designed AMPPM frame decodes back to
   its payload through the real transmitter/receiver pair.
@@ -153,11 +154,11 @@ def _maybe_injected_crash(n: int) -> None:
             time.sleep(0.05)
 
 
-# -- codec: scalar vs batched combinadic walk --------------------------
+# -- codec: the production codec against the combinadic order ----------
 
 
 class CodecOracle:
-    """Scalar-vs-batched codec parity on a shared random stream."""
+    """The production codec against the combinadic order it walks."""
 
     name = "codec"
 
@@ -174,59 +175,42 @@ class CodecOracle:
 
     def execute(self, params: Mapping) -> CaseResult:
         from ..core.coding import decode_symbol, encode_symbol
+        from ..core.combinatorics import rank_of_codeword, symbol_capacity
         from ..core.errormodel import SlotErrorModel
         from ..link.mac import corrupt_slots
-        from ..sim.batch import BatchCodec, corrupt_batch
 
         n, k = int(params["n"]), int(params["k"])
         n_symbols = int(params["n_symbols"])
         _maybe_injected_crash(n)
-        codec = BatchCodec(n, k)
-        if not codec.supported:  # pragma: no cover - n<=63 always fits
-            return _ok(skipped="int64 fallback")
         errors = SlotErrorModel(float(params["p_off"]), float(params["p_on"]))
         rngseed = int(params["rngseed"])
-        values = _sub_rng(rngseed, 0).integers(0, codec.capacity,
-                                               size=n_symbols)
-        batch_rng = _sub_rng(rngseed, 1)
-        scalar_rng = _sub_rng(rngseed, 1)
+        values = _sub_rng(rngseed, 0).integers(
+            0, symbol_capacity(n, k), size=n_symbols).tolist()
+        corrupt_rng = _sub_rng(rngseed, 1)
+        misdecode = (active_defect() == "codec-misdecode"
+                     and n >= DEFECT_N_THRESHOLD
+                     and n_symbols >= DEFECT_SYMBOLS_THRESHOLD)
 
-        sent = codec.encode_batch(values)
-        scalar_sent = [encode_symbol(int(v), n, k) for v in values]
-        if not np.array_equal(sent, np.array(scalar_sent, dtype=bool)):
-            row = int(np.nonzero(
-                (sent != np.array(scalar_sent, dtype=bool)).any(axis=1))[0][0])
-            return _fail(f"encode parity: batch and scalar codewords "
-                         f"diverge at symbol {row}")
-
-        corrupted = corrupt_batch(sent, errors, batch_rng)
-        scalar_corrupted = [corrupt_slots(list(row), errors, scalar_rng)
-                            for row in scalar_sent]
-        if not np.array_equal(corrupted,
-                              np.array(scalar_corrupted, dtype=bool)):
-            row = int(np.nonzero(
-                (corrupted != np.array(scalar_corrupted, dtype=bool))
-                .any(axis=1))[0][0])
-            return _fail(f"corruption parity: random streams diverge "
-                         f"at frame {row}")
-
-        decoded, weight_ok = codec.decode_batch(corrupted)
-        if (active_defect() == "codec-misdecode"
-                and n >= DEFECT_N_THRESHOLD
-                and n_symbols >= DEFECT_SYMBOLS_THRESHOLD):
-            decoded = decoded.copy()
-            decoded[0] += 1  # the injected defect: an off-by-one rank
-        for i, row in enumerate(scalar_corrupted):
-            scalar_weight = sum(row) == k
-            if scalar_weight != bool(weight_ok[i]):
-                return _fail(f"weight parity: verdicts diverge "
-                             f"at symbol {i}")
-            if scalar_weight and decode_symbol(row, k) != int(decoded[i]):
-                return _fail(f"decode parity: ranks diverge at symbol {i}")
-        wrong = int(np.count_nonzero(~weight_ok
-                                     | (decoded != values)))
+        ranks = []  # the decoded value of each symbol, -1 for a bad weight
+        for i, value in enumerate(values):
+            sent = encode_symbol(value, n, k)
+            if sum(sent) != k or rank_of_codeword(sent) != value:
+                return _fail(f"encode order: the codeword of symbol {i} "
+                             f"does not rank as its value")
+            received = corrupt_slots(sent, errors, corrupt_rng)
+            if sum(received) != k:
+                ranks.append(-1)  # the receiver's CodewordWeightError
+                continue
+            decoded = decode_symbol(received, k)
+            if misdecode and i == 0:
+                decoded += 1  # the injected defect: an off-by-one rank
+            if decoded != rank_of_codeword(received):
+                return _fail(f"decode parity: decode_symbol and the "
+                             f"combinadic rank diverge at symbol {i}")
+            ranks.append(decoded)
+        wrong = sum(1 for rank, value in zip(ranks, values) if rank != value)
         checksum = hashlib.sha256(
-            np.ascontiguousarray(decoded).tobytes()).hexdigest()[:16]
+            ",".join(map(str, ranks)).encode()).hexdigest()[:16]
         return _ok(symbol_errors=wrong, decode_checksum=checksum)
 
     def shrink_candidates(self, params: Mapping) -> Iterator[dict]:

@@ -8,7 +8,6 @@ from .ambient import (
     DaylightAmbient,
     ScheduledAmbient,
     StaticAmbient,
-    StepAmbient,
 )
 from .controller import ControllerSample, SmartLightingController
 from .energy import EnergyReport, energy_report, led_power_w, trace_energy_j
@@ -51,7 +50,6 @@ __all__ = [
     "ScheduledAmbient",
     "SmartLightingController",
     "StaticAmbient",
-    "StepAmbient",
     "THRESHOLDS",
     "ThresholdDistribution",
     "Type1Report",

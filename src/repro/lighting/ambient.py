@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -256,32 +256,3 @@ class ScheduledAmbient(AmbientProfile):
         if overridden and active is not None:
             return active
         return self.base.intensity(t)
-
-
-@dataclass(frozen=True)
-class StepAmbient(AmbientProfile):
-    """Piecewise-constant ambient light for controller tests."""
-
-    steps: tuple[tuple[float, float], ...] = field(
-        default=((0.0, 0.2),))
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise ValueError("at least one step is required")
-        times = [t for t, _ in self.steps]
-        if times != sorted(times):
-            raise ValueError("step times must be non-decreasing")
-        if self.steps[0][0] > 0.0:
-            raise ValueError("the first step must start at t <= 0")
-        for _, level in self.steps:
-            if not 0.0 <= level <= 1.0:
-                raise ValueError("step levels must lie in [0, 1]")
-
-    def intensity(self, t: float) -> float:
-        level = self.steps[0][1]
-        for when, value in self.steps:
-            if t >= when:
-                level = value
-            else:
-                break
-        return level

@@ -106,22 +106,17 @@ class StopAndWaitMac:
     """One transmitter, one receiver, one outstanding frame.
 
     The paper's loop: a missing ACK triggers a retransmission after the
-    fixed ``ack_timeout_s``, up to ``max_retries`` times per payload.
-    Frames carry an alternating-bit sequence number: a retransmission
-    of a payload the receiver already decoded is recognized, counted in
-    ``duplicates_suppressed``, re-ACKed, and *not* delivered twice.
+    fixed :data:`ACK_TIMEOUT_S`, up to :data:`MAX_RETRIES` times per
+    payload.  Frames carry an alternating-bit sequence number: a
+    retransmission of a payload the receiver already decoded is
+    recognized, counted in ``duplicates_suppressed``, re-ACKed, and
+    *not* delivered twice.
     """
 
     config: SystemConfig = field(default_factory=SystemConfig)
     uplink: WifiUplink = field(default_factory=WifiUplink)
-    ack_timeout_s: float = ACK_TIMEOUT_S
-    max_retries: int = MAX_RETRIES
 
     def __post_init__(self) -> None:
-        if self.ack_timeout_s <= 0:
-            raise ValueError("ack_timeout_s must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
         self._tx = Transmitter(self.config)
         self._rx = Receiver(self.config)
 
@@ -147,7 +142,7 @@ class StopAndWaitMac:
                 airtime = len(slots) * self.config.t_slot
                 delivered = False
                 receiver_has_copy = False  # alternating-bit dedup state
-                for attempt in range(self.max_retries + 1):
+                for attempt in range(MAX_RETRIES + 1):
                     stats.frames_sent += 1
                     if attempt > 0:
                         stats.retransmissions += 1
@@ -180,7 +175,7 @@ class StopAndWaitMac:
                         stats.ack_losses += 1
                     else:
                         stats.crc_failures += 1
-                    now += self.ack_timeout_s
+                    now += ACK_TIMEOUT_S
                 if not delivered:
                     # Give up on this payload (upper layers would resubmit).
                     stats.frames_abandoned += 1
@@ -237,5 +232,5 @@ class StopAndWaitMac:
         if p_ok <= 0.0:
             return 0.0
         t_ack = self.uplink.expected_latency_s
-        t_cycle = t_frame + p_ok * t_ack + (1.0 - p_ok) * self.ack_timeout_s
+        t_cycle = t_frame + p_ok * t_ack + (1.0 - p_ok) * ACK_TIMEOUT_S
         return 8 * n_payload * p_ok / t_cycle

@@ -1,7 +1,7 @@
 """Unified telemetry: metrics, spans, run manifests, exporters.
 
 ``repro.obs`` is the observability subsystem threaded through the
-whole stack — the batched Monte-Carlo engine, the waveform path, the
+whole stack — the Monte-Carlo replay, the waveform path, the
 DES kernel, the MAC, the sweep runner and every experiment harness.
 It is zero-dependency and **off by default**: without an active
 session, :func:`metrics` returns a shared null registry and

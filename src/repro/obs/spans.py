@@ -1,6 +1,6 @@
 """Contextvar-based span tracing with monotonic timings.
 
-A *span* is one timed region of work — ``with span("batch.ser"): ...``
+A *span* is one timed region of work — ``with span("montecarlo.ser"): ...``
 — identified by a name plus optional attributes.  Spans nest: the
 contextvar holding the active span makes the enclosing ``with`` block
 the parent of any span opened inside it, across generator suspensions

@@ -71,24 +71,3 @@ class PhotodiodeModel:
         if sigma > 0:
             current = current + rng.normal(0.0, sigma, size=current.shape)
         return current
-
-    def receive_batch(self, optical_waveform_w: np.ndarray, ambient: float,
-                      rng: np.random.Generator, n_copies: int) -> np.ndarray:
-        """``n_copies`` independent noisy receptions of one waveform.
-
-        Returns an ``(n_copies, n_samples)`` matrix; the deterministic
-        photocurrent is computed once and the noise drawn in a single
-        pass.  Row ``i`` consumes exactly the draws the ``i``-th
-        sequential :meth:`receive` call would, so a batched run matches
-        a scalar loop bit-for-bit under a shared seed.
-        """
-        if n_copies < 1:
-            raise ValueError("n_copies must be positive")
-        optical = np.asarray(optical_waveform_w, dtype=float)
-        current = self.responsivity_a_per_w * optical
-        current = current + self.ambient_current(ambient)
-        sigma = self.noise_sigma(ambient)
-        if sigma > 0:
-            return current[None, :] + rng.normal(
-                0.0, sigma, size=(n_copies, current.size))
-        return np.broadcast_to(current, (n_copies, current.size)).copy()

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core.params import SystemConfig
-from ..obs import metrics, span
+from ..obs import metrics
 from .adc import AdcModel
 from .channel import VlcChannel
 from .led import LedModel
@@ -83,35 +83,6 @@ class WaveformSynthesizer:
         if adc is None:
             adc = self.default_adc(channel, geometry, ambient)
         samples = adc.convert(current)
-        metrics().counter("repro_waveform_samples_total",
-                          help="ADC samples synthesised").inc(samples.size)
-        return samples
-
-    def received_samples_batch(self, slots: Sequence[bool],
-                               channel: VlcChannel, geometry: LinkGeometry,
-                               ambient: float, rng: np.random.Generator,
-                               n_copies: int,
-                               adc: AdcModel | None = None) -> np.ndarray:
-        """``n_copies`` independent noisy receptions of the same frame.
-
-        The deterministic part of the chain (LED edge filter, optics,
-        ambient pedestal) is synthesised once; only the noise is drawn
-        per copy, as an ``(n_copies, n_samples)`` matrix.  Row ``i``
-        consumes exactly the draws the ``i``-th sequential
-        :meth:`received_samples` call would, so batch and scalar runs
-        agree sample-for-sample under a shared seed.
-        """
-        if n_copies < 1:
-            raise ValueError("n_copies must be positive")
-        with span("waveform.received_samples_batch", n_copies=n_copies,
-                  n_slots=len(slots)):
-            light = self.emitted_waveform(slots)
-            optical_power = light * channel.optics.received_power_w(geometry)
-            current = channel.photodiode.receive_batch(
-                optical_power, ambient, rng, n_copies)
-            if adc is None:
-                adc = self.default_adc(channel, geometry, ambient)
-            samples = adc.convert(current)
         metrics().counter("repro_waveform_samples_total",
                           help="ADC samples synthesised").inc(samples.size)
         return samples

@@ -1,10 +1,5 @@
 """Simulation drivers: analytic link model, dynamic scenario, waveform path."""
 
-from .batch import (
-    BatchCodec,
-    BatchMonteCarloValidator,
-    corrupt_batch,
-)
 from .dynamic import DynamicRunResult, DynamicScenario, DynamicTick
 from .endtoend import EndToEndLink, EndToEndReport
 from .export import (
@@ -33,8 +28,6 @@ from .results import (
 from .sweep import SweepRunner
 
 __all__ = [
-    "BatchCodec",
-    "BatchMonteCarloValidator",
     "DynamicRunResult",
     "DynamicScenario",
     "DynamicTick",
@@ -49,7 +42,6 @@ __all__ = [
     "SymbolErrorEstimate",
     "TableResult",
     "ascii_plot",
-    "corrupt_batch",
     "default_payload",
     "expected_goodput",
     "figure_to_rows",

@@ -22,7 +22,7 @@ from ..core.params import SystemConfig
 from ..link.frame import FrameError
 from ..link.receiver import DecodedFrame, Receiver, SampleSynchronizer
 from ..link.transmitter import Transmitter
-from ..obs import metrics, span
+from ..obs import metrics
 from ..phy.channel import VlcChannel, calibrated_channel
 from ..phy.optics import LinkGeometry
 from ..phy.waveform import SlotSampler, WaveformSynthesizer
@@ -102,45 +102,3 @@ class EndToEndLink:
                                   "errors").inc()
         return EndToEndReport(delivered, frame, slot_errors, len(slots),
                               failure="" if delivered else "payload mismatch")
-
-    def measure_slot_error_rate(self, design: SchemeDesign, payload: bytes,
-                                n_frames: int,
-                                rng: np.random.Generator) -> float:
-        """Average slot error rate over repeated frames.
-
-        The deterministic half of the pipeline — frame assembly, LED
-        edge filter, optics, ambient pedestal — is synthesised once and
-        all frames' noise is drawn in a single ``(n_frames, n_samples)``
-        pass; per-row work is reduced to the C-level sync correlation
-        and slot decisions.  It consumes the random stream that
-        :meth:`send_frame` in a loop would, and returns the same rate
-        for the same seed.
-        """
-        if n_frames < 1:
-            return 0.0
-        with span("endtoend.measure_slot_error_rate", n_frames=n_frames):
-            slots = self._tx.encode_frame(payload, design)
-            padded = ([False] * self.leading_silence_slots + slots
-                      + [False] * self.leading_silence_slots)
-            sample_rows = self._synth.received_samples_batch(
-                padded, self.channel, self.geometry, self.ambient, rng,
-                n_frames)
-            sent = np.asarray(slots, dtype=bool)
-            total_errors = 0
-            for row in sample_rows:
-                start = self._sync.find_frame_start(row)
-                available = (row.size - start) // self.config.oversampling
-                decided = np.asarray(
-                    self._sampler.decide(row, available, offset=start),
-                    dtype=bool)
-                m = min(sent.size, decided.size)
-                total_errors += int(np.count_nonzero(sent[:m] != decided[:m]))
-            total_slots = n_frames * len(slots)
-        registry = metrics()
-        registry.counter("repro_endtoend_frames_total",
-                         help="frames pushed through the waveform path") \
-            .inc(n_frames)
-        registry.counter("repro_endtoend_slot_errors_total",
-                         help="slot decisions that flipped end to end") \
-            .inc(total_errors)
-        return total_errors / total_slots if total_slots else 0.0

@@ -8,19 +8,18 @@ one:
 
 * :meth:`MonteCarloValidator.symbol_error_rate` — flip slots with the
   channel probabilities, decode with Algorithm 2, count mismatches.
-  Must converge to Eq. (3).
-* :meth:`MonteCarloValidator.undetected_error_rate` — of those symbol
-  errors, how many alias to a *valid but wrong* value (compensating
-  flips that preserve the ON count)?  This is the residual the frame
-  CRC exists to catch.
+  Must converge to Eq. (3).  Its :class:`SymbolErrorEstimate` also
+  counts how many of those errors alias to a *valid but wrong* value
+  (compensating flips that preserve the ON count): the residual the
+  frame CRC exists to catch.
 * :meth:`MonteCarloValidator.frame_loss_rate` — whole frames through
   the real receiver vs the analytic frame-success probability.
 
-This module is the *scalar reference* implementation: one symbol or
-frame at a time, easy to audit against the paper's pseudocode.  The
-production path for large trial counts is the vectorized engine in
-:mod:`repro.sim.batch`, which consumes the same random stream and is
-held bit-identical to this one by the parity suite.
+The replay runs one symbol or frame at a time through the same codec
+(:mod:`repro.core.coding`), slot corruption
+(:func:`repro.link.mac.corrupt_slots`) and receiver that carry every
+real frame, so what it checks the analytic model against is the code
+that runs, not a copy of it.
 """
 
 from __future__ import annotations

@@ -97,6 +97,42 @@ class TestSpatialIndexMutation:
             "spatial-index exactness: nearest() at (")
 
 
+class TestCodecMutation:
+    """The ``codec`` oracle checks the production codec against the
+    combinadic order, so a codec that is off by one rank fails it."""
+
+    PARAMS = {"n": 16, "k": 5, "n_symbols": 40, "p_off": 0.01,
+              "p_on": 0.01, "rngseed": 9}
+
+    def test_clean_codec_passes(self):
+        result = execute_params("codec", self.PARAMS)
+        assert result.status == "ok", result.detail
+
+    def test_encoder_off_by_one_rank_fails(self, monkeypatch):
+        from repro.core import coding
+        from repro.core.combinatorics import symbol_capacity
+
+        encode = coding.encode_symbol
+
+        def shifted(value, n, k):
+            return encode((value + 1) % symbol_capacity(n, k), n, k)
+
+        monkeypatch.setattr(coding, "encode_symbol", shifted)
+        result = execute_params("codec", self.PARAMS)
+        assert result.status == "fail"
+        assert result.detail.startswith("encode order: ")
+
+    def test_decoder_off_by_one_on_weight_k_words_fails(self, monkeypatch):
+        from repro.core import coding
+
+        decode = coding.decode_symbol
+        monkeypatch.setattr(coding, "decode_symbol",
+                            lambda slots, k: decode(slots, k) + 1)
+        result = execute_params("codec", self.PARAMS)
+        assert result.status == "fail"
+        assert result.detail.startswith("decode parity: ")
+
+
 class TestShrinkCandidates:
     @pytest.mark.parametrize("oracle", sorted(ORACLES))
     def test_candidates_are_valid_reductions(self, oracle):

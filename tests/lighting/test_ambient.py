@@ -12,7 +12,6 @@ from repro.lighting import (
     DaylightAmbient,
     ScheduledAmbient,
     StaticAmbient,
-    StepAmbient,
 )
 
 
@@ -140,19 +139,23 @@ class TestDaylight:
 
 class TestStepProfile:
     def test_steps(self):
-        profile = StepAmbient(steps=((0.0, 0.1), (5.0, 0.6)))
+        # A stepped profile is a static base with pinning steps on top.
+        profile = ScheduledAmbient(StaticAmbient(0.1), ((5.0, 0.6),))
+        assert profile.intensity(-1.0) == 0.1
         assert profile.intensity(0.0) == 0.1
         assert profile.intensity(4.99) == 0.1
         assert profile.intensity(5.0) == 0.6
+        assert profile.intensity(1e6) == 0.6
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StepAmbient(steps=())
-        with pytest.raises(ValueError):
-            StepAmbient(steps=((5.0, 0.1),))
-        with pytest.raises(ValueError):
-            StepAmbient(steps=((0.0, 0.1), (1.0, 1.5)))
-
+        # Levels at either end of [0, 1] and steps that tie in time are
+        # accepted (the later tied step wins); a level below 0 is not.
+        profile = ScheduledAmbient(StaticAmbient(0.1),
+                                   ((1.0, 0.0), (1.0, 1.0), (2.0, None)))
+        assert profile.intensity(1.0) == 1.0
+        assert profile.intensity(2.0) == 0.1
+        with pytest.raises(ValueError, match="step levels"):
+            ScheduledAmbient(StaticAmbient(0.1), ((1.0, -0.1),))
 
 
 class TestScheduled:
@@ -196,7 +199,9 @@ OUT_OF_RANGE = [
     pytest.param(ScheduledAmbient,
                  dict(base=StaticAmbient(0.3), steps=((1.0, 1.5),)),
                  "step levels", id="scheduled-step-level"),
-    pytest.param(StepAmbient, dict(steps=((0.0, 0.1), (5.0, 0.2), (1.0, 0.3))),
+    pytest.param(ScheduledAmbient,
+                 dict(base=StaticAmbient(0.3),
+                      steps=((0.0, 0.1), (5.0, 0.2), (1.0, 0.3))),
                  "non-decreasing", id="step-order"),
 ]
 

@@ -8,9 +8,9 @@ from repro.core import SlotErrorModel, shared_designer
 from repro.core.adaptation import safe_measured_tau
 from repro.lighting import (
     BlindRampAmbient,
+    ScheduledAmbient,
     SmartLightingController,
     StaticAmbient,
-    StepAmbient,
     type2_analyze,
 )
 from repro.lighting.controller import AMBIENT_MAX, DEGRADED_ERROR_MARGIN
@@ -137,7 +137,7 @@ class TestSettling:
 
     def test_step_ambient_single_burst(self, config):
         controller = SmartLightingController(target_sum=1.0, config=config)
-        profile = StepAmbient(steps=((0.0, 0.2), (5.0, 0.4)))
+        profile = ScheduledAmbient(StaticAmbient(0.2), ((5.0, 0.4),))
         samples = controller.run(profile, 10.0)
         counts = [s.adjustments for s in samples]
         assert counts[-1] == counts[6]  # no further moves after the step

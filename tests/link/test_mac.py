@@ -4,7 +4,12 @@ import pytest
 
 from repro.core import SlotErrorModel, SystemConfig
 from repro.link import StopAndWaitMac, WifiUplink, corrupt_slots
-from repro.link.mac import header_success_probability
+from repro.link import mac as mac_module
+from repro.link.mac import (
+    ACK_TIMEOUT_S,
+    MAX_RETRIES,
+    header_success_probability,
+)
 from repro.schemes import AmppmScheme, OokCt
 
 
@@ -56,23 +61,21 @@ class TestRun:
         assert stats.frames_sent > stats.frames_delivered or \
             stats.retransmissions == stats.frames_sent - stats.frames_delivered
 
-    def test_hopeless_channel_gives_up(self, design, rng):
-        mac = StopAndWaitMac(SystemConfig(), max_retries=2)
+    def test_hopeless_channel_gives_up(self, mac, design, rng):
         errors = SlotErrorModel(0.2, 0.2)
         stats = mac.run([bytes(64)], design, errors, rng)
         assert stats.frames_delivered == 0
-        assert stats.frames_sent == 3  # 1 + 2 retries
+        assert stats.frames_sent == 1 + MAX_RETRIES  # 1 + 8 retries
 
-    def test_exhausted_retries_pin_the_retransmission_count(self, design,
-                                                            rng):
+    def test_exhausted_retries_pin_the_retransmission_count(self, mac,
+                                                            design, rng):
         # Regression: the first transmission of a payload is not a
         # retransmission, and the final timeout of an abandoned payload
         # must not count one either — a payload that exhausts
-        # ``max_retries`` retries contributes exactly ``max_retries``.
-        mac = StopAndWaitMac(SystemConfig(), max_retries=2)
+        # ``MAX_RETRIES`` retries contributes exactly ``MAX_RETRIES``.
         errors = SlotErrorModel(0.2, 0.2)
         stats = mac.run([bytes(64)], design, errors, rng)
-        assert stats.retransmissions == 2
+        assert stats.retransmissions == MAX_RETRIES
         assert stats.frames_abandoned == 1
         assert stats.frames_sent == stats.retransmissions + 1
 
@@ -88,16 +91,17 @@ class TestRun:
         assert stats.frames_delivered == 15
         assert stats.frames_sent >= 15
 
-    def test_each_lost_attempt_waits_the_fixed_timeout(self, design, rng):
+    def test_each_lost_attempt_waits_the_fixed_timeout(self, mac, design,
+                                                       rng):
         # The paper's loop: no backoff, the same ACK timeout after every
         # lost attempt, the abandoned payload's last one included.
-        mac = StopAndWaitMac(SystemConfig(), ack_timeout_s=25e-3,
-                             max_retries=3)
         stats = mac.run([bytes(64)], design, SlotErrorModel.ideal(), rng,
                         corruptor=lambda slots, _rng: [not s for s in slots])
+        attempts = 1 + MAX_RETRIES
         assert stats.frames_abandoned == 1
-        assert stats.frames_sent == 4
-        assert stats.elapsed_s == pytest.approx(stats.airtime_s + 4 * 25e-3)
+        assert stats.frames_sent == attempts
+        assert stats.elapsed_s == pytest.approx(
+            stats.airtime_s + attempts * ACK_TIMEOUT_S)
 
     def test_corruptor_sees_every_attempt(self, design, rng):
         calls = []
@@ -135,23 +139,26 @@ class TestExpectedThroughput:
         noisy = mac.expected_throughput(design, SlotErrorModel(1e-3, 1e-3))
         assert noisy < clean
 
-    def test_longer_timeout_costs_throughput(self, design):
+    def test_longer_timeout_costs_throughput(self, mac, design, monkeypatch):
+        # Every cycle that loses its frame or ACK waits ACK_TIMEOUT_S out.
         errors = SlotErrorModel(2e-4, 2e-4)
-        short = StopAndWaitMac(SystemConfig(), ack_timeout_s=5e-3)
-        long = StopAndWaitMac(SystemConfig(), ack_timeout_s=40e-3)
-        assert long.expected_throughput(design, errors) \
-            < short.expected_throughput(design, errors)
 
-    def test_timeout_is_free_on_a_lossless_link(self, design):
+        def throughput(timeout_s):
+            monkeypatch.setattr(mac_module, "ACK_TIMEOUT_S", timeout_s)
+            return mac.expected_throughput(design, errors)
+
+        assert throughput(40e-3) < throughput(5e-3)
+
+    def test_timeout_is_free_on_a_lossless_link(self, design, monkeypatch):
         # P_ok = 1: no cycle ever waits the timeout out.
-        lossless = WifiUplink(loss_probability=0.0)
-        short = StopAndWaitMac(SystemConfig(), uplink=lossless,
-                               ack_timeout_s=5e-3)
-        long = StopAndWaitMac(SystemConfig(), uplink=lossless,
-                              ack_timeout_s=40e-3)
-        ideal = SlotErrorModel.ideal()
-        assert long.expected_throughput(design, ideal) \
-            == short.expected_throughput(design, ideal)
+        mac = StopAndWaitMac(SystemConfig(),
+                             uplink=WifiUplink(loss_probability=0.0))
+
+        def throughput(timeout_s):
+            monkeypatch.setattr(mac_module, "ACK_TIMEOUT_S", timeout_s)
+            return mac.expected_throughput(design, SlotErrorModel.ideal())
+
+        assert throughput(40e-3) == throughput(5e-3)
 
     def test_larger_payload_amortises_overhead(self, mac, design):
         small = mac.expected_throughput(design, SlotErrorModel.ideal(),
@@ -183,12 +190,3 @@ class TestHeaderSuccess:
         high = header_success_probability(SlotErrorModel(1e-3, 1e-3))
         assert high < low < 1.0
 
-
-class TestValidation:
-    def test_bad_timeout(self):
-        with pytest.raises(ValueError):
-            StopAndWaitMac(SystemConfig(), ack_timeout_s=0.0)
-
-    def test_bad_retries(self):
-        with pytest.raises(ValueError):
-            StopAndWaitMac(SystemConfig(), max_retries=-1)

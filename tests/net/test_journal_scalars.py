@@ -16,7 +16,6 @@ from repro.lighting.ambient import (
     DaylightAmbient,
     ScheduledAmbient,
     StaticAmbient,
-    StepAmbient,
 )
 from repro.net import default_network, desk_room
 from repro.scenarios import ScenarioRunner
@@ -61,7 +60,7 @@ PROFILES = {
     "daylight": DaylightAmbient(),
     "scheduled": ScheduledAmbient(CloudyDayAmbient(),
                                   ((100.0, 0.05), (200.0, None))),
-    "step": StepAmbient(((0.0, 0.2), (50.0, 0.7))),
+    "step": ScheduledAmbient(StaticAmbient(0.2), ((50.0, 0.7),)),
 }
 
 

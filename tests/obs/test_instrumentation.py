@@ -1,7 +1,7 @@
 """End-to-end telemetry: instrumented hot paths feed one session.
 
-These tests exercise the permanent instrumentation sites — the batched
-Monte-Carlo engine, the DES kernel, the MAC and the sweep runner —
+These tests exercise the permanent instrumentation sites — the
+Monte-Carlo replay, the DES kernel, the MAC and the sweep runner —
 under an active session, and pin the two contracts that make it safe
 to leave them in: counter totals are identical whether a sweep runs
 serially or across processes, and enabling telemetry never changes a
@@ -13,7 +13,7 @@ import numpy as np
 from repro.core.errormodel import SlotErrorModel
 from repro.core.symbols import SymbolPattern
 from repro.des.kernel import EventScheduler
-from repro.sim.batch import BatchMonteCarloValidator
+from repro.sim.montecarlo import MonteCarloValidator
 from repro.sim.sweep import SweepRunner
 from repro.obs import telemetry_session
 
@@ -23,28 +23,30 @@ ERRORS = SlotErrorModel(0.01, 0.01)
 
 def _count_errors(n_symbols, rng):
     """Module-level sweep worker (must be picklable for process pools)."""
-    estimate = BatchMonteCarloValidator().symbol_error_rate(
+    estimate = MonteCarloValidator().symbol_error_rate(
         PATTERN, ERRORS, rng, n_symbols=int(n_symbols))
     return estimate.n_errors
 
 
 class TestBatchEngine:
+    """The Monte-Carlo replay, counting each batch of symbols it runs."""
+
     def test_ser_records_symbol_counters(self):
         with telemetry_session() as session:
-            estimate = BatchMonteCarloValidator().symbol_error_rate(
+            estimate = MonteCarloValidator().symbol_error_rate(
                 PATTERN, ERRORS, np.random.default_rng(3), n_symbols=2000)
-        registry = session.registry
-        assert registry.counter("repro_batch_symbols_total").value() == 2000
-        assert (registry.counter("repro_batch_symbol_errors_total").value()
+        counter = session.registry.counter
+        assert counter("repro_montecarlo_symbols_total").value() == 2000
+        assert (counter("repro_montecarlo_symbol_errors_total").value()
                 == estimate.n_errors)
         names = [r.name for r in session.spans.records]
-        assert "batch.symbol_error_rate" in names
+        assert "montecarlo.symbol_error_rate" in names
 
     def test_off_by_default_and_result_unchanged(self):
-        baseline = BatchMonteCarloValidator().symbol_error_rate(
+        baseline = MonteCarloValidator().symbol_error_rate(
             PATTERN, ERRORS, np.random.default_rng(3), n_symbols=2000)
         with telemetry_session():
-            observed = BatchMonteCarloValidator().symbol_error_rate(
+            observed = MonteCarloValidator().symbol_error_rate(
                 PATTERN, ERRORS, np.random.default_rng(3), n_symbols=2000)
         # Telemetry observes; it must never perturb the random stream.
         assert observed == baseline
@@ -74,11 +76,11 @@ class TestSweepAggregation:
         a, b = serial_session.registry, parallel_session.registry
         # Worker shards are absorbed into the parent: same totals as the
         # in-process run, however the pool scheduled the points.
-        assert (a.counter("repro_batch_symbols_total").value()
-                == b.counter("repro_batch_symbols_total").value()
+        assert (a.counter("repro_montecarlo_symbols_total").value()
+                == b.counter("repro_montecarlo_symbols_total").value()
                 == sum(points))
-        assert (a.counter("repro_batch_symbol_errors_total").value()
-                == b.counter("repro_batch_symbol_errors_total").value()
+        assert (a.counter("repro_montecarlo_symbol_errors_total").value()
+                == b.counter("repro_montecarlo_symbol_errors_total").value()
                 == sum(serial))
 
     def test_sweep_span_and_point_counter(self):

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core import SystemConfig
+from repro.link.receiver import SampleSynchronizer
+from repro.link.transmitter import Transmitter
 from repro.phy import LinkGeometry
+from repro.phy.waveform import SlotSampler, WaveformSynthesizer
 from repro.schemes import AmppmScheme, Mppm, OokCt
 from repro.sim import EndToEndLink
+from repro.sim.endtoend import EndToEndReport
 
 
 @pytest.fixture(scope="module")
@@ -56,38 +60,56 @@ class TestDelivery:
         # Same noise draws on both links (same seed): only the ambient
         # noise term differs, so the dark link cannot do worse.
         design = AmppmScheme(config).design(0.5)
-        dark = EndToEndLink(config=config, ambient=0.05,
-                            geometry=LinkGeometry.on_axis(4.8))
-        bright = EndToEndLink(config=config, ambient=1.0,
-                              geometry=LinkGeometry.on_axis(4.8))
-        dark_errs = dark.measure_slot_error_rate(
-            design, bytes(64), 10, np.random.default_rng(99))
-        bright_errs = bright.measure_slot_error_rate(
-            design, bytes(64), 10, np.random.default_rng(99))
-        assert dark_errs <= bright_errs
+
+        def slot_errors(ambient):
+            link = EndToEndLink(config=config, ambient=ambient,
+                                geometry=LinkGeometry.on_axis(4.8))
+            rng = np.random.default_rng(99)
+            return sum(link.send_frame(bytes(64), design, rng).slot_errors
+                       for _ in range(10))
+
+        assert slot_errors(0.05) <= slot_errors(1.0)
 
 
 class TestBatchParity:
+    """Slot error rates measured over a batch of ``send_frame`` reports."""
+
     def test_measured_ser_bit_identical_to_scalar(self, config):
-        # Both paths consume the identical random stream, so the rates
-        # must match exactly — not just statistically.
+        # Each frame draws one received waveform from the stream, and
+        # its report counts exactly the slot decisions that differ from
+        # what was sent: the pipeline's stages replayed one by one on
+        # the same seed give the same rate, not just statistically.
         design = AmppmScheme(config).design(0.5)
         link = EndToEndLink(config=config,
                             geometry=LinkGeometry.on_axis(4.8))
-        batched = link.measure_slot_error_rate(
-            design, bytes(48), 8, np.random.default_rng(1234))
         rng = np.random.default_rng(1234)
         reports = [link.send_frame(bytes(48), design, rng) for _ in range(8)]
-        scalar = (sum(r.slot_errors for r in reports)
-                  / sum(r.n_slots for r in reports))
-        assert batched == scalar
-        assert batched > 0  # 4.8 m is noisy enough to exercise errors
+        measured = (sum(r.slot_errors for r in reports)
+                    / sum(r.n_slots for r in reports))
 
-    def test_zero_frames(self, config):
-        link = EndToEndLink(config=config)
-        design = AmppmScheme(config).design(0.5)
-        assert link.measure_slot_error_rate(
-            design, bytes(8), 0, np.random.default_rng(0)) == 0.0
+        slots = Transmitter(config).encode_frame(bytes(48), design)
+        padded = ([False] * link.leading_silence_slots + slots
+                  + [False] * link.leading_silence_slots)
+        synth = WaveformSynthesizer(config)
+        sync = SampleSynchronizer(config)
+        sampler = SlotSampler(config)
+        replay_rng = np.random.default_rng(1234)
+        flips = 0
+        for _ in range(8):
+            samples = synth.received_samples(padded, link.channel,
+                                             link.geometry, link.ambient,
+                                             replay_rng)
+            start = sync.find_frame_start(samples)
+            decided = sampler.decide(
+                samples, (samples.size - start) // config.oversampling,
+                offset=start)
+            flips += sum(1 for sent, got in zip(slots, decided) if sent != got)
+        assert measured == flips / (8 * len(slots))
+        assert measured > 0  # 4.8 m is noisy enough to exercise errors
+
+    def test_zero_frames(self):
+        # A measurement that carried no slots reads a rate of zero.
+        assert EndToEndReport(False, None, 0, 0).slot_error_rate == 0.0
 
 
 class TestReport:

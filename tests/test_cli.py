@@ -648,30 +648,44 @@ class TestTraceAndProfile:
         assert "experiment.fig04" in text
 
 
+def run_with_closed_stdout(args, cwd, unbuffered=False):
+    """Run ``python *args`` with a stdout pipe whose reader is gone.
+
+    The read end is closed before the child starts, so its first write
+    to stdout fails, whatever the timing: at a print when unbuffered,
+    else at the flush before exit.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        return subprocess.run([sys.executable, *args], stdout=write_end,
+                              stderr=subprocess.PIPE, cwd=cwd, env=env,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_exits_141_without_a_traceback(self, tmp_path, unbuffered):
-        # The read end is closed before the child starts, so its first
-        # write to stdout fails, whatever the timing: at a print when
-        # unbuffered, else at the flush before exit.
-        read_end, write_end = os.pipe()
-        os.close(read_end)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-        env.pop("PYTHONUNBUFFERED", None)
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        argv = ("journal", "--grid", "1x1", "--nodes", "1", "--duration", "2")
-        try:
-            done = subprocess.run([sys.executable, "-m", "repro", *argv],
-                                  stdout=write_end, stderr=subprocess.PIPE,
-                                  cwd=tmp_path, env=env, timeout=120)
-        finally:
-            os.close(write_end)
+        done = run_with_closed_stdout(
+            ("-m", "repro", "journal", "--grid", "1x1", "--nodes", "1",
+             "--duration", "2"), tmp_path, unbuffered)
         assert done.returncode == 141
         assert b"Traceback" not in done.stderr
         assert b"Exception ignored" not in done.stderr
+
+    def test_the_cli_module_is_not_a_second_entry_point(self, tmp_path):
+        # ``python -m repro`` is the one entry point: running the module
+        # behind it must not start a run that skips its pipe handling.
+        done = run_with_closed_stdout(("-m", "repro.cli", "list"), tmp_path)
+        assert b"Traceback" not in done.stderr
 
 
 class TestParser:

@@ -161,7 +161,7 @@ CONTRACTS = (
         (cli("fuzz", "run", "--budget", "300", "--seed", "0"),
          cli("fuzz", "run", "--budget", "300", "--seed", "0",
              "--jobs", "2")),
-        "d3db1a927e4f6b0d5847ea751473d5b6eb71221a8a68ec26375baa49dfc86303",
+        "7191ba0f8105a45aabd39b616c0d52368fe50f835f53a8a129ad1005818ff7fb",
         "a short campaign on the shipped tree comes back clean, and no "
         "oracle's results drift with the worker count"),
 )
