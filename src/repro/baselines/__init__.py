@@ -1,6 +1,6 @@
 """State-of-the-art dimmable modulation schemes SmartVLC compares against."""
 
-from .base import ModulationScheme, SchemeDesign
+from .base import FixedLengthScheme, FixedSymbolDesign, ModulationScheme, SchemeDesign
 from .darklight import DarkLight, DarkLightDesign
 from .mppm import Mppm, MppmDesign
 from .ookct import OokCt, OokCtDesign
@@ -10,6 +10,8 @@ from .vppm import Vppm, VppmDesign
 __all__ = [
     "DarkLight",
     "DarkLightDesign",
+    "FixedLengthScheme",
+    "FixedSymbolDesign",
     "ModulationScheme",
     "Mppm",
     "MppmDesign",

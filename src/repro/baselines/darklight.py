@@ -17,15 +17,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.errormodel import SlotErrorModel
 from ..core.params import SystemConfig
-from .base import ModulationScheme, SchemeDesign
+from .base import FixedSymbolDesign, ModulationScheme
 
 #: Largest symbol length the frame header can describe (12-bit field).
 MAX_DARKLIGHT_N = 4095
 
 
-class DarkLightDesign(SchemeDesign):
+class DarkLightDesign(FixedSymbolDesign):
     """Single-pulse PPM at an imperceptible duty cycle."""
 
     def __init__(self, n_slots: int, config: SystemConfig):
@@ -33,76 +32,24 @@ class DarkLightDesign(SchemeDesign):
             raise ValueError(
                 f"DarkLight symbol length must lie in [2, {MAX_DARKLIGHT_N}]"
             )
-        self.n_slots = n_slots
-        self.config = config
-        self.target_dimming = 1.0 / n_slots
+        super().__init__(1.0 / n_slots, n_slots, 1, config)
+        #: bits per symbol: floor(log2 N) pulse positions are used
+        self.bits = n_slots.bit_length() - 1
+        #: number of usable pulse positions, 2**bits
+        self.positions = 1 << self.bits
 
-    @property
-    def achieved_dimming(self) -> float:
-        return 1.0 / self.n_slots
+    def encode(self, value: int) -> list[bool]:
+        """One ON slot, at position ``value``."""
+        symbol = [False] * self.n_slots
+        symbol[value] = True
+        return symbol
 
-    @property
-    def bits(self) -> int:
-        """Bits per symbol: floor(log2 N) pulse positions are used."""
-        return self.n_slots.bit_length() - 1
-
-    @property
-    def positions(self) -> int:
-        """Number of usable pulse positions, 2**bits."""
-        return 1 << self.bits
-
-    def _symbol_error_rate(self, errors: SlotErrorModel) -> float:
-        ok = ((1.0 - errors.p_on_error)
-              * (1.0 - errors.p_off_error) ** (self.n_slots - 1))
-        return 1.0 - ok
-
-    def normalized_rate(self, errors: SlotErrorModel | None = None) -> float:
-        rate = self.bits / self.n_slots
-        if errors is not None:
-            rate *= 1.0 - self._symbol_error_rate(errors)
-        return rate
-
-    def payload_slots(self, n_bits: int) -> int:
-        symbols = -(-n_bits // self.bits)
-        return symbols * self.n_slots
-
-    def success_probability(self, n_bits: int, errors: SlotErrorModel) -> float:
-        symbols = -(-n_bits // self.bits)
-        return (1.0 - self._symbol_error_rate(errors)) ** symbols
-
-    def encode_payload(self, bits: Sequence[int]) -> list[bool]:
-        padded = list(bits)
-        padded.extend([0] * ((-len(padded)) % self.bits))
-        slots: list[bool] = []
-        for start in range(0, len(padded), self.bits):
-            value = 0
-            for bit in padded[start:start + self.bits]:
-                if bit not in (0, 1):
-                    raise ValueError(f"payload bits must be 0 or 1, got {bit!r}")
-                value = (value << 1) | bit
-            symbol = [False] * self.n_slots
-            symbol[value] = True
-            slots.extend(symbol)
-        return slots
-
-    def decode_payload(self, slots: Sequence[bool], n_bits: int) -> list[int]:
-        n = self.n_slots
-        if len(slots) % n:
-            raise ValueError(f"slot count {len(slots)} not a multiple of {n}")
-        bits: list[int] = []
-        for start in range(0, len(slots), n):
-            symbol = slots[start:start + n]
-            ons = [i for i, s in enumerate(symbol) if s]
-            if len(ons) != 1 or ons[0] >= self.positions:
-                raise ValueError(
-                    f"DarkLight symbol corrupted: pulse positions {ons}"
-                )
-            value = ons[0]
-            for shift in range(self.bits - 1, -1, -1):
-                bits.append((value >> shift) & 1)
-        if len(bits) < n_bits:
-            raise ValueError(f"decoded only {len(bits)} bits, need {n_bits}")
-        return bits[:n_bits]
+    def decode(self, slots: Sequence[bool]) -> int:
+        """The pulse position; anything but one usable pulse raises."""
+        ons = [i for i, s in enumerate(slots) if s]
+        if len(ons) != 1 or ons[0] >= self.positions:
+            raise ValueError(f"DarkLight symbol corrupted: pulse positions {ons}")
+        return ons[0]
 
 
 class DarkLight(ModulationScheme):

@@ -12,95 +12,45 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.coding import SymbolCodec
-from ..core.errormodel import SlotErrorModel
+from ..core.coding import decode_symbol, encode_symbol
 from ..core.params import SystemConfig
 from ..core.symbols import SymbolPattern
-from .base import ModulationScheme, SchemeDesign
+from .base import FixedLengthScheme, FixedSymbolDesign, nearest_on_count
 
 
-class MppmDesign(SchemeDesign):
+class MppmDesign(FixedSymbolDesign):
     """MPPM bound to the nearest achievable K/N level."""
 
     def __init__(self, dimming: float, n_slots: int, config: SystemConfig):
-        if not 0.0 < dimming < 1.0:
-            raise ValueError("MPPM dimming level must lie in (0, 1)")
-        self.target_dimming = dimming
-        self.config = config
-        k = min(max(round(dimming * n_slots), 1), n_slots - 1)
+        k = nearest_on_count("MPPM", dimming, n_slots)
+        super().__init__(dimming, n_slots, k, config)
         self.pattern = SymbolPattern(n_slots, k)
-        self._codec = SymbolCodec(self.pattern)
-
-    @property
-    def achieved_dimming(self) -> float:
-        return self.pattern.dimming
+        self.bits = self.pattern.bits
 
     @property
     def quantisation_error(self) -> float:
         """|K/N - target|: the dimming error MPPM cannot avoid."""
         return abs(self.achieved_dimming - self.target_dimming)
 
-    def normalized_rate(self, errors: SlotErrorModel | None = None) -> float:
-        return self.pattern.normalized_rate(errors)
+    def encode(self, value: int) -> tuple[bool, ...]:
+        """The combinadic codeword of ``value`` (Algorithm 1)."""
+        return encode_symbol(value, self.n_slots, self.n_on)
 
-    def payload_slots(self, n_bits: int) -> int:
-        symbols = -(-n_bits // self.pattern.bits)  # ceil division
-        return symbols * self.pattern.n_slots
-
-    def success_probability(self, n_bits: int, errors: SlotErrorModel) -> float:
-        symbols = -(-n_bits // self.pattern.bits)
-        return (1.0 - self.pattern.symbol_error_rate(errors)) ** symbols
-
-    def encode_payload(self, bits: Sequence[int]) -> list[bool]:
-        padded = list(bits)
-        padded.extend([0] * ((-len(padded)) % self.pattern.bits))
-        slots: list[bool] = []
-        for start in range(0, len(padded), self.pattern.bits):
-            value = 0
-            for bit in padded[start:start + self.pattern.bits]:
-                if bit not in (0, 1):
-                    raise ValueError(f"payload bits must be 0 or 1, got {bit!r}")
-                value = (value << 1) | bit
-            slots.extend(self._codec.encode(value))
-        return slots
-
-    def decode_payload(self, slots: Sequence[bool], n_bits: int) -> list[int]:
-        n = self.pattern.n_slots
-        if len(slots) % n:
-            raise ValueError(f"slot count {len(slots)} not a multiple of {n}")
-        bits: list[int] = []
-        for start in range(0, len(slots), n):
-            value = self._codec.decode(slots[start:start + n])
-            for shift in range(self.pattern.bits - 1, -1, -1):
-                bits.append((value >> shift) & 1)
-        if len(bits) < n_bits:
-            raise ValueError(f"decoded only {len(bits)} bits, need {n_bits}")
-        return bits[:n_bits]
+    def decode(self, slots: Sequence[bool]) -> int:
+        """Algorithm 2; raises CodewordWeightError on a wrong ON count."""
+        return decode_symbol(slots, self.n_on)
 
 
-class Mppm(ModulationScheme):
+class Mppm(FixedLengthScheme):
     """Factory for :class:`MppmDesign` with a fixed symbol length."""
 
     name = "MPPM"
 
     #: the paper's evaluation choice for the MPPM baseline
     DEFAULT_N = 20
-
-    def __init__(self, config: SystemConfig | None = None,
-                 n_slots: int | None = None):
-        super().__init__(config)
-        self.n_slots = n_slots if n_slots is not None else self.DEFAULT_N
-        if self.n_slots < 2:
-            raise ValueError("MPPM needs at least two slots per symbol")
-
-    @property
-    def supported_range(self) -> tuple[float, float]:
-        return 1.0 / self.n_slots, (self.n_slots - 1) / self.n_slots
+    design_class = MppmDesign
 
     @property
     def supported_levels(self) -> list[float]:
         """The step-wise K/N levels — what Fig. 6(a) plots."""
         return [k / self.n_slots for k in range(1, self.n_slots)]
-
-    def design(self, dimming: float) -> MppmDesign:
-        return MppmDesign(dimming, self.n_slots, self.config)

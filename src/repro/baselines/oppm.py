@@ -4,140 +4,40 @@ An OPPM symbol spans N slots and carries one contiguous pulse of width
 W; the pulse may start at any of the N - W + 1 positions (starts are
 allowed to overlap between codewords, hence the name), giving
 ``floor(log2 (N - W + 1))`` bits per symbol at a dimming level of W/N.
-Better than VPPM, still below MPPM — which can scatter its ON slots —
-and with the same coarse dimming grid as any fixed-parameter scheme.
+Only the first 2**bits starts carry data, and the receiver picks the
+nearest of those codewords (best correlation).  Better than VPPM,
+still below MPPM — which can scatter its ON slots — and with the same
+coarse dimming grid as any fixed-parameter scheme.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ..core.errormodel import SlotErrorModel
 from ..core.params import SystemConfig
-from .base import ModulationScheme, SchemeDesign
+from .base import FixedLengthScheme, FixedSymbolDesign, nearest_on_count
 
 
-class OppmDesign(SchemeDesign):
+class OppmDesign(FixedSymbolDesign):
     """OPPM bound to the nearest W/N duty."""
 
     def __init__(self, dimming: float, n_slots: int, config: SystemConfig):
-        if not 0.0 < dimming < 1.0:
-            raise ValueError("OPPM dimming level must lie in (0, 1)")
-        if n_slots < 2:
-            raise ValueError("OPPM needs at least two slots per symbol")
-        self.target_dimming = dimming
-        self.config = config
-        self.n_slots = n_slots
-        self.width = min(max(round(dimming * n_slots), 1), n_slots - 1)
+        self.width = nearest_on_count("OPPM", dimming, n_slots)
+        super().__init__(dimming, n_slots, self.width, config)
+        #: number of distinct pulse start positions (at least 2)
+        self.positions = n_slots - self.width + 1
+        #: data bits per symbol: floor(log2 positions)
+        self.bits = self.positions.bit_length() - 1
 
-    @property
-    def achieved_dimming(self) -> float:
-        return self.width / self.n_slots
-
-    @property
-    def positions(self) -> int:
-        """Number of distinct pulse start positions."""
-        return self.n_slots - self.width + 1
-
-    @property
-    def bits(self) -> int:
-        """Data bits per symbol: floor(log2 positions)."""
-        if self.positions < 2:
-            return 0
-        return self.positions.bit_length() - 1
-
-    def _symbol_error_rate(self, errors: SlotErrorModel) -> float:
-        ok = ((1.0 - errors.p_on_error) ** self.width
-              * (1.0 - errors.p_off_error) ** (self.n_slots - self.width))
-        return 1.0 - ok
-
-    def normalized_rate(self, errors: SlotErrorModel | None = None) -> float:
-        if self.bits == 0:
-            return 0.0
-        rate = self.bits / self.n_slots
-        if errors is not None:
-            rate *= 1.0 - self._symbol_error_rate(errors)
-        return rate
-
-    def payload_slots(self, n_bits: int) -> int:
-        if self.bits == 0:
-            raise ValueError("this OPPM design carries no data")
-        symbols = -(-n_bits // self.bits)
-        return symbols * self.n_slots
-
-    def success_probability(self, n_bits: int, errors: SlotErrorModel) -> float:
-        if self.bits == 0:
-            return 0.0
-        symbols = -(-n_bits // self.bits)
-        return (1.0 - self._symbol_error_rate(errors)) ** symbols
-
-    def encode_payload(self, bits: Sequence[int]) -> list[bool]:
-        if self.bits == 0:
-            raise ValueError("this OPPM design carries no data")
-        padded = list(bits)
-        padded.extend([0] * ((-len(padded)) % self.bits))
-        slots: list[bool] = []
-        for start in range(0, len(padded), self.bits):
-            value = 0
-            for bit in padded[start:start + self.bits]:
-                if bit not in (0, 1):
-                    raise ValueError(f"payload bits must be 0 or 1, got {bit!r}")
-                value = (value << 1) | bit
-            symbol = [False] * self.n_slots
-            symbol[value:value + self.width] = [True] * self.width
-            slots.extend(symbol)
-        return slots
-
-    def decode_payload(self, slots: Sequence[bool], n_bits: int) -> list[int]:
-        if self.bits == 0:
-            raise ValueError("this OPPM design carries no data")
-        n = self.n_slots
-        if len(slots) % n:
-            raise ValueError(f"slot count {len(slots)} not a multiple of {n}")
-        bits: list[int] = []
-        for start in range(0, len(slots), n):
-            symbol = slots[start:start + n]
-            value = self._decode_symbol(symbol)
-            for shift in range(self.bits - 1, -1, -1):
-                bits.append((value >> shift) & 1)
-        if len(bits) < n_bits:
-            raise ValueError(f"decoded only {len(bits)} bits, need {n_bits}")
-        return bits[:n_bits]
-
-    def _decode_symbol(self, symbol: Sequence[bool]) -> int:
-        """Best-correlation pulse start (nearest-codeword decision)."""
-        best_value = 0
-        best_score = -1
-        usable = 1 << self.bits
-        for position in range(min(self.positions, usable)):
-            score = sum(1 for i in range(self.width) if symbol[position + i])
-            score += sum(
-                1 for i, s in enumerate(symbol)
-                if not s and not position <= i < position + self.width
-            )
-            if score > best_score:
-                best_score = score
-                best_value = position
-        return best_value
+    def encode(self, value: int) -> list[bool]:
+        """A pulse of ``width`` slots starting at slot ``value``."""
+        symbol = [False] * self.n_slots
+        symbol[value:value + self.width] = [True] * self.width
+        return symbol
 
 
-class Oppm(ModulationScheme):
+class Oppm(FixedLengthScheme):
     """Factory for :class:`OppmDesign` with a fixed symbol length."""
 
     name = "OPPM"
 
     DEFAULT_N = 16
-
-    def __init__(self, config: SystemConfig | None = None,
-                 n_slots: int | None = None):
-        super().__init__(config)
-        self.n_slots = n_slots if n_slots is not None else self.DEFAULT_N
-        if self.n_slots < 2:
-            raise ValueError("OPPM needs at least two slots per symbol")
-
-    @property
-    def supported_range(self) -> tuple[float, float]:
-        return 1.0 / self.n_slots, (self.n_slots - 1) / self.n_slots
-
-    def design(self, dimming: float) -> OppmDesign:
-        return OppmDesign(dimming, self.n_slots, self.config)
+    design_class = OppmDesign

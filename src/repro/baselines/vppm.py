@@ -6,105 +6,39 @@ other (a blend of 2-PPM and PWM).  Dimming is the pulse duty W/N, so
 the resolution is 1/N, but the rate is a flat 1/N bit per slot — which
 is why the paper notes VPPM is outperformed by MPPM in theory and omits
 it from the measurements.  Included here as a related-work extension.
+
+The receiver makes a nearest-codeword (Hamming) decision, but a symbol
+counts as received only when all its slots decode correctly (Eq. (3)):
+a matched-filter receiver does better, and the slot-wise bound keeps
+VPPM comparable with the MPPM analysis.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
-
-from ..core.errormodel import SlotErrorModel
 from ..core.params import SystemConfig
-from .base import ModulationScheme, SchemeDesign
+from .base import FixedLengthScheme, FixedSymbolDesign, nearest_on_count
 
 
-class VppmDesign(SchemeDesign):
+class VppmDesign(FixedSymbolDesign):
     """VPPM bound to the nearest W/N duty."""
 
+    bits = 1
+
     def __init__(self, dimming: float, n_slots: int, config: SystemConfig):
-        if not 0.0 < dimming < 1.0:
-            raise ValueError("VPPM dimming level must lie in (0, 1)")
-        if n_slots < 2:
-            raise ValueError("VPPM needs at least two slots per symbol")
-        self.target_dimming = dimming
-        self.config = config
-        self.n_slots = n_slots
-        self.width = min(max(round(dimming * n_slots), 1), n_slots - 1)
+        self.width = nearest_on_count("VPPM", dimming, n_slots)
+        super().__init__(dimming, n_slots, self.width, config)
 
-    @property
-    def achieved_dimming(self) -> float:
-        return self.width / self.n_slots
-
-    def _codewords(self) -> tuple[list[bool], list[bool]]:
-        """The two symbol shapes: leading-edge pulse (0), trailing (1)."""
-        lead = [True] * self.width + [False] * (self.n_slots - self.width)
-        trail = [False] * (self.n_slots - self.width) + [True] * self.width
-        return lead, trail
-
-    def _symbol_error_rate(self, errors: SlotErrorModel) -> float:
-        """A symbol survives when all its slots decode correctly.
-
-        (A matched-filter receiver does better; the slot-wise bound is
-        used for comparability with the MPPM analysis of Eq. (3).)
-        """
-        ok = ((1.0 - errors.p_on_error) ** self.width
-              * (1.0 - errors.p_off_error) ** (self.n_slots - self.width))
-        return 1.0 - ok
-
-    def normalized_rate(self, errors: SlotErrorModel | None = None) -> float:
-        rate = 1.0 / self.n_slots
-        if errors is not None:
-            rate *= 1.0 - self._symbol_error_rate(errors)
-        return rate
-
-    def payload_slots(self, n_bits: int) -> int:
-        return n_bits * self.n_slots
-
-    def success_probability(self, n_bits: int, errors: SlotErrorModel) -> float:
-        return (1.0 - self._symbol_error_rate(errors)) ** n_bits
-
-    def encode_payload(self, bits: Sequence[int]) -> list[bool]:
-        lead, trail = self._codewords()
-        slots: list[bool] = []
-        for bit in bits:
-            if bit not in (0, 1):
-                raise ValueError(f"payload bits must be 0 or 1, got {bit!r}")
-            slots.extend(trail if bit else lead)
-        return slots
-
-    def decode_payload(self, slots: Sequence[bool], n_bits: int) -> list[int]:
-        n = self.n_slots
-        if len(slots) < n_bits * n:
-            raise ValueError(
-                f"need {n_bits * n} slots for {n_bits} bits, got {len(slots)}"
-            )
-        lead, trail = self._codewords()
-        bits: list[int] = []
-        for start in range(0, n_bits * n, n):
-            symbol = list(slots[start:start + n])
-            # Nearest-codeword (Hamming) decision.
-            d_lead = sum(a != b for a, b in zip(symbol, lead))
-            d_trail = sum(a != b for a, b in zip(symbol, trail))
-            bits.append(1 if d_trail < d_lead else 0)
-        return bits
+    def encode(self, value: int) -> list[bool]:
+        """A leading-edge pulse for 0, a trailing-edge pulse for 1."""
+        gap = [False] * (self.n_slots - self.width)
+        pulse = [True] * self.width
+        return gap + pulse if value else pulse + gap
 
 
-class Vppm(ModulationScheme):
+class Vppm(FixedLengthScheme):
     """Factory for :class:`VppmDesign` with a fixed symbol length."""
 
     name = "VPPM"
 
     DEFAULT_N = 10
-
-    def __init__(self, config: SystemConfig | None = None,
-                 n_slots: int | None = None):
-        super().__init__(config)
-        self.n_slots = n_slots if n_slots is not None else self.DEFAULT_N
-        if self.n_slots < 2:
-            raise ValueError("VPPM needs at least two slots per symbol")
-
-    @property
-    def supported_range(self) -> tuple[float, float]:
-        return 1.0 / self.n_slots, (self.n_slots - 1) / self.n_slots
-
-    def design(self, dimming: float) -> VppmDesign:
-        return VppmDesign(dimming, self.n_slots, self.config)
+    design_class = VppmDesign

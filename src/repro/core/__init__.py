@@ -28,6 +28,7 @@ from .ampdesign import (
 )
 from .coding import (
     CodewordWeightError,
+    StreamCodec,
     SuperSymbolCodec,
     SymbolCodec,
     decode_symbol,
@@ -38,8 +39,6 @@ from .envelope import Envelope, EnvelopePoint, slope_walk_envelope, upper_concav
 from .errormodel import SlotErrorModel
 from .params import DEFAULT_CONFIG, SystemConfig
 from .perception import (
-    is_type1_flicker_free,
-    is_type2_flicker_free,
     measured_step_for,
     perceived_step,
     to_measured,
@@ -60,6 +59,7 @@ __all__ = [
     "Envelope",
     "EnvelopePoint",
     "SlotErrorModel",
+    "StreamCodec",
     "SuperSymbol",
     "SuperSymbolCodec",
     "SymbolCodec",
@@ -73,8 +73,6 @@ __all__ = [
     "decode_symbol",
     "encode_symbol",
     "enumerate_patterns",
-    "is_type1_flicker_free",
-    "is_type2_flicker_free",
     "measured_step_for",
     "perceived_step",
     "plan_measured_steps",

@@ -13,6 +13,11 @@ loop, which would leave slot ``iN`` unwritten because ``iN`` has already
 advanced past the last slot the loop touched; we fill from ``iN``
 (0-indexed: from the loop's exit position) instead, which is the
 behaviour the accompanying prose describes.
+
+:class:`StreamCodec` is the one symbol walk that turns a bit stream
+into slots and back, for any cycle of codeword maps: an AMPPM
+super-symbol's constituent symbols (:class:`SuperSymbolCodec`) or a
+fixed-symbol baseline's single shape.
 """
 
 from __future__ import annotations
@@ -96,67 +101,55 @@ class CodewordWeightError(ValueError):
 
 
 class SymbolCodec:
-    """Bit-stream codec for a fixed symbol pattern."""
+    """Codeword map of one fixed symbol pattern (Algorithms 1 and 2)."""
 
     def __init__(self, pattern: SymbolPattern):
         if pattern.bits == 0:
             raise ValueError(f"{pattern} carries no data bits")
         self.pattern = pattern
-
-    @property
-    def bits(self) -> int:
-        """Data bits consumed/produced per symbol."""
-        return self.pattern.bits
+        #: data bits consumed/produced per symbol
+        self.bits = pattern.bits
+        #: slots per codeword
+        self.n_slots = pattern.n_slots
 
     def encode(self, value: int) -> tuple[bool, ...]:
         """Encode one symbol's worth of data."""
-        return encode_symbol(value, self.pattern.n_slots, self.pattern.n_on)
+        return encode_symbol(value, self.n_slots, self.pattern.n_on)
 
     def decode(self, slots: Sequence[bool]) -> int:
         """Decode one codeword; raises CodewordWeightError on corruption."""
-        if len(slots) != self.pattern.n_slots:
-            raise ValueError(
-                f"expected {self.pattern.n_slots} slots, got {len(slots)}"
-            )
+        if len(slots) != self.n_slots:
+            raise ValueError(f"expected {self.n_slots} slots, got {len(slots)}")
         return decode_symbol(slots, self.pattern.n_on)
 
 
-class SuperSymbolCodec:
-    """Encode/decode a bit stream through AMPPM super-symbols.
+class StreamCodec:
+    """Encode/decode a bit stream through a repeating cycle of symbols.
 
-    Bits are consumed most-significant-first, one constituent symbol at
-    a time, in the super-symbol's transmission order (m1 symbols of the
-    first pattern, then m2 of the second, repeating).  A stream may end
-    mid-super-symbol: the final unit is truncated at a symbol boundary,
-    so at most one *symbol* (not one super-symbol) of padding is ever
-    transmitted.  Both sides derive the symbol walk from the frame
-    header's bit count, so no extra signalling is needed.
+    Each entry of ``cycle`` is a codeword map exposing ``bits``,
+    ``n_slots``, ``encode(value)`` and ``decode(slots)``: a
+    :class:`SymbolCodec`, or a fixed-symbol baseline design, which is
+    its own map.  Bits are consumed most-significant-first, one symbol
+    at a time, in cycle order, repeating.  A stream may end mid-cycle:
+    the final unit is truncated at a symbol boundary, so at most one
+    *symbol* of padding is ever transmitted.  Both sides derive the
+    symbol walk from the frame header's bit count, so no extra
+    signalling is needed.
     """
 
-    def __init__(self, super_symbol: SuperSymbol):
-        if super_symbol.bits == 0:
-            raise ValueError("super-symbol carries no data bits")
-        self.super_symbol = super_symbol
-        self._codecs = [SymbolCodec(p) for p in super_symbol.symbols()]
+    def __init__(self, cycle: Iterable):
+        self._cycle = tuple(cycle)
+        if sum(c.bits for c in self._cycle) < 1:
+            raise ValueError("a symbol cycle must carry data bits")
 
-    @property
-    def bits(self) -> int:
-        """Data bits per full super-symbol."""
-        return self.super_symbol.bits
-
-    @property
-    def n_slots(self) -> int:
-        """Slots per full super-symbol."""
-        return self.super_symbol.n_slots
-
-    def symbol_plan(self, n_bits: int) -> list[SymbolCodec]:
+    def symbol_plan(self, n_bits: int) -> list:
         """The symbol sequence that carries ``n_bits`` data bits."""
         if n_bits <= 0:
             return []
-        plan: list[SymbolCodec] = []
+        plan = []
         remaining = n_bits
         while remaining > 0:
-            for codec in self._codecs:
+            for codec in self._cycle:
                 plan.append(codec)
                 remaining -= codec.bits
                 if remaining <= 0:
@@ -165,23 +158,11 @@ class SuperSymbolCodec:
 
     def slots_for_bits(self, n_bits: int) -> int:
         """Slots needed to carry ``n_bits`` data bits."""
-        return sum(c.pattern.n_slots for c in self.symbol_plan(n_bits))
-
-    def encode(self, bits: Sequence[int]) -> list[bool]:
-        """Encode exactly one super-symbol's worth of bits into slots."""
-        if len(bits) != self.bits:
-            raise ValueError(f"expected {self.bits} bits, got {len(bits)}")
-        slots, _ = self.encode_stream(bits)
-        return slots
-
-    def decode(self, slots: Sequence[bool]) -> list[int]:
-        """Decode one full super-symbol's slots back into bits."""
-        if len(slots) != self.n_slots:
-            raise ValueError(f"expected {self.n_slots} slots, got {len(slots)}")
-        return self.decode_stream(slots, self.bits)
+        return sum(c.n_slots for c in self.symbol_plan(n_bits))
 
     def encode_stream(self, bits: Iterable[int]) -> tuple[list[bool], int]:
-        """Encode an arbitrary bit stream, zero-padding the final symbol.
+        """Encode an arbitrary stream of 0/1 bits, zero-padding the final
+        symbol; any other bit value raises ValueError.
 
         Returns the slot sequence and the number of padding bits added
         (the receiver drops them using the frame's length field).
@@ -198,36 +179,80 @@ class SuperSymbolCodec:
             cursor += codec.bits
             value = 0
             for bit in chunk:
+                if bit not in (0, 1):
+                    raise ValueError(f"payload bits must be 0 or 1, got {bit!r}")
                 value = (value << 1) | (1 if bit else 0)
             slots.extend(codec.encode(value))
         return slots, padding
 
-    def decode_stream(self, slots: Sequence[bool],
-                      n_bits: int | None = None) -> list[int]:
-        """Decode a slot stream back to (at least) ``n_bits`` bits.
+    def decode_stream(self, slots: Sequence[bool], n_bits: int) -> list[int]:
+        """Decode the symbols that carry ``n_bits`` bits, dropping padding.
 
-        When ``n_bits`` is omitted the stream must be a whole number of
-        super-symbols.  Otherwise the symbol walk for ``n_bits`` is
-        replayed and the padding bits of the final symbol are dropped.
+        The symbol walk for ``n_bits`` is replayed: slots past its end
+        are ignored, and a shorter stream raises ValueError.
         """
-        if n_bits is None:
-            if len(slots) % self.n_slots:
-                raise ValueError(
-                    f"slot count {len(slots)} is not a multiple of {self.n_slots}"
-                )
-            n_units = len(slots) // self.n_slots
-            n_bits = n_units * self.bits
         plan = self.symbol_plan(n_bits)
-        needed = sum(c.pattern.n_slots for c in plan)
+        needed = sum(c.n_slots for c in plan)
         if len(slots) < needed:
             raise ValueError(f"need {needed} slots for {n_bits} bits, "
                              f"got {len(slots)}")
         bits: list[int] = []
         cursor = 0
         for codec in plan:
-            n = codec.pattern.n_slots
+            n = codec.n_slots
             value = codec.decode(slots[cursor:cursor + n])
             cursor += n
             for shift in range(codec.bits - 1, -1, -1):
                 bits.append((value >> shift) & 1)
         return bits[:n_bits]
+
+
+class SuperSymbolCodec(StreamCodec):
+    """Encode/decode a bit stream through AMPPM super-symbols.
+
+    The walk's cycle is the super-symbol's constituent symbols in
+    transmission order: m1 symbols of the first pattern, then m2 of the
+    second.
+    """
+
+    def __init__(self, super_symbol: SuperSymbol):
+        self.super_symbol = super_symbol
+        super().__init__(SymbolCodec(p) for p in super_symbol.symbols())
+
+    @property
+    def bits(self) -> int:
+        """Data bits per full super-symbol."""
+        return self.super_symbol.bits
+
+    @property
+    def n_slots(self) -> int:
+        """Slots per full super-symbol."""
+        return self.super_symbol.n_slots
+
+    def encode(self, bits: Sequence[int]) -> list[bool]:
+        """Encode exactly one super-symbol's worth of bits into slots."""
+        if len(bits) != self.bits:
+            raise ValueError(f"expected {self.bits} bits, got {len(bits)}")
+        slots, _ = self.encode_stream(bits)
+        return slots
+
+    def decode(self, slots: Sequence[bool]) -> list[int]:
+        """Decode one full super-symbol's slots back into bits."""
+        if len(slots) != self.n_slots:
+            raise ValueError(f"expected {self.n_slots} slots, got {len(slots)}")
+        return self.decode_stream(slots, self.bits)
+
+    def decode_stream(self, slots: Sequence[bool],
+                      n_bits: int | None = None) -> list[int]:
+        """Decode a slot stream back to ``n_bits`` bits.
+
+        When ``n_bits`` is omitted the stream must be a whole number of
+        super-symbols, and all of their bits are returned.
+        """
+        if n_bits is None:
+            if len(slots) % self.n_slots:
+                raise ValueError(
+                    f"slot count {len(slots)} is not a multiple of {self.n_slots}"
+                )
+            n_bits = len(slots) // self.n_slots * self.bits
+        return super().decode_stream(slots, n_bits)

@@ -1,4 +1,4 @@
-"""Human brightness perception and flicker thresholds (Sections 2.2, 4.3).
+"""Human brightness perception (Sections 2.2, 4.3).
 
 The eye's response to light intensity is non-linear: in the dark the
 pupil opens and small absolute changes become visible.  The paper uses
@@ -12,9 +12,11 @@ collapses to ``ip = sqrt(im)``; percent-scale helpers are provided for
 direct comparison with the paper's plots (Fig. 10).
 
 Flicker comes in two types (Section 2.2): Type-I is a slow ON/OFF
-repetition (guarded by the f_th >= 250 Hz super-symbol bound) and
-Type-II is a perceptible step in average intensity (guarded by the
-perceived step bound tau_p = 0.003 found in the Table 2 user study).
+repetition (the f_th >= 250 Hz super-symbol bound,
+:meth:`~repro.core.supersymbol.SuperSymbol.flicker_free`) and Type-II
+is a perceptible step in average intensity: a move whose
+:func:`perceived_step` exceeds tau_p = 0.003, the bound found in the
+Table 2 user study (:func:`repro.lighting.flicker.type2_analyze`).
 """
 
 from __future__ import annotations
@@ -68,13 +70,3 @@ def measured_step_for(measured_at: float, perceived_delta: float) -> float:
     target = min(to_perceived(measured_at) + perceived_delta, 1.0)
     return to_measured(target) - measured_at
 
-
-def is_type2_flicker_free(measured_from: float, measured_to: float,
-                          tau_perceived: float) -> bool:
-    """True when a single intensity move stays under the Type-II bound."""
-    return perceived_step(measured_from, measured_to) <= tau_perceived + 1e-12
-
-
-def is_type1_flicker_free(repetition_hz: float, f_flicker: float) -> bool:
-    """True when a brightness pattern repeats fast enough to fuse."""
-    return repetition_hz >= f_flicker

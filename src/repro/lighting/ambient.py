@@ -25,6 +25,20 @@ from ..core.params import require_finite
 LUX_FULL_SCALE = 9760.0
 
 
+def _cloud_cover(knots: tuple[float, ...], time_scale_s: float,
+                 t: float) -> float:
+    """Cosine-interpolated cloud cover in [0, 1] at time ``t``.
+
+    ``knots`` are seeded cover levels ``time_scale_s`` apart; the
+    sequence repeats once ``t`` runs past its last knot.
+    """
+    position = (t / time_scale_s) % (len(knots) - 1)
+    i = int(position)
+    frac = position - i
+    w = 0.5 - 0.5 * math.cos(math.pi * frac)
+    return knots[i] * (1.0 - w) + knots[i + 1] * w
+
+
 class AmbientProfile(ABC):
     """A deterministic ambient-light trajectory."""
 
@@ -139,19 +153,11 @@ class CloudyDayAmbient(AmbientProfile):
         object.__setattr__(self, "_knots",
                            tuple(rng.uniform(0.0, 1.0, size=n_knots).tolist()))
 
-    def _cloud_factor(self, t: float) -> float:
-        """Cosine-interpolated cloud cover in [0, 1]."""
-        knots = self._knots
-        position = (t / self.cloud_time_scale_s) % (len(knots) - 1)
-        i = int(position)
-        frac = position - i
-        w = 0.5 - 0.5 * math.cos(math.pi * frac)
-        return knots[i] * (1.0 - w) + knots[i + 1] * w
-
     def intensity(self, t: float) -> float:
         x = min(max(t / self.day_length_s, 0.0), 1.0)
         daylight = self.peak_level * math.sin(math.pi * x)
-        attenuation = 1.0 - self.cloud_depth * self._cloud_factor(t)
+        attenuation = 1.0 - self.cloud_depth * _cloud_cover(
+            self._knots, self.cloud_time_scale_s, t)
         return min(max(daylight * attenuation, 0.0), 1.0)
 
 
@@ -199,21 +205,13 @@ class DaylightAmbient(AmbientProfile):
         object.__setattr__(self, "_knots",
                            tuple(rng.uniform(0.0, 1.0, size=n_knots).tolist()))
 
-    def _cloud_factor(self, t: float) -> float:
-        """Cosine-interpolated cloud cover in [0, 1]."""
-        knots = self._knots
-        position = (t / self.cloud_time_scale_s) % (len(knots) - 1)
-        i = int(position)
-        frac = position - i
-        w = 0.5 - 0.5 * math.cos(math.pi * frac)
-        return knots[i] * (1.0 - w) + knots[i + 1] * w
-
     def intensity(self, t: float) -> float:
         if t <= self.sunrise_s or t >= self.sunset_s:
             return self.night_level
         x = (t - self.sunrise_s) / (self.sunset_s - self.sunrise_s)
         solar = math.sin(math.pi * x) ** self.shape
-        attenuation = 1.0 - self.cloud_depth * self._cloud_factor(t)
+        attenuation = 1.0 - self.cloud_depth * _cloud_cover(
+            self._knots, self.cloud_time_scale_s, t)
         level = self.night_level + (
             self.peak_level - self.night_level) * solar * attenuation
         return min(max(level, 0.0), 1.0)

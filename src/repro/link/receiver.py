@@ -59,14 +59,7 @@ def _payload_decoder(header: FrameHeader,
     descriptor = header.descriptor
     if descriptor.scheme == SCHEME_MPPM:
         codec = SuperSymbolCodec(descriptor.super_symbol())
-
-        def slots_needed(n_bits: int) -> int:
-            return codec.slots_for_bits(n_bits)
-
-        def decode(slots: Sequence[bool], n_bits: int) -> list[int]:
-            return codec.decode_stream(slots, n_bits)
-
-        return decode, slots_needed
+        return codec.decode_stream, codec.slots_for_bits
 
     if descriptor.scheme == SCHEME_OOK:
         def slots_needed(n_bits: int) -> int:
@@ -82,23 +75,14 @@ def _payload_decoder(header: FrameHeader,
         if n < 2:
             raise HeaderError("malformed DarkLight descriptor")
         design = DarkLightDesign(n, config)
-        return design.decode_payload, design.payload_slots
-
-    if descriptor.scheme in (SCHEME_VPPM, SCHEME_OPPM):
+    elif descriptor.scheme in (SCHEME_VPPM, SCHEME_OPPM):
         if descriptor.n2 < 2 or not 0 < descriptor.k2 < descriptor.n2:
             raise HeaderError("malformed pulse-scheme descriptor")
         cls = VppmDesign if descriptor.scheme == SCHEME_VPPM else OppmDesign
         design = cls(descriptor.k2 / descriptor.n2, descriptor.n2, config)
-
-        def slots_needed(n_bits: int) -> int:
-            return design.payload_slots(n_bits)
-
-        def decode(slots: Sequence[bool], n_bits: int) -> list[int]:
-            return design.decode_payload(slots, n_bits)
-
-        return decode, slots_needed
-
-    raise HeaderError(f"unknown scheme id {descriptor.scheme}")
+    else:
+        raise HeaderError(f"unknown scheme id {descriptor.scheme}")
+    return design.decode_payload, design.payload_slots
 
 
 @dataclass

@@ -134,16 +134,25 @@ class MonteCarloValidator:
                    else default_payload(self.config.payload_bytes))
         tx = Transmitter(self.config)
         rx = Receiver(self.config)
-        slots = tx.encode_frame(payload, design)
-        losses = 0
-        for _ in range(n_frames):
-            received = corrupt_slots(slots, errors, rng)
-            try:
-                frame = rx.decode_frame(received)
-                if frame.payload != payload:
+        with span("montecarlo.frame_loss_rate", n_frames=n_frames,
+                  payload_bytes=len(payload)):
+            slots = tx.encode_frame(payload, design)
+            losses = 0
+            for _ in range(n_frames):
+                received = corrupt_slots(slots, errors, rng)
+                try:
+                    frame = rx.decode_frame(received)
+                    if frame.payload != payload:
+                        losses += 1
+                except FrameError:
                     losses += 1
-            except FrameError:
-                losses += 1
+        registry = metrics()
+        registry.counter("repro_montecarlo_frames_total",
+                         help="frames replayed through the real "
+                              "receiver").inc(n_frames)
+        registry.counter("repro_montecarlo_frame_losses_total",
+                         help="frames the real receiver lost or "
+                              "corrupted").inc(losses)
         analytic = 1.0 - frame_success_probability(
             design, errors, self.config, len(payload))
         return losses / n_frames, analytic

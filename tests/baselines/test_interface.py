@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import DarkLight
 from repro.core import SlotErrorModel, SystemConfig
 from repro.schemes import AmppmScheme, Mppm, OokCt, Oppm, Vppm, standard_schemes
 
@@ -59,6 +60,14 @@ class TestSchemeContracts:
             lo, hi = scheme.supported_range
             design = scheme.design_clamped(0.0001)
             assert lo <= design.target_dimming <= hi, scheme.name
+
+    @pytest.mark.parametrize(
+        "scheme_class", [AmppmScheme, OokCt, Mppm, Vppm, Oppm, DarkLight],
+        ids=lambda cls: cls.name)
+    def test_rejects_bits_other_than_0_and_1(self, config, scheme_class):
+        design = scheme_class(config).design_clamped(0.3)
+        with pytest.raises(ValueError, match="payload bits must be 0 or 1"):
+            design.encode_payload([2, 0, 1] * 10)
 
     @given(st.floats(0.1, 0.9))
     @settings(max_examples=20, deadline=None)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.core import (
     CodewordWeightError,
+    StreamCodec,
     SuperSymbol,
     SuperSymbolCodec,
     SymbolCodec,
@@ -100,6 +101,20 @@ class TestSymbolCodec:
         codec = SymbolCodec(SymbolPattern(10, 5))
         with pytest.raises(ValueError):
             codec.decode([True] * 9)
+
+
+class TestStreamCodec:
+    def test_rejects_a_cycle_without_data(self):
+        # An empty walk would never consume a bit.
+        with pytest.raises(ValueError):
+            StreamCodec([])
+
+    def test_cycle_of_one_symbol(self):
+        codec = StreamCodec([SymbolCodec(SymbolPattern(10, 2))])  # 5 bits
+        bits = [1, 0, 1, 1, 0, 0, 1]
+        slots, padding = codec.encode_stream(bits)
+        assert (len(slots), padding) == (20, 3)
+        assert codec.decode_stream(slots, len(bits)) == bits
 
 
 class TestSuperSymbolCodec:

@@ -1,12 +1,12 @@
-"""The perception map Ip = 100·sqrt(Im/100) and flicker predicates."""
+"""The perception map Ip = 100·sqrt(Im/100) and the flicker bounds it feeds."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core import (
-    is_type1_flicker_free,
-    is_type2_flicker_free,
+    SuperSymbol,
+    SymbolPattern,
     measured_step_for,
     perceived_step,
     to_measured,
@@ -14,6 +14,7 @@ from repro.core import (
     to_perceived,
     to_perceived_percent,
 )
+from repro.lighting.flicker import type2_analyze
 
 
 class TestPerceptionMap:
@@ -71,15 +72,23 @@ class TestMeasuredStepFor:
 
 
 class TestFlickerPredicates:
-    def test_type2_threshold(self):
-        assert is_type2_flicker_free(0.5, 0.5 + 1e-4, 0.003)
-        assert not is_type2_flicker_free(0.04, 0.09, 0.003)
+    def test_type2_threshold(self, config):
+        # tau_p = 0.003: a 1e-4 move at mid brightness is invisible, a
+        # dark-end move from 0.2 to 0.3 perceived is not.
+        assert type2_analyze([0.5, 0.5 + 1e-4], config).flicker_free
+        assert not type2_analyze([0.04, 0.09], config).flicker_free
 
-    def test_type2_symmetric(self):
-        assert is_type2_flicker_free(0.51, 0.50, 0.01) == \
-            is_type2_flicker_free(0.50, 0.51, 0.01)
+    def test_type2_symmetric(self, config):
+        assert perceived_step(0.51, 0.50) == perceived_step(0.50, 0.51)
+        assert (type2_analyze([0.51, 0.50], config).max_perceived_step
+                == type2_analyze([0.50, 0.51], config).max_perceived_step)
 
-    def test_type1_threshold(self):
-        assert is_type1_flicker_free(250.0, 250.0)
-        assert is_type1_flicker_free(1000.0, 250.0)
-        assert not is_type1_flicker_free(120.0, 250.0)
+    def test_type1_threshold(self, config):
+        # Eq. (4): a super-symbol repeats at f_tx / N_super, so it fuses
+        # at f_th = 250 Hz exactly when N_super <= N_max = 500 slots.
+        n_max = config.n_max_super
+        assert n_max == 500
+        for n_super, fuses in ((n_max, True), (n_max // 4, True),
+                               (n_max + 1, False)):
+            unit = SuperSymbol.single(SymbolPattern(n_super, 1))
+            assert unit.flicker_free(config) is fuses

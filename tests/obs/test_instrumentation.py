@@ -16,6 +16,7 @@ from repro.des.kernel import EventScheduler
 from repro.sim.montecarlo import MonteCarloValidator
 from repro.sim.sweep import SweepRunner
 from repro.obs import telemetry_session
+from repro.schemes import AmppmScheme
 
 PATTERN = SymbolPattern(20, 10)
 ERRORS = SlotErrorModel(0.01, 0.01)
@@ -41,6 +42,21 @@ class TestBatchEngine:
                 == estimate.n_errors)
         names = [r.name for r in session.spans.records]
         assert "montecarlo.symbol_error_rate" in names
+
+    def test_frame_loss_records_span_and_frame_counters(self):
+        design = AmppmScheme().design(0.5)
+        lossy = SlotErrorModel(2e-4, 2e-4)
+        with telemetry_session() as session:
+            measured, _ = MonteCarloValidator().frame_loss_rate(
+                design, lossy, np.random.default_rng(5), n_frames=50)
+        losses = round(measured * 50)
+        assert 0 < losses < 50
+        counter = session.registry.counter
+        assert counter("repro_montecarlo_frames_total").value() == 50
+        assert counter("repro_montecarlo_frame_losses_total").value() == losses
+        (replay,) = [r for r in session.spans.records
+                     if r.name == "montecarlo.frame_loss_rate"]
+        assert replay.get("n_frames") == 50
 
     def test_off_by_default_and_result_unchanged(self):
         baseline = MonteCarloValidator().symbol_error_rate(
