@@ -70,8 +70,9 @@ def rank_of_codeword(slots: Sequence[bool]) -> int:
 def iter_weighted_codewords(n: int, k: int) -> Iterator[tuple[bool, ...]]:
     """Yield all (n, k) codewords in combinadic (Algorithm 1) order.
 
-    Intended for tests and for the tabulation baseline; the live system
-    never materialises this set.
+    The reference order the tests check the codec and
+    :func:`rank_of_codeword` against; the live system never
+    materialises this set.
     """
     if k < 0 or k > n:
         return
@@ -90,28 +91,3 @@ def iter_weighted_codewords(n: int, k: int) -> Iterator[tuple[bool, ...]]:
             prefix.pop()
 
     yield from _rec([], n, k)
-
-
-def bits_to_int(bits: Sequence[int]) -> int:
-    """Interpret a most-significant-bit-first bit sequence as an integer."""
-    value = 0
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {bit!r}")
-        value = (value << 1) | bit
-    return value
-
-
-def int_to_bits(value: int, width: int) -> list[int]:
-    """Render ``value`` as a most-significant-bit-first list of ``width`` bits."""
-    if value < 0:
-        raise ValueError("value must be non-negative")
-    if width < 0:
-        raise ValueError("width must be non-negative")
-    if value >= (1 << width) and width > 0:
-        raise ValueError(f"value {value} does not fit in {width} bits")
-    if width == 0:
-        if value:
-            raise ValueError("non-zero value with zero width")
-        return []
-    return [(value >> shift) & 1 for shift in range(width - 1, -1, -1)]

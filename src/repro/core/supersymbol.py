@@ -95,12 +95,6 @@ class SuperSymbol:
         """Expected data rate in bit/s at the PHY (no frame overhead)."""
         return self.normalized_rate(errors) / config.t_slot
 
-    def error_free_probability(self, errors: SlotErrorModel) -> float:
-        """Probability every constituent symbol decodes correctly."""
-        ok1 = (1.0 - self.first.symbol_error_rate(errors)) ** self.m1
-        ok2 = (1.0 - self.second.symbol_error_rate(errors)) ** self.m2
-        return ok1 * ok2
-
     def flicker_free(self, config: SystemConfig) -> bool:
         """True when the super-symbol meets the Type-I constraint.
 

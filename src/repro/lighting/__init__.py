@@ -19,7 +19,6 @@ from .flicker import (
     type1_structural_ok,
     type2_analyze,
 )
-from .illuminance import DeskIlluminance, Luminaire
 from .modes import DayNightManager, LinkMode, ModeDecision
 from .userstudy import (
     DIRECT_RESOLUTIONS,
@@ -40,13 +39,11 @@ __all__ = [
     "DIRECT_RESOLUTIONS",
     "DayNightManager",
     "DaylightAmbient",
-    "DeskIlluminance",
     "EnergyReport",
     "LinkMode",
     "ModeDecision",
     "INDIRECT_RESOLUTIONS",
     "LUX_FULL_SCALE",
-    "Luminaire",
     "ScheduledAmbient",
     "SmartLightingController",
     "StaticAmbient",

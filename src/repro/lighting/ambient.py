@@ -225,10 +225,12 @@ class ScheduledAmbient(AmbientProfile):
     pinned at ``level`` until the next step takes over.  A step whose
     level is ``None`` releases the override and returns to the base
     profile — so a blind pulled shut at noon and reopened an hour later
-    is ``((noon, 0.05), (noon + 3600, None))``.  This is the DES-side
-    counterpart of the fault layer's ambient steps: scenario compilers
-    fold chaos overlays into plain step tuples here, keeping lighting
-    free of any dependency on the resilience package.
+    is ``((noon, 0.05), (noon + 3600, None))``.  Of several steps at
+    one instant the last listed applies.  This is the one resolver of
+    timed ambient steps: the chaos harness and the scenario compiler
+    both apply a fault schedule's
+    :meth:`~repro.resilience.faults.FaultSchedule.ambient_steps` here,
+    and lighting depends on nothing in the resilience package.
     """
 
     base: AmbientProfile

@@ -19,21 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..core.adaptation import Adapter, AdaptationPlan
-from ..core.ampdesign import AmppmDesign, AmppmDesigner, shared_designer
-from ..core.errormodel import SlotErrorModel
+from ..core.ampdesign import AmppmDesign, AmppmDesigner
 from ..core.params import SystemConfig
 from ..core.perception import perceived_step
-from ..link.supervision import LinkState
 from .ambient import AmbientProfile
 
 #: Brightest ambient level the deployment expects; fixes the darkest LED
 #: intensity of the operating range, which is where the existing method
 #: must size its fixed measured-domain step to stay flicker-safe.
 AMBIENT_MAX = 0.90
-#: Error-probability inflation of the conservative fallback designer
-#: consulted while the supervised link is DEGRADED — the envelope then
-#: prefers shorter, more redundant super-symbols.
-DEGRADED_ERROR_MARGIN = 4.0
 
 
 @dataclass(frozen=True)
@@ -45,18 +39,11 @@ class ControllerSample:
     led: float
     adjustments: int
     design: AmppmDesign | None
-    #: link-state label the tick was computed under ("up" when unsupervised)
-    link_state: str = LinkState.UP.value
 
     @property
     def total(self) -> float:
         """I_sum = I_led + I_ambient at this tick."""
         return self.ambient + self.led
-
-    @property
-    def dimming(self) -> float:
-        """The dimming level commanded to the modulator."""
-        return self.led
 
 
 @dataclass
@@ -90,9 +77,6 @@ class SmartLightingController:
         )
         self._last_design: AmppmDesign | None = None
         self._last_designed_level: float | None = None
-        self._conservative: AmppmDesigner | None = None
-        self._last_cons_design: AmppmDesign | None = None
-        self._last_cons_level: float | None = None
         self._last_plan: AdaptationPlan | None = None
 
     @property
@@ -118,33 +102,18 @@ class SmartLightingController:
         """
         return self._last_plan
 
-    def tick(self, t: float, ambient: float,
-             link_state: LinkState = LinkState.UP) -> ControllerSample:
-        """One control step at time ``t`` with the given ambient level.
-
-        ``link_state`` is the supervised link's health (from a
-        :class:`~repro.link.supervision.LinkSupervisor`): DEGRADED
-        swaps in the conservative designer, DOWN/PROBING suspends
-        communication entirely (``design=None``) while illumination —
-        and its flicker guarantee — carries on unchanged.
-        """
+    def tick(self, t: float, ambient: float) -> ControllerSample:
+        """One control step at time ``t`` with the given ambient level."""
         required = self.required_led(ambient)
         self._last_plan = None
         if perceived_step(self._adapter.intensity, required) > 0.0:
             self._last_plan = self._adapter.retarget(required)
-        if link_state in (LinkState.DOWN, LinkState.PROBING):
-            design = None  # illumination-only fallback
-        elif link_state is LinkState.DEGRADED:
-            design = self.conservative_design(self._adapter.intensity)
-        else:
-            design = self._design_for(self._adapter.intensity)
         return ControllerSample(
             t=t,
             ambient=ambient,
             led=self._adapter.intensity,
             adjustments=self._adapter.adjustments,
-            design=design,
-            link_state=link_state.value,
+            design=self._design_for(self._adapter.intensity),
         )
 
     def run(self, profile: AmbientProfile, duration_s: float,
@@ -170,35 +139,3 @@ class SmartLightingController:
         self._last_design = self.designer.design_clamped(level)
         self._last_designed_level = level
         return self._last_design
-
-    def _conservative_designer(self) -> AmppmDesigner | None:
-        if self.designer is None:
-            return None
-        if self._conservative is None:
-            errors = SlotErrorModel.from_config(self.config).scaled(
-                DEGRADED_ERROR_MARGIN)
-            try:
-                self._conservative = shared_designer(self.config, errors)
-            except ValueError:
-                # Margin prunes every candidate: degrade to the normal
-                # designer rather than losing the link entirely.
-                self._conservative = self.designer
-        return self._conservative
-
-    def conservative_design(self, level: float) -> AmppmDesign | None:
-        """The DEGRADED-mode design at a dimming level (also for probes).
-
-        Uses a designer whose slot error model is inflated by
-        :data:`DEGRADED_ERROR_MARGIN`, so the SER bound admits only
-        shorter, more redundant super-symbols — the graceful step-down
-        a supervised link takes before giving up.
-        """
-        designer = self._conservative_designer()
-        if designer is None:
-            return None
-        if (self._last_cons_level is not None
-                and abs(level - self._last_cons_level) < 1e-12):
-            return self._last_cons_design
-        self._last_cons_design = designer.design_clamped(level)
-        self._last_cons_level = level
-        return self._last_cons_design

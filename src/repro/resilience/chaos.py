@@ -5,14 +5,15 @@ the discrete-event kernel while a :class:`FaultSchedule` batters it:
 
 * a lighting control process ticks the
   :class:`~repro.lighting.controller.SmartLightingController` against
-  the (fault-perturbed) ambient, preserving Goal 1 and the Type-II
-  flicker guarantee whatever the link state;
+  the ambient with the schedule's steps applied, preserving Goal 1 and
+  the Type-II flicker guarantee whatever the link state;
 * a MAC process runs stop-and-wait data transfer whose per-frame
   success probability follows the analytic link model under the
   *current* fault-modified error model, with backoff, duplicate
   suppression, and a :class:`~repro.link.supervision.LinkSupervisor`
-  reacting to the evidence — stepping down to conservative designs and
-  small payloads when DEGRADED, suspending data and probing when DOWN;
+  reacting to the evidence — stepping down to the
+  :func:`degraded_designer`'s designs and small payloads when
+  DEGRADED, suspending data and probing when DOWN;
 * every fault boundary, link transition, control tick, delivery and
   loss is journaled, so the run collapses to one determinism digest.
 
@@ -23,14 +24,17 @@ for the "supervision pays for itself" acceptance criterion.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core.ampdesign import shared_designer
+from ..core.ampdesign import AmppmDesigner, shared_designer
+from ..core.errormodel import SlotErrorModel
 from ..core.params import SystemConfig, require_finite
 from ..des.journal import EventJournal
 from ..des.kernel import EventScheduler
+from ..lighting.ambient import ScheduledAmbient, StaticAmbient
 from ..lighting.controller import SmartLightingController
 from ..link.mac import ACK_TIMEOUT_S, MAX_RETRIES
 from ..link.supervision import BackoffPolicy, LinkState, LinkSupervisor
@@ -46,7 +50,7 @@ from .metrics import ResilienceReport, fault_attribution
 AMBIENT = 0.4
 #: The illumination target the lighting controller holds.
 TARGET_SUM = 1.0
-#: Period of the control loop, and the MAC's wait when no design fits.
+#: Period of the control loop.
 TICK_S = 1.0
 #: The Wi-Fi path that carries ACKs.
 UPLINK = WifiUplink()
@@ -59,6 +63,10 @@ SUPERVISED_BACKOFF = BackoffPolicy(base_timeout_s=ACK_TIMEOUT_S / 2,
                                    factor=1.25, cap_s=4 * ACK_TIMEOUT_S)
 #: Payload of a data frame sent while DEGRADED.
 DEGRADED_PAYLOAD_BYTES = 32
+#: Error-probability inflation of the designer a DEGRADED link and its
+#: probes design with — the envelope then prefers shorter, more
+#: redundant super-symbols.
+DEGRADED_ERROR_MARGIN = 4.0
 #: Pause after a lost probe's timeout before the next probe.
 PROBE_INTERVAL_S = 10.0e-3
 #: Consecutive CRC failures that degrade the supervised link.
@@ -73,6 +81,24 @@ DOWN_AFTER = 16
 RECOVER_AFTER = 6
 #: Longest run a scenario may ask for; one at the cap took 26 s and 337 MB.
 MAX_DURATION_S = 10_000.0
+
+
+@functools.cache
+def degraded_designer(config: SystemConfig) -> AmppmDesigner:
+    """The designer of a DEGRADED link's frames and of every probe.
+
+    Its slot error model is the config's, inflated by
+    :data:`DEGRADED_ERROR_MARGIN`, so the SER bound admits only
+    shorter, more redundant super-symbols — the graceful step-down a
+    supervised link takes before giving up.  When the margin prunes
+    every candidate it is :func:`~repro.core.ampdesign.shared_designer`,
+    so the link keeps a design rather than losing it.
+    """
+    errors = SlotErrorModel.from_config(config).scaled(DEGRADED_ERROR_MARGIN)
+    try:
+        return shared_designer(config, errors)
+    except ValueError:
+        return shared_designer(config)
 
 
 @dataclass(frozen=True)
@@ -129,8 +155,10 @@ class ChaosScenario:
         channel = calibrated_channel(self.config)
         geometry = LinkGeometry.on_axis(REFERENCE_DISTANCE_M)
         designer = shared_designer(self.config)
-        controller = SmartLightingController(
-            target_sum=TARGET_SUM, config=self.config, designer=designer)
+        controller = SmartLightingController(target_sum=TARGET_SUM,
+                                             config=self.config)
+        ambient = ScheduledAmbient(StaticAmbient(AMBIENT),
+                                   self.schedule.ambient_steps())
         supervisor = (LinkSupervisor(degraded_after=DEGRADED_AFTER,
                                      down_after=DOWN_AFTER,
                                      recover_after=RECOVER_AFTER,
@@ -143,11 +171,8 @@ class ChaosScenario:
         error_cache: dict = {}
         frame_cache: dict = {}
 
-        def ambient_now(t: float) -> float:
-            return self.schedule.ambient_at(t, AMBIENT)
-
         def errors_now(t: float):
-            key = (round(ambient_now(t), 12),
+            key = (round(ambient.intensity(t), 12),
                    self.schedule.error_scale_at(t))
             if key not in error_cache:
                 base = channel.slot_error_model(geometry, key[0])
@@ -155,11 +180,10 @@ class ChaosScenario:
                                     else base.scaled(key[1]))
             return error_cache[key]
 
-        def design_for(led: float, conservative: bool):
-            raw = (controller.conservative_design(led) if conservative
-                   else designer.design_clamped(led))
-            return (shared_scheme_design(raw, self.config)
-                    if raw is not None else None)
+        def design_for(led: float, degraded: bool):
+            source = degraded_designer(self.config) if degraded else designer
+            return shared_scheme_design(source.design_clamped(led),
+                                        self.config)
 
         def frame_params(design, n_payload, errors):
             # Keyed on the shared wrapper: one per bucket design.
@@ -184,10 +208,10 @@ class ChaosScenario:
         def control_loop():
             while True:
                 now = scheduler.now
-                amb = ambient_now(now)
+                amb = ambient.intensity(now)
                 state = (supervisor.state if supervisor is not None
                          else LinkState.UP)
-                sample = controller.tick(now, amb, link_state=state)
+                sample = controller.tick(now, amb)
                 plan = controller.last_plan
                 step = plan.max_perceived_step if plan is not None else 0.0
                 counters.max_step = max(counters.max_step, step)
@@ -207,12 +231,9 @@ class ChaosScenario:
                 if supervisor is not None and state is LinkState.DOWN:
                     state = supervisor.start_probing(now)
                 if state is LinkState.PROBING:
-                    # Header-only probe on the most conservative design.
-                    led = controller.led_intensity
-                    design = design_for(led, conservative=True)
-                    if design is None:
-                        yield TICK_S
-                        continue
+                    # Header-only probe on the degraded design.
+                    design = design_for(controller.led_intensity,
+                                        degraded=True)
                     counters.probes_sent += 1
                     errors = errors_now(now)
                     t_probe, p_ok = frame_params(design, 0, errors)
@@ -246,12 +267,8 @@ class ChaosScenario:
                     pending_bytes = DEGRADED_PAYLOAD_BYTES
                     receiver_has_copy = False
                     attempt = 0
-                led = controller.led_intensity
-                conservative = state is LinkState.DEGRADED
-                design = design_for(led, conservative)
-                if design is None:
-                    yield TICK_S
-                    continue
+                design = design_for(controller.led_intensity,
+                                    degraded=state is LinkState.DEGRADED)
                 errors = errors_now(now)
                 t_frame, p_ok = frame_params(design, pending_bytes, errors)
                 counters.frames_sent += 1

@@ -16,6 +16,10 @@ The chaos harness reads a schedule through by-time queries
 (:meth:`FaultSchedule.ack_loss_at` and friends), and
 :func:`install_fault_events` journals every boundary on its kernel; the
 multicell simulator installs its churn and outage windows itself.
+Ambient steps have no by-time query: :meth:`FaultSchedule.ambient_steps`
+lists them for :class:`~repro.lighting.ambient.ScheduledAmbient`, the
+one place a timed ambient step is resolved.  Each primitive names its
+``kind`` once, for journals, reports and notes.
 
 Everything is frozen and validated at construction (every fault time
 must be finite), and :meth:`FaultSchedule.random` derives an
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
@@ -46,6 +50,7 @@ def _check_window(start_s: float, end_s: float, what: str) -> None:
 class UplinkOutage:
     """A window during which every Wi-Fi packet is lost."""
 
+    kind: ClassVar[str] = "uplink-outage"
     start_s: float
     end_s: float
 
@@ -57,6 +62,7 @@ class UplinkOutage:
 class AckLossBurst:
     """A window of elevated ACK loss probability on the uplink."""
 
+    kind: ClassVar[str] = "ack-loss-burst"
     start_s: float
     end_s: float
     loss_probability: float = 1.0
@@ -79,6 +85,7 @@ class AdcBlinding:
     error model, ``1 + severity·(MAX_ERROR_SCALE - 1)``.
     """
 
+    kind: ClassVar[str] = "adc-blinding"
     start_s: float
     end_s: float
     severity: float = 0.5
@@ -98,6 +105,7 @@ class AdcBlinding:
 class AmbientStep:
     """A step transient: ambient jumps to ``level`` at ``at_s``."""
 
+    kind: ClassVar[str] = "ambient-step"
     at_s: float
     level: float
 
@@ -112,6 +120,7 @@ class AmbientStep:
 class NodeDowntime:
     """Receiver churn: ``node`` is gone over ``[start_s, end_s)``."""
 
+    kind: ClassVar[str] = "node-downtime"
     node: str
     start_s: float
     end_s: float
@@ -165,27 +174,18 @@ class FaultSchedule:
                 scale = max(scale, f.error_scale)
         return scale
 
-    def ambient_at(self, t: float, base: float) -> float:
-        """Room ambient at ``t``: the latest step override, else ``base``.
+    def ambient_steps(self) -> tuple[tuple[float, float], ...]:
+        """The ambient steps as ``(at_s, level)`` pairs, sorted.
 
-        Blinding does *not* enter here — it saturates the receiver, not
-        the room — so lighting control sees only genuine daylight.
-        Steps landing at exactly the same instant resolve to the
-        brightest level, not to tuple position, so the answer is
-        independent of the order of the faults.
+        Sorted by time, then level: under
+        :class:`~repro.lighting.ambient.ScheduledAmbient` the last step
+        at or before ``t`` holds, so of several steps at one instant the
+        brightest applies, whatever the order of the faults.  Blinding
+        does *not* enter here — it saturates the receiver, not the room
+        — so lighting control sees only genuine daylight.
         """
-        level = base
-        last_step = None
-        for f in self.of_type(AmbientStep):
-            if f.at_s > t:
-                continue
-            if (last_step is None or f.at_s > last_step.at_s
-                    or (f.at_s == last_step.at_s
-                        and f.level > last_step.level)):
-                last_step = f
-        if last_step is not None:
-            level = last_step.level
-        return min(max(level, 0.0), 1.0)
+        return tuple(sorted((f.at_s, f.level)
+                            for f in self.of_type(AmbientStep)))
 
     @classmethod
     def random(cls, seed: int, duration_s: float,
@@ -292,15 +292,11 @@ def install_fault_events(schedule: FaultSchedule,
     for fault in schedule.faults:
         if isinstance(fault, AmbientStep):
             scheduler.schedule_at(fault.at_s,
-                                  mark("fault-step", "ambient-step",
+                                  mark("fault-step", fault.kind,
                                        level=fault.level),
                                   priority=-1)
             continue
-        name = {UplinkOutage: "uplink-outage",
-                AckLossBurst: "ack-loss-burst",
-                AdcBlinding: "adc-blinding",
-                NodeDowntime: "node-downtime"}[type(fault)]
-        scheduler.schedule_at(fault.start_s, mark("fault-begin", name),
+        scheduler.schedule_at(fault.start_s, mark("fault-begin", fault.kind),
                               priority=-1)
-        scheduler.schedule_at(fault.end_s, mark("fault-end", name),
+        scheduler.schedule_at(fault.end_s, mark("fault-end", fault.kind),
                               priority=-1)

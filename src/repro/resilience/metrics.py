@@ -28,10 +28,8 @@ def fault_windows(schedule: FaultSchedule
     the controller, not the link supervisor; node downtime is a
     multicell concern with no single-link meaning.
     """
-    kinds = {AdcBlinding: "adc-blinding", AckLossBurst: "ack-loss-burst",
-             UplinkOutage: "uplink-outage"}
-    windows = [(kinds[type(f)], f.start_s, f.end_s)
-               for f in schedule.faults if type(f) in kinds]
+    windows = [(f.kind, f.start_s, f.end_s) for f in schedule.faults
+               if isinstance(f, (AdcBlinding, AckLossBurst, UplinkOutage))]
     return tuple(sorted(windows, key=lambda w: (w[1], w[2], w[0])))
 
 

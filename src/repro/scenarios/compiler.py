@@ -38,7 +38,6 @@ from ..phy.channel import calibrated_channel
 from ..resilience.faults import (
     AckLossBurst,
     AdcBlinding,
-    AmbientStep,
     FaultSchedule,
     NodeDowntime,
     UplinkOutage,
@@ -208,15 +207,12 @@ def compile_scenario(scenario: Scenario, *, regions: int = 1,
         for window in schedule.of_type(NodeDowntime):
             downtime[window.node] = merge_windows(
                 downtime[window.node] + ((window.start_s, window.end_s),))
-        steps = sorted(schedule.of_type(AmbientStep),
-                       key=lambda step: step.at_s)
-        ambient_steps = tuple((step.at_s, step.level) for step in steps)
+        ambient_steps = schedule.ambient_steps()
         dropped = []
-        for kind, label in ((AdcBlinding, "adc-blinding"),
-                            (AckLossBurst, "ack-loss-burst")):
+        for kind in (AdcBlinding, AckLossBurst):
             count = len(schedule.of_type(kind))
             if count:
-                dropped.append(f"{label}×{count}")
+                dropped.append(f"{kind.kind}×{count}")
         unprojected = tuple(dropped)
 
     for layout, profile in room_profiles:

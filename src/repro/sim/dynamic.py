@@ -114,29 +114,24 @@ class DynamicScenario:
             target_sum=self.target_sum, config=self.config,
             designer=None, use_perception_domain=False)
         evaluator = LinkEvaluator(config=self.config, geometry=self.geometry)
-
-        ticks = []
-        t = 0.0
-        while t <= self.duration_s + 1e-9:
-            ambient = self.profile.intensity(t)
-            sample = smart.tick(t, ambient)
-            existing_sample = existing.tick(t, ambient)
-            throughput = self._throughput(sample, evaluator, ambient)
-            ticks.append(DynamicTick(
-                t=t,
-                ambient=ambient,
+        return DynamicRunResult(tuple(
+            DynamicTick(
+                t=sample.t,
+                ambient=sample.ambient,
                 led=sample.led,
-                throughput_bps=throughput,
+                throughput_bps=self._throughput(sample, evaluator),
                 adjustments_smart=sample.adjustments,
                 adjustments_existing=existing_sample.adjustments,
-            ))
-            t += self.tick_s
-        return DynamicRunResult(tuple(ticks))
+            )
+            for sample, existing_sample in zip(
+                smart.run(self.profile, self.duration_s, self.tick_s),
+                existing.run(self.profile, self.duration_s, self.tick_s))))
 
     def _throughput(self, sample: ControllerSample,
-                    evaluator: LinkEvaluator, ambient: float) -> float:
+                    evaluator: LinkEvaluator) -> float:
         if sample.design is None:
             return 0.0
-        errors = evaluator.channel.slot_error_model(self.geometry, ambient)
+        errors = evaluator.channel.slot_error_model(self.geometry,
+                                                    sample.ambient)
         design = shared_scheme_design(sample.design, self.config)
         return expected_goodput(design, errors, self.config)

@@ -117,6 +117,32 @@ class TestStreamCodec:
         assert codec.decode_stream(slots, len(bits)) == bits
 
 
+    def test_msb_first(self):
+        symbol = SymbolCodec(SymbolPattern(5, 2))  # C(5,2)=10 -> 3 bits
+        codec = StreamCodec([symbol])
+        slots, padding = codec.encode_stream([1, 1, 0])
+        assert (slots, padding) == (list(symbol.encode(6)), 0)
+        assert codec.decode_stream(symbol.encode(6), 3) == [1, 1, 0]
+
+    def test_padding_fills_the_last_symbol_with_zeros(self):
+        symbol = SymbolCodec(SymbolPattern(5, 2))
+        codec = StreamCodec([symbol])
+        slots, padding = codec.encode_stream([1, 0, 1, 1])
+        assert padding == 2
+        assert slots == list(symbol.encode(0b101) + symbol.encode(0b100))
+        assert codec.decode_stream(slots, 4) == [1, 0, 1, 1]
+
+    def test_rejects_non_bits(self):
+        codec = StreamCodec([SymbolCodec(SymbolPattern(5, 2))])
+        with pytest.raises(ValueError, match="0 or 1"):
+            codec.encode_stream([0, 2, 1])
+
+    def test_empty_stream(self):
+        codec = StreamCodec([SymbolCodec(SymbolPattern(5, 2))])
+        assert codec.encode_stream([]) == ([], 0)
+        assert codec.decode_stream([], 0) == []
+
+
 class TestSuperSymbolCodec:
     def _codec(self) -> SuperSymbolCodec:
         s = SuperSymbol(SymbolPattern(10, 2), 2, SymbolPattern(10, 3), 1)

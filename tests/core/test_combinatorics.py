@@ -3,14 +3,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.combinatorics import (
     binomial,
     bits_per_symbol,
-    bits_to_int,
-    int_to_bits,
     iter_weighted_codewords,
     rank_of_codeword,
     symbol_capacity,
@@ -79,34 +77,3 @@ class TestCombinadicOrder:
     def test_rank_zero_is_leading_ones(self):
         first = next(iter_weighted_codewords(6, 2))
         assert first == (True, True, False, False, False, False)
-
-
-class TestBitConversions:
-    def test_roundtrip(self):
-        for value in (0, 1, 5, 127, 128, 2**20 - 1):
-            width = max(1, value.bit_length())
-            assert bits_to_int(int_to_bits(value, width)) == value
-
-    def test_msb_first(self):
-        assert int_to_bits(6, 3) == [1, 1, 0]
-        assert bits_to_int([1, 1, 0]) == 6
-
-    def test_width_validation(self):
-        with pytest.raises(ValueError):
-            int_to_bits(4, 2)
-        with pytest.raises(ValueError):
-            int_to_bits(-1, 4)
-
-    def test_zero_width(self):
-        assert int_to_bits(0, 0) == []
-        with pytest.raises(ValueError):
-            int_to_bits(1, 0)
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            bits_to_int([0, 2, 1])
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=64))
-    @settings(max_examples=50)
-    def test_property_roundtrip(self, bits):
-        assert int_to_bits(bits_to_int(bits), len(bits)) == bits

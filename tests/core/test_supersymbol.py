@@ -45,12 +45,6 @@ class TestSuperSymbol:
                     + p2.bits * (1 - p2.symbol_error_rate(paper_errors))) / 20
         assert rate == pytest.approx(expected)
 
-    def test_error_free_probability(self, paper_errors):
-        p = SymbolPattern(10, 5)
-        s = SuperSymbol.single(p, 3)
-        assert s.error_free_probability(paper_errors) == pytest.approx(
-            (1 - p.symbol_error_rate(paper_errors)) ** 3)
-
     def test_flicker_bound(self, config):
         p = SymbolPattern(50, 25)
         assert SuperSymbol.single(p, 10).flicker_free(config)       # 500 slots

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.core import SlotErrorModel, shared_designer
 from repro.core.adaptation import safe_measured_tau
 from repro.lighting import (
     BlindRampAmbient,
@@ -13,8 +12,7 @@ from repro.lighting import (
     StaticAmbient,
     type2_analyze,
 )
-from repro.lighting.controller import AMBIENT_MAX, DEGRADED_ERROR_MARGIN
-from repro.link import LinkState
+from repro.lighting.controller import AMBIENT_MAX
 
 
 class TestGoal1ConstantSum:
@@ -158,35 +156,6 @@ class TestOperatingRange:
         assert plan.n_steps == math.ceil((1.0 - darkest) / tau_m)
         # Sized there, the walk stays flicker-safe down to that level.
         assert plan.max_perceived_step <= config.tau_perceived + 1e-12
-
-
-class TestLinkStateFallback:
-    @pytest.mark.parametrize("ambient", [0.2, 0.4, 0.6, 0.8])
-    def test_degraded_designs_with_the_error_margin(self, config, designer,
-                                                    ambient):
-        controller = SmartLightingController(target_sum=1.0, config=config,
-                                             designer=designer)
-        up = controller.tick(0.0, ambient)
-        degraded = controller.tick(1.0, ambient,
-                                   link_state=LinkState.DEGRADED)
-        assert degraded.led == up.led
-        assert degraded.link_state == "degraded"
-        inflated = SlotErrorModel.from_config(config).scaled(
-            DEGRADED_ERROR_MARGIN)
-        margin_designer = shared_designer(config, inflated)
-        assert degraded.design == margin_designer.design_clamped(up.led)
-        # The margin admits only shorter, more redundant super-symbols.
-        assert (degraded.design.super_symbol.first.n_slots
-                < up.design.super_symbol.first.n_slots)
-
-    @pytest.mark.parametrize("state", [LinkState.DOWN, LinkState.PROBING])
-    def test_dead_link_keeps_the_lights_on(self, config, designer, state):
-        controller = SmartLightingController(target_sum=1.0, config=config,
-                                             designer=designer)
-        sample = controller.tick(0.0, 0.3, link_state=state)
-        assert sample.design is None
-        assert sample.link_state == state.value
-        assert sample.total == pytest.approx(1.0)
 
 
 class TestValidation:

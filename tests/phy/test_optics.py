@@ -20,6 +20,12 @@ class TestLambertianOrder:
         assert fe.lambertian_order > 15
 
 
+    def test_semi_angle_is_the_half_power_angle(self):
+        for semi_angle in (15.0, 30.0, 60.0):
+            fe = OpticalFrontEnd(semi_angle_deg=semi_angle)
+            assert fe.gain(2.0, semi_angle, 0.0) / fe.gain(2.0, 0.0, 0.0) \
+                == pytest.approx(0.5)
+
     def test_cached_order_is_a_pure_function_of_the_fields(self):
         used, fresh = OpticalFrontEnd(), OpticalFrontEnd()
         assert used.lambertian_order == -math.log(2.0) / math.log(
@@ -35,6 +41,20 @@ class TestChannelGain:
         g1 = fe.channel_gain(LinkGeometry.on_axis(1.0))
         g2 = fe.channel_gain(LinkGeometry.on_axis(2.0))
         assert g1 / g2 == pytest.approx(4.0)
+
+    def test_on_axis_gain_closed_form(self):
+        # H(0) = (m + 1) A / (2 pi d^2) directly below the LED.
+        fe = OpticalFrontEnd()
+        m = fe.lambertian_order
+        assert fe.channel_gain(LinkGeometry.on_axis(2.5)) == pytest.approx(
+            (m + 1.0) * fe.rx_area_m2 / (2.0 * math.pi * 2.5 ** 2))
+
+    def test_narrow_beam_concentrates(self):
+        # Same power: the narrow beam is brighter on-axis, dimmer off.
+        narrow = OpticalFrontEnd(semi_angle_deg=15.0)
+        wide = OpticalFrontEnd(semi_angle_deg=60.0)
+        assert narrow.gain(2.0, 0.0, 0.0) > wide.gain(2.0, 0.0, 0.0)
+        assert narrow.gain(2.0, 40.0, 0.0) < wide.gain(2.0, 40.0, 0.0)
 
     def test_gain_decreases_off_axis(self):
         fe = OpticalFrontEnd()

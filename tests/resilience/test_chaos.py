@@ -12,16 +12,17 @@ import math
 
 import pytest
 
-from repro.core import SystemConfig, shared_designer
+from repro.core import SlotErrorModel, SystemConfig, shared_designer
 from repro.lighting import SmartLightingController
 from repro.link.mac import ACK_TIMEOUT_S, MAX_RETRIES
 from repro.net import default_network
-from repro.resilience import (AckLossBurst, ChaosScenario, FaultSchedule,
-                              NodeDowntime, UplinkOutage, fault_windows,
-                              shipped_schedules)
-from repro.resilience.chaos import (AMBIENT, DEGRADED_PAYLOAD_BYTES,
+from repro.resilience import (AckLossBurst, AdcBlinding, AmbientStep,
+                              ChaosScenario, FaultSchedule, NodeDowntime,
+                              UplinkOutage, fault_windows, shipped_schedules)
+from repro.resilience.chaos import (AMBIENT, DEGRADED_ERROR_MARGIN,
+                                    DEGRADED_PAYLOAD_BYTES,
                                     PROBE_INTERVAL_S, RECOVER_AFTER,
-                                    TARGET_SUM)
+                                    TARGET_SUM, degraded_designer)
 from repro.schemes import shared_scheme_design
 from repro.sim.linkmodel import frame_slot_count
 
@@ -103,23 +104,74 @@ class TestGracefulDegradation:
         assert acked, "link never came back"
         assert max(e.time for e in acked) > 16.0
 
+    def test_dead_link_keeps_the_lights_on(self):
+        # While the link is down or probing, the controller keeps
+        # holding the target sum.
+        result = ChaosScenario(schedule=SCHEDULES["mixed"], seed=13).run()
+        dead = [entry for entry in result.journal.of_kind("control")
+                if entry.get("state") in ("down", "probing")]
+        assert dead
+        for entry in dead:
+            assert entry.get("led") + entry.get("ambient") \
+                == pytest.approx(TARGET_SUM)
 
-def frame_airtime(payload_bytes: int, conservative: bool) -> float:
+
+def frame_airtime(payload_bytes: int, degraded: bool) -> float:
     """Airtime of one frame at the default scenario's LED level."""
     config = SystemConfig()
-    designer = shared_designer(config)
-    controller = SmartLightingController(target_sum=TARGET_SUM,
-                                         config=config, designer=designer)
-    led = controller.required_led(AMBIENT)
-    raw = (controller.conservative_design(led) if conservative
-           else designer.design_clamped(led))
-    design = shared_scheme_design(raw, config)
+    designer = (degraded_designer(config) if degraded
+                else shared_designer(config))
+    led = SmartLightingController(target_sum=TARGET_SUM,
+                                  config=config).required_led(AMBIENT)
+    design = shared_scheme_design(designer.design_clamped(led), config)
     return frame_slot_count(design, config, payload_bytes) * config.t_slot
 
 
 def gaps(entries) -> list[float]:
     times = [entry.time for entry in entries]
     return [b - a for a, b in zip(times, times[1:])]
+
+
+class TestDegradedDesigner:
+    """The DEGRADED design policy that sits beside the MAC."""
+
+    @pytest.mark.parametrize("ambient", [0.2, 0.4, 0.6, 0.8])
+    def test_designs_with_the_error_margin(self, config, ambient):
+        led = SmartLightingController(target_sum=TARGET_SUM, config=config
+                                      ).tick(0.0, ambient).led
+        degraded = degraded_designer(config).design_clamped(led)
+        inflated = SlotErrorModel.from_config(config).scaled(
+            DEGRADED_ERROR_MARGIN)
+        assert degraded == shared_designer(config, inflated).design_clamped(led)
+        # The margin admits only shorter, more redundant super-symbols.
+        normal = shared_designer(config).design_clamped(led)
+        assert (degraded.super_symbol.first.n_slots
+                < normal.super_symbol.first.n_slots)
+
+    def test_built_once_per_config(self, config):
+        assert degraded_designer(config) is degraded_designer(SystemConfig())
+
+    def test_falls_back_when_the_margin_prunes_every_candidate(self):
+        # At this SER bound three patterns survive the measured errors
+        # and none survives them inflated by the margin.
+        config = SystemConfig(ser_bound=3e-4)
+        with pytest.raises(ValueError, match="no symbol pattern"):
+            shared_designer(config, SlotErrorModel.from_config(config)
+                            .scaled(DEGRADED_ERROR_MARGIN))
+        assert degraded_designer(config) is shared_designer(config)
+
+
+class TestFaultWindows:
+    def test_channel_faults_by_kind_sorted_by_start(self):
+        # Steps and node downtime have no single-link window.
+        schedule = FaultSchedule((UplinkOutage(8.0, 9.0),
+                                  AmbientStep(1.0, 0.5),
+                                  AckLossBurst(3.0, 4.0),
+                                  NodeDowntime("n1", 0.0, 2.0),
+                                  AdcBlinding(2.0, 5.0)))
+        assert fault_windows(schedule) == (("adc-blinding", 2.0, 5.0),
+                                           ("ack-loss-burst", 3.0, 4.0),
+                                           ("uplink-outage", 8.0, 9.0))
 
 
 class TestMacAndSupervisorTuning:
@@ -181,6 +233,25 @@ class TestFlickerGuarantee:
         supervised, baseline = run_pair(name)
         assert supervised.report.max_perceived_step <= tau + 1e-12
         assert baseline.report.max_perceived_step <= tau + 1e-12
+
+
+class TestRoomAmbient:
+    def test_control_ticks_see_the_schedule_steps(self):
+        # Each tick reads the latest step at or before it, else the
+        # base ambient, and the LED completes the target under it.
+        schedule = SCHEDULES["transients"]
+        control = ChaosScenario(schedule=schedule, seed=13
+                                ).run().journal.of_kind("control")
+        for entry in control:
+            expected = AMBIENT
+            for at_s, level in schedule.ambient_steps():
+                if at_s <= entry.time:
+                    expected = level
+            assert entry.get("ambient") == expected
+            assert entry.get("led") + expected == pytest.approx(TARGET_SUM)
+        levels = {level for _, level in schedule.ambient_steps()}
+        assert {entry.get("ambient") for entry in control} \
+            == levels | {AMBIENT}
 
 
 class TestScenarioValidation:

@@ -1,10 +1,12 @@
 """Fault primitives, schedule queries, and the DES installer."""
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.des import EventJournal, EventScheduler
+from repro.lighting import ScheduledAmbient, StaticAmbient
 from repro.resilience import (AckLossBurst, AdcBlinding, AmbientStep,
                               FaultSchedule, NodeDowntime, UplinkOutage,
                               install_fault_events, shipped_schedules)
@@ -13,6 +15,15 @@ from repro.resilience.faults import MAX_ERROR_SCALE
 #: windows a NaN or an infinity makes unusable
 NON_FINITE_WINDOWS = ((math.nan, 5.0), (1.0, math.nan), (1.0, math.inf),
                       (math.inf, math.inf), (-math.inf, 5.0))
+
+
+#: one primitive of each kind, with the label its journal entries,
+#: resilience reports and compiler notes carry
+FAULT_KINDS = ((UplinkOutage(1.0, 2.0), "uplink-outage"),
+               (AckLossBurst(1.0, 2.0), "ack-loss-burst"),
+               (AdcBlinding(1.0, 2.0), "adc-blinding"),
+               (AmbientStep(1.0, 0.3), "ambient-step"),
+               (NodeDowntime("n1", 1.0, 2.0), "node-downtime"))
 
 
 def last_end(schedule: FaultSchedule) -> float:
@@ -118,11 +129,28 @@ class TestScheduleQueries:
         assert self.SCHEDULE.error_scale_at(3.5) == pytest.approx(worst)
 
     def test_ambient_latest_step_wins_and_clamps(self):
-        assert self.SCHEDULE.ambient_at(4.0, 0.5) == 0.5
-        assert self.SCHEDULE.ambient_at(6.0, 0.5) == pytest.approx(0.9)
-        assert self.SCHEDULE.ambient_at(7.5, 0.5) == pytest.approx(0.2)
-        # Blinding never enters the room-ambient query.
-        assert self.SCHEDULE.ambient_at(3.5, 0.5) == 0.5
+        room = ScheduledAmbient(StaticAmbient(0.5),
+                                self.SCHEDULE.ambient_steps())
+        assert room.intensity(4.0) == 0.5
+        assert room.intensity(6.0) == pytest.approx(0.9)
+        assert room.intensity(7.5) == pytest.approx(0.2)
+        # Blinding never enters the room ambient.
+        assert room.intensity(3.5) == 0.5
+
+    def test_ambient_steps_list_only_the_steps_by_time(self):
+        # Windows and blinding stay out; the order of the faults does
+        # not matter.
+        expected = ((5.0, 0.9), (7.0, 0.2))
+        assert self.SCHEDULE.ambient_steps() == expected
+        reversed_faults = FaultSchedule(self.SCHEDULE.faults[::-1])
+        assert reversed_faults.ambient_steps() == expected
+        assert FaultSchedule((UplinkOutage(1.0, 2.0),)).ambient_steps() == ()
+
+    def test_same_instant_steps_list_the_brightest_last(self):
+        for order in ((0.8, 0.2), (0.2, 0.8)):
+            schedule = FaultSchedule(tuple(AmbientStep(5.0, level)
+                                           for level in order))
+            assert schedule.ambient_steps() == ((5.0, 0.2), (5.0, 0.8))
 
     def test_of_type_and_len_and_end(self):
         assert len(self.SCHEDULE) == 7
@@ -176,6 +204,26 @@ class TestShippedSchedules:
     def test_validation(self):
         with pytest.raises(ValueError):
             shipped_schedules(0.0)
+
+
+class TestFaultKinds:
+    @pytest.mark.parametrize("fault, label", FAULT_KINDS,
+                             ids=[label for _, label in FAULT_KINDS])
+    def test_kind_labels_the_journal(self, fault, label):
+        assert fault.kind == label
+        scheduler = EventScheduler()
+        journal = EventJournal()
+        install_fault_events(FaultSchedule((fault,)), scheduler, journal)
+        scheduler.run(until_s=10.0)
+        boundaries = 1 if isinstance(fault, AmbientStep) else 2
+        assert [entry.get("fault") for entry in journal.entries] \
+            == [label] * boundaries
+
+    def test_kind_is_a_class_constant_not_a_field(self):
+        # It is no constructor argument, so equality and repr ignore it.
+        for fault, _ in FAULT_KINDS:
+            assert "kind" not in {f.name for f in dataclasses.fields(fault)}
+            assert "kind" not in repr(fault)
 
 
 class TestInstallFaultEvents:

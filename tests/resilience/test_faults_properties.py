@@ -3,14 +3,16 @@
 Hypothesis generates arbitrary schedules (overlapping windows included
 — overlap is the interesting case) and checks the law the by-time
 queries promise: each folds the active windows with an
-order-independent reduction (max for loss and scale, any for outages,
-the latest and then brightest step for ambient), so permuting the fault
+order-independent reduction (max for loss and scale, any for outages),
+and the room ambient that ``ScheduledAmbient`` makes of the schedule's
+steps takes the latest and then brightest step, so permuting the fault
 tuple changes no answer.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.lighting import ScheduledAmbient, StaticAmbient
 from repro.resilience import (
     AckLossBurst,
     AdcBlinding,
@@ -49,6 +51,12 @@ downtimes = st.tuples(
     windows, st.sampled_from(["node-00", "node-01"])
 ).map(lambda t: NodeDowntime(t[1], *t[0]))
 
+# Steps on a coarse grid, so that several often land at one instant
+# with different levels.
+tied_steps = st.tuples(
+    st.sampled_from([2.0, 3.0]), st.sampled_from([0.2, 0.5, 0.8]),
+).map(lambda t: AmbientStep(*t))
+
 faults = st.one_of(outages, ack_bursts, blindings, steps, downtimes)
 fault_lists = st.lists(faults, max_size=6)
 times = dyadic(0.0, 45.0)
@@ -59,7 +67,8 @@ def queries(schedule: FaultSchedule, t: float) -> tuple:
     return (schedule.uplink_outage_at(t),
             schedule.ack_loss_at(t),
             schedule.error_scale_at(t),
-            schedule.ambient_at(t, 0.4))
+            ScheduledAmbient(StaticAmbient(0.4),
+                             schedule.ambient_steps()).intensity(t))
 
 
 class TestCombineAlgebra:
@@ -81,3 +90,16 @@ class TestCombineAlgebra:
                                             or other.uplink_outage_at(t))
         assert both.ack_loss_at(t) == max(one.ack_loss_at(t),
                                           other.ack_loss_at(t))
+
+    @given(faults=st.lists(st.one_of(tied_steps, faults), max_size=6),
+           t=times)
+    @settings(max_examples=150, deadline=None)
+    def test_room_ambient_is_the_latest_then_brightest_step(self, faults, t):
+        """Of the steps at or before ``t``, the latest holds; of several
+        at that instant, the brightest; with none, the base."""
+        landed = [f for f in faults if isinstance(f, AmbientStep)
+                  and f.at_s <= t]
+        latest = max((f.at_s for f in landed), default=None)
+        expected = max((f.level for f in landed if f.at_s == latest),
+                       default=0.4)
+        assert queries(FaultSchedule(tuple(faults)), t)[3] == expected

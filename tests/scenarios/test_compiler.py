@@ -1,14 +1,18 @@
 """Scenario compilation: walls, churn projection, chaos overlays."""
 
+import dataclasses
+
 import pytest
 
-from repro.resilience import NodeDowntime
+from repro.resilience import (AckLossBurst, AdcBlinding, AmbientStep,
+                              FaultSchedule, NodeDowntime, UplinkOutage)
 from repro.scenarios import (
     ChaosSpec,
     OccupancySpec,
     RoomSpec,
     Scenario,
     compile_scenario,
+    shipped_scenarios,
 )
 
 
@@ -125,5 +129,31 @@ class TestChaosOverlay:
         assert compiled.unprojected
         assert any("adc-blinding" in note for note in compiled.unprojected)
 
+    def test_notes_count_each_unprojected_kind(self, monkeypatch):
+        # Blinding and ACK loss have no multicell meaning; outages do.
+        faults = FaultSchedule((AdcBlinding(1.0, 2.0), AckLossBurst(3.0, 4.0),
+                                AdcBlinding(5.0, 6.0), UplinkOutage(7.0, 8.0)))
+        monkeypatch.setattr("repro.scenarios.compiler._chaos_schedule",
+                            lambda scenario, node_names: faults)
+        compiled = compile_scenario(
+            scenario(chaos=ChaosSpec(schedule="blinding")))
+        assert compiled.unprojected == ("adc-blinding×2", "ack-loss-burst×1")
+
     def test_no_chaos_means_no_notes(self):
         assert compile_scenario(scenario()).unprojected == ()
+
+    def test_same_instant_steps_resolve_to_the_brightest(self, monkeypatch):
+        # Whatever order the overlay lists them in, as in the chaos
+        # harness.
+        huddle = dataclasses.replace(shipped_scenarios()["huddle-smoke"],
+                                     chaos=ChaosSpec(schedule="transients"))
+        for levels in ((0.2, 0.8), (0.8, 0.2)):
+            steps = FaultSchedule(tuple(AmbientStep(5.0, level)
+                                        for level in levels))
+            monkeypatch.setattr("repro.scenarios.compiler._chaos_schedule",
+                                lambda scenario, node_names: steps)
+            compiled = compile_scenario(huddle)
+            for layout in compiled.rooms:
+                for cell in layout.luminaires:
+                    assert compiled.simulation.ambient.level(6.0, cell) \
+                        == 0.8, levels

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.core import SystemConfig
-from repro.lighting import StaticAmbient
+from repro.lighting import (BlindRampAmbient, SmartLightingController,
+                            StaticAmbient)
 from repro.sim import DynamicScenario
 
 
@@ -46,6 +47,23 @@ class TestRun:
 
     def test_paper_50pct_reduction(self, result):
         assert 0.40 <= result.adaptation_reduction <= 0.60
+
+    def test_traces_are_each_controllers_own_run(self, result):
+        # The two controllers share no state, and designing moves no
+        # light: each trace is what a lighting-only run reports.
+        config = SystemConfig()
+        smart = SmartLightingController(target_sum=1.0, config=config
+                                        ).run(BlindRampAmbient(), 67.0)
+        existing = SmartLightingController(
+            target_sum=1.0, config=config, use_perception_domain=False
+        ).run(BlindRampAmbient(), 67.0)
+        assert result.times == [sample.t for sample in smart]
+        assert result.ambient_trace == [sample.ambient for sample in smart]
+        assert result.led_trace == [sample.led for sample in smart]
+        assert result.cumulative_adjustments_smart \
+            == [sample.adjustments for sample in smart]
+        assert result.cumulative_adjustments_existing \
+            == [sample.adjustments for sample in existing]
 
 
 class TestStaticProfile:
