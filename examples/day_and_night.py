@@ -11,13 +11,14 @@ Run:  python examples/day_and_night.py
 """
 
 from repro.core import SystemConfig
-from repro.lighting import CloudyDayAmbient, DayNightManager, LinkMode
+from repro.lighting import DayNightManager, DaylightAmbient, LinkMode
 from repro.sim import Series, ascii_plot
 
 config = SystemConfig()
 manager = DayNightManager(config=config)
-day = CloudyDayAmbient(day_length_s=1200.0, peak_level=1.0,
-                       cloud_depth=0.25, seed=9)
+day = DaylightAmbient(sunrise_s=0.0, sunset_s=1200.0, peak_level=1.0,
+                      night_level=0.0, shape=1.0, cloud_depth=0.25,
+                      cloud_time_scale_s=20.0, seed=9)
 
 # Around midday the sun alone exceeds the illumination target: the LED
 # switches off entirely and DarkLight keeps the link alive.

@@ -11,16 +11,17 @@ Run:  python examples/office_day.py
 """
 
 from repro.core import AmppmDesigner, SystemConfig
-from repro.lighting import CloudyDayAmbient, SmartLightingController
+from repro.lighting import DaylightAmbient, SmartLightingController
 from repro.phy import LinkGeometry
-from repro.schemes import AmppmSchemeDesign
 from repro.sim import LinkEvaluator, Series, ascii_plot, expected_goodput
 
 config = SystemConfig()
 designer = AmppmDesigner(config)
 controller = SmartLightingController(target_sum=0.95, config=config,
                                      designer=designer)
-weather = CloudyDayAmbient(day_length_s=600.0, cloud_depth=0.55, seed=3)
+weather = DaylightAmbient(sunrise_s=0.0, sunset_s=600.0, peak_level=0.9,
+                          night_level=0.0, shape=1.0, cloud_depth=0.55,
+                          cloud_time_scale_s=20.0, seed=3)
 evaluator = LinkEvaluator(config=config, geometry=LinkGeometry.on_axis(2.5))
 
 times, ambient_trace, led_trace, throughput = [], [], [], []
@@ -28,8 +29,7 @@ for t in range(0, 601, 5):
     ambient = weather.intensity(float(t))
     sample = controller.tick(float(t), ambient)
     errors = evaluator.channel.slot_error_model(evaluator.geometry, ambient)
-    design = AmppmSchemeDesign(sample.design, config)
-    rate = expected_goodput(design, errors, config)
+    rate = expected_goodput(sample.design, errors, config)
     times.append(float(t))
     ambient_trace.append(ambient)
     led_trace.append(sample.led)

@@ -31,7 +31,12 @@ from ..core.params import SystemConfig
 
 
 class SchemeDesign(ABC):
-    """A modulation scheme bound to one dimming level."""
+    """A modulation scheme bound to one dimming level.
+
+    AMPPM's design, :class:`~repro.core.ampdesign.AmppmDesign`, answers
+    these same members without subclassing this class, because
+    ``repro.core`` imports nothing from another ``repro`` package.
+    """
 
     #: dimming level the caller asked for
     target_dimming: float

@@ -29,7 +29,6 @@ from .ampdesign import (
 from .coding import (
     CodewordWeightError,
     StreamCodec,
-    SuperSymbolCodec,
     SymbolCodec,
     decode_symbol,
     encode_symbol,
@@ -61,7 +60,6 @@ __all__ = [
     "SlotErrorModel",
     "StreamCodec",
     "SuperSymbol",
-    "SuperSymbolCodec",
     "SymbolCodec",
     "SymbolPattern",
     "SystemConfig",

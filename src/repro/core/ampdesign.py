@@ -15,16 +15,20 @@ Pipeline, exactly as the paper stages it:
 Designs are memoised per perceived-resolution bucket, each composed at
 the bucket's canonical level, so a design is a pure function of
 (config, errors, bucket) and :func:`shared_designer` keeps one designer
-per (config, errors) per process.  The transmitter re-designs only when
-the smart-lighting controller moves the setpoint, the "reduce the number
-of brightness adjustments" concern of Section 4.3.
+per (config, errors) per process; frames, links and cells use the
+memoised :class:`AmppmDesign` as it is.  The transmitter re-designs only
+when the smart-lighting controller moves the setpoint, the "reduce the
+number of brightness adjustments" concern of Section 4.3.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple, Sequence
 
+from .coding import StreamCodec, SymbolCodec
 from .envelope import Envelope, slope_walk_envelope
 from .errormodel import SlotErrorModel
 from .params import SystemConfig
@@ -32,13 +36,42 @@ from .supersymbol import SuperSymbol, compose
 from .symbols import SymbolPattern, candidate_patterns
 
 
+class _SymbolPlan(NamedTuple):
+    """The symbol walk for one payload bit count, computed once."""
+
+    #: distinct patterns of the walk, in first-use order (at most two)
+    patterns: tuple[SymbolPattern, ...]
+    #: index into ``patterns`` of every planned symbol, in send order
+    sequence: tuple[int, ...]
+    n_slots: int
+
+
 @dataclass(frozen=True)
 class AmppmDesign:
-    """The outcome of one designer invocation."""
+    """One AMPPM design: a super-symbol bound to a dimming level.
 
-    #: the canonical level of the memo bucket the design serves
+    It answers the members of :class:`~repro.baselines.base.SchemeDesign`
+    without subclassing it, because ``repro.core`` imports no other
+    ``repro`` package.  Equal and hashed by value.  The codec is built
+    with the design, so a super-symbol with a pattern that carries no
+    data bits fails at construction.  The symbol walk for a payload bit
+    count is fixed by the design, so it is planned once per bit count
+    and reused by every later :meth:`payload_slots` and
+    :meth:`success_probability` call.
+    """
+
+    #: the bucket's canonical level, or the achieved level when the
+    #: receiver rebuilds a design from a frame's Pattern field
     target_dimming: float
     super_symbol: SuperSymbol
+    _codec: StreamCodec = field(init=False, repr=False, compare=False)
+    _plans: dict[int, _SymbolPlan] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # One cycle: m1 symbols of the first pattern, then m2 of the second.
+        object.__setattr__(self, "_codec", StreamCodec(
+            SymbolCodec(p) for p in self.super_symbol.symbols()))
 
     @property
     def achieved_dimming(self) -> float:
@@ -58,6 +91,38 @@ class AmppmDesign:
                   errors: SlotErrorModel | None = None) -> float:
         """Expected PHY data rate in bit/s."""
         return self.super_symbol.data_rate(config, errors)
+
+    def _plan(self, n_bits: int) -> _SymbolPlan:
+        plan = self._plans.get(n_bits)
+        if plan is None:
+            walk = [codec.pattern for codec in self._codec.symbol_plan(n_bits)]
+            patterns = tuple(dict.fromkeys(walk))
+            plan = _SymbolPlan(patterns,
+                               tuple(patterns.index(p) for p in walk),
+                               sum(p.n_slots for p in walk))
+            self._plans[n_bits] = plan
+        return plan
+
+    def payload_slots(self, n_bits: int) -> int:
+        """Slots needed to carry ``n_bits`` payload bits."""
+        return self._plan(n_bits).n_slots
+
+    def success_probability(self, n_bits: int, errors: SlotErrorModel) -> float:
+        """Every planned symbol must decode: the product of their
+        per-symbol success factors, multiplied in send order (one SER
+        evaluation per distinct pattern)."""
+        plan = self._plan(n_bits)
+        factors = [1.0 - p.symbol_error_rate(errors) for p in plan.patterns]
+        return math.prod(map(factors.__getitem__, plan.sequence), start=1.0)
+
+    def encode_payload(self, bits: Sequence[int]) -> list[bool]:
+        """Map payload bits to an ON/OFF slot sequence."""
+        slots, _padding = self._codec.encode_stream(bits)
+        return slots
+
+    def decode_payload(self, slots: Sequence[bool], n_bits: int) -> list[int]:
+        """Recover ``n_bits`` payload bits; ValueError on corrupted slots."""
+        return self._codec.decode_stream(slots, n_bits)
 
 
 class UnreachableDimmingError(ValueError):

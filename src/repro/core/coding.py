@@ -16,8 +16,9 @@ behaviour the accompanying prose describes.
 
 :class:`StreamCodec` is the one symbol walk that turns a bit stream
 into slots and back, for any cycle of codeword maps: an AMPPM
-super-symbol's constituent symbols (:class:`SuperSymbolCodec`) or a
-fixed-symbol baseline's single shape.
+super-symbol's constituent symbols (see
+:class:`~repro.core.ampdesign.AmppmDesign`) or a fixed-symbol
+baseline's single shape.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .combinatorics import binomial, bits_per_symbol, symbol_capacity
-from .supersymbol import SuperSymbol
 from .symbols import SymbolPattern
 
 
@@ -205,54 +205,3 @@ class StreamCodec:
             for shift in range(codec.bits - 1, -1, -1):
                 bits.append((value >> shift) & 1)
         return bits[:n_bits]
-
-
-class SuperSymbolCodec(StreamCodec):
-    """Encode/decode a bit stream through AMPPM super-symbols.
-
-    The walk's cycle is the super-symbol's constituent symbols in
-    transmission order: m1 symbols of the first pattern, then m2 of the
-    second.
-    """
-
-    def __init__(self, super_symbol: SuperSymbol):
-        self.super_symbol = super_symbol
-        super().__init__(SymbolCodec(p) for p in super_symbol.symbols())
-
-    @property
-    def bits(self) -> int:
-        """Data bits per full super-symbol."""
-        return self.super_symbol.bits
-
-    @property
-    def n_slots(self) -> int:
-        """Slots per full super-symbol."""
-        return self.super_symbol.n_slots
-
-    def encode(self, bits: Sequence[int]) -> list[bool]:
-        """Encode exactly one super-symbol's worth of bits into slots."""
-        if len(bits) != self.bits:
-            raise ValueError(f"expected {self.bits} bits, got {len(bits)}")
-        slots, _ = self.encode_stream(bits)
-        return slots
-
-    def decode(self, slots: Sequence[bool]) -> list[int]:
-        """Decode one full super-symbol's slots back into bits."""
-        if len(slots) != self.n_slots:
-            raise ValueError(f"expected {self.n_slots} slots, got {len(slots)}")
-        return self.decode_stream(slots, self.bits)
-
-    def decode_stream(self, slots: Sequence[bool],
-                      n_bits: int | None = None) -> list[int]:
-        """Decode a slot stream back to ``n_bits`` bits.
-
-        When ``n_bits`` is omitted the stream must be a whole number of
-        super-symbols, and all of their bits are returned.
-        """
-        if n_bits is None:
-            if len(slots) % self.n_slots:
-                raise ValueError(
-                    f"slot count {len(slots)} is not a multiple of {self.n_slots}"
-                )
-            n_bits = len(slots) // self.n_slots * self.bits
-        return super().decode_stream(slots, n_bits)

@@ -266,10 +266,7 @@ class RoundtripOracle:
             return _fail(f"CRC blind spot: single-bit flip at bit {flip} "
                          f"goes undetected")
 
-        from ..schemes import shared_scheme_design
-
-        design = shared_scheme_design(
-            _designer().design_clamped(float(params["dimming"])), _config())
+        design = _designer().design_clamped(float(params["dimming"]))
         slots = Transmitter(_config()).encode_frame(data, design)
         try:
             frame = Receiver(_config()).decode_frame(list(slots))

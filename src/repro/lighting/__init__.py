@@ -1,10 +1,8 @@
 """Smart-lighting substrate: ambient light, controller, flicker, user study."""
 
 from .ambient import (
-    LUX_FULL_SCALE,
     AmbientProfile,
     BlindRampAmbient,
-    CloudyDayAmbient,
     DaylightAmbient,
     ScheduledAmbient,
     StaticAmbient,
@@ -34,7 +32,6 @@ __all__ = [
     "AmbientCondition",
     "AmbientProfile",
     "BlindRampAmbient",
-    "CloudyDayAmbient",
     "ControllerSample",
     "DIRECT_RESOLUTIONS",
     "DayNightManager",
@@ -43,7 +40,6 @@ __all__ = [
     "LinkMode",
     "ModeDecision",
     "INDIRECT_RESOLUTIONS",
-    "LUX_FULL_SCALE",
     "ScheduledAmbient",
     "SmartLightingController",
     "StaticAmbient",

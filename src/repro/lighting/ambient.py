@@ -7,8 +7,7 @@ light "does not change perfectly linearly with the blind's position".
 
 All profiles expose a normalized intensity in [0, 1] as a function of
 time, where 1.0 is the paper's brightest condition (sunny day, blind at
-the top, ceiling lights on — L1, 8900-9760 lux).  :data:`LUX_FULL_SCALE`
-converts to lux for the user-study conditions.
+the top, ceiling lights on — L1, 8900-9760 lux).
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.params import require_finite
-
-#: Normalized 1.0 corresponds to the top of the paper's L1 band.
-LUX_FULL_SCALE = 9760.0
 
 
 def _cloud_cover(knots: tuple[float, ...], time_scale_s: float,
@@ -45,14 +41,6 @@ class AmbientProfile(ABC):
     @abstractmethod
     def intensity(self, t: float) -> float:
         """Normalized ambient level in [0, 1] at time ``t`` seconds."""
-
-    def lux(self, t: float) -> float:
-        """Ambient illuminance in lux at time ``t``."""
-        return self.intensity(t) * LUX_FULL_SCALE
-
-    def trace(self, times: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`intensity` over an array of times."""
-        return np.asarray([self.intensity(float(t)) for t in np.asarray(times)])
 
 
 @dataclass(frozen=True)
@@ -126,42 +114,6 @@ class BlindRampAmbient(AmbientProfile):
 
 
 @dataclass(frozen=True)
-class CloudyDayAmbient(AmbientProfile):
-    """Fast-moving clouds over a daylight arc (the Netherlands case).
-
-    A slow sinusoidal daylight envelope modulated by seeded, smoothed
-    cloud attenuation — the "weather changes super fast" scenario the
-    paper motivates SmartVLC with.
-    """
-
-    day_length_s: float = 600.0
-    peak_level: float = 0.9
-    cloud_depth: float = 0.5
-    cloud_time_scale_s: float = 20.0
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        if self.day_length_s <= 0 or self.cloud_time_scale_s <= 0:
-            raise ValueError("time scales must be positive")
-        if not 0.0 < self.peak_level <= 1.0:
-            raise ValueError("peak_level must lie in (0, 1]")
-        if not 0.0 <= self.cloud_depth < 1.0:
-            raise ValueError("cloud_depth must lie in [0, 1)")
-        rng = np.random.default_rng(self.seed)
-        n_knots = max(4, int(self.day_length_s / self.cloud_time_scale_s) + 2)
-        object.__setattr__(self, "_knots",
-                           tuple(rng.uniform(0.0, 1.0, size=n_knots).tolist()))
-
-    def intensity(self, t: float) -> float:
-        x = min(max(t / self.day_length_s, 0.0), 1.0)
-        daylight = self.peak_level * math.sin(math.pi * x)
-        attenuation = 1.0 - self.cloud_depth * _cloud_cover(
-            self._knots, self.cloud_time_scale_s, t)
-        return min(max(daylight * attenuation, 0.0), 1.0)
-
-
-@dataclass(frozen=True)
 class DaylightAmbient(AmbientProfile):
     """Piecewise solar-elevation daylight: night floor, sunrise-to-sunset
     solar arc, seeded cloud attenuation.
@@ -174,7 +126,10 @@ class DaylightAmbient(AmbientProfile):
     derive per-room skies from one scenario seed without stream overlap.
     Outside ``[sunrise_s, sunset_s]`` the profile sits at the night
     floor, which makes the curve exactly piecewise: two constant night
-    segments joined by the attenuated solar arc.
+    segments joined by the attenuated solar arc.  With ``sunrise_s=0``,
+    ``night_level=0`` and ``shape=1`` the arc is a plain half sine over
+    ``[0, sunset_s]``; a short ``cloud_time_scale_s`` gives the
+    fast-moving clouds the paper motivates SmartVLC with.
     """
 
     sunrise_s: float = 6.0 * 3600.0
@@ -222,37 +177,33 @@ class ScheduledAmbient(AmbientProfile):
     """A base profile with timed override steps layered on top.
 
     Each step is ``(at_s, level)``: from ``at_s`` onward the ambient is
-    pinned at ``level`` until the next step takes over.  A step whose
-    level is ``None`` releases the override and returns to the base
-    profile — so a blind pulled shut at noon and reopened an hour later
-    is ``((noon, 0.05), (noon + 3600, None))``.  Of several steps at
-    one instant the last listed applies.  This is the one resolver of
-    timed ambient steps: the chaos harness and the scenario compiler
-    both apply a fault schedule's
+    pinned at ``level`` until the next step takes over, and before the
+    first step the base profile applies.  Step times must be finite and
+    non-decreasing; of several steps at one instant the last listed
+    applies.  This is the one resolver of timed ambient steps: the chaos
+    harness and the scenario compiler both apply a fault schedule's
     :meth:`~repro.resilience.faults.FaultSchedule.ambient_steps` here,
     and lighting depends on nothing in the resilience package.
     """
 
     base: AmbientProfile
-    steps: tuple[tuple[float, float | None], ...] = ()
+    steps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
         times = [at for at, _ in self.steps]
+        if not all(math.isfinite(at) for at in times):
+            raise ValueError("step times must be finite")
         if times != sorted(times):
             raise ValueError("step times must be non-decreasing")
         for _, level in self.steps:
-            if level is not None and not 0.0 <= level <= 1.0:
-                raise ValueError("step levels must lie in [0, 1] or be None")
+            if not 0.0 <= level <= 1.0:
+                raise ValueError("step levels must lie in [0, 1]")
 
     def intensity(self, t: float) -> float:
-        active: float | None = None
-        overridden = False
+        active = None
         for when, level in self.steps:
             if t >= when:
                 active = level
-                overridden = True
             else:
                 break
-        if overridden and active is not None:
-            return active
-        return self.base.intensity(t)
+        return self.base.intensity(t) if active is None else active

@@ -22,7 +22,7 @@ import numpy as np
 from ..baselines.darklight import DarkLightDesign
 from ..baselines.oppm import OppmDesign
 from ..baselines.vppm import VppmDesign
-from ..core.coding import SuperSymbolCodec
+from ..core.ampdesign import AmppmDesign
 from ..core.params import SystemConfig
 from .bitstream import bits_to_bytes
 from .crc import crc16
@@ -58,8 +58,9 @@ def _payload_decoder(header: FrameHeader,
     """Rebuild (decode_fn, slots_needed_fn) from the Pattern descriptor."""
     descriptor = header.descriptor
     if descriptor.scheme == SCHEME_MPPM:
-        codec = SuperSymbolCodec(descriptor.super_symbol())
-        return codec.decode_stream, codec.slots_for_bits
+        ss = descriptor.super_symbol()
+        design = AmppmDesign(ss.dimming, ss)
+        return design.decode_payload, design.payload_slots
 
     if descriptor.scheme == SCHEME_OOK:
         def slots_needed(n_bits: int) -> int:

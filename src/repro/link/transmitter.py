@@ -2,9 +2,9 @@
 
 Assembles Table 1 frames: OOK preamble + header, a brightness
 compensation run, the sync edge, then the scheme-modulated payload and
-CRC.  Works with any :class:`~repro.baselines.base.SchemeDesign`; the
-Pattern field is derived from the design so the receiver is
-self-describing.
+CRC.  Works with any :class:`~repro.baselines.base.SchemeDesign` or
+AMPPM :class:`~repro.core.ampdesign.AmppmDesign`; the Pattern field is
+derived from the design so the receiver is self-describing.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from ..baselines.mppm import MppmDesign
 from ..baselines.ookct import OokCtDesign
 from ..baselines.oppm import OppmDesign
 from ..baselines.vppm import VppmDesign
+from ..core.ampdesign import AmppmDesign
 from ..core.params import SystemConfig
 from ..core.supersymbol import SuperSymbol
-from ..schemes import AmppmSchemeDesign
 from .bitstream import bytes_to_bits
 from .crc import append_crc
 from .frame import (
@@ -38,7 +38,7 @@ from .frame import (
 
 def descriptor_for_design(design: SchemeDesign) -> PatternDescriptor:
     """Build the Pattern field for any known scheme design."""
-    if isinstance(design, AmppmSchemeDesign):
+    if isinstance(design, AmppmDesign):
         return PatternDescriptor.for_super_symbol(design.super_symbol)
     if isinstance(design, MppmDesign):
         return PatternDescriptor.for_super_symbol(SuperSymbol.single(design.pattern))

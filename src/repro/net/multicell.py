@@ -37,7 +37,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..core.ampdesign import shared_designer
+from ..core.ampdesign import AmppmDesign, shared_designer
 from ..core.params import SystemConfig
 from ..des import EventJournal, EventScheduler
 from ..lighting.ambient import AmbientProfile, StaticAmbient
@@ -45,7 +45,6 @@ from ..lighting.controller import SmartLightingController
 from ..link.wifi import WifiUplink
 from ..phy.channel import VlcChannel, calibrated_channel
 from ..resilience.faults import FaultSchedule, NodeDowntime, UplinkOutage
-from ..schemes import AmppmSchemeDesign, shared_scheme_design
 from ..sim.linkmodel import expected_goodput
 from .feedback import AmbientReport, FeedbackPlane
 from .interference import swing_slot_errors
@@ -234,7 +233,7 @@ class _CellState:
     luminaire: Luminaire
     controller: SmartLightingController
     plane: FeedbackPlane
-    design: AmppmSchemeDesign | None = None
+    design: AmppmDesign | None = None
     led: float = 1.0
 
     @property
@@ -654,12 +653,7 @@ class MulticellSimulation:
             yield self.tick_s
 
     def _control_loop(self, scheduler, journal, cell):
-        """Per-cell process: fuse reports, relight, redesign.
-
-        The controller hands back the same design object while the
-        level holds, so the cell re-wraps only when that object changes.
-        """
-        design = None
+        """Per-cell process: fuse reports, relight, redesign."""
         while True:
             now = scheduler.now
             fused = cell.plane.estimate()
@@ -667,10 +661,7 @@ class MulticellSimulation:
                 fused = self.ambient.level(now, cell.name)
             sample = cell.controller.tick(now, fused)
             cell.led = sample.led
-            if sample.design is not design:
-                design = sample.design
-                cell.design = (shared_scheme_design(design, self.config)
-                               if design is not None else None)
+            cell.design = sample.design
             journal.record(now, "control", cell.name, led=sample.led,
                            fused=fused, adjustments=sample.adjustments)
             yield self.tick_s

@@ -41,7 +41,6 @@ from ..link.supervision import BackoffPolicy, LinkState, LinkSupervisor
 from ..link.wifi import WifiUplink
 from ..phy.channel import REFERENCE_DISTANCE_M, calibrated_channel
 from ..phy.optics import LinkGeometry
-from ..schemes import shared_scheme_design
 from ..sim.linkmodel import frame_slot_count, frame_success_probability
 from .faults import FaultSchedule, install_fault_events
 from .metrics import ResilienceReport, fault_attribution
@@ -182,11 +181,10 @@ class ChaosScenario:
 
         def design_for(led: float, degraded: bool):
             source = degraded_designer(self.config) if degraded else designer
-            return shared_scheme_design(source.design_clamped(led),
-                                        self.config)
+            return source.design_clamped(led)
 
         def frame_params(design, n_payload, errors):
-            # Keyed on the shared wrapper: one per bucket design.
+            # Keyed on the design: the designer memoises one per bucket.
             key = (design, n_payload, errors)
             if key not in frame_cache:
                 t_frame = (frame_slot_count(design, self.config, n_payload)

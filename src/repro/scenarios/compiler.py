@@ -198,7 +198,7 @@ def compile_scenario(scenario: Scenario, *, regions: int = 1,
         for trace in occupants
     }
     outages: tuple[UplinkOutage, ...] = ()
-    ambient_steps: tuple[tuple[float, float | None], ...] = ()
+    ambient_steps: tuple[tuple[float, float], ...] = ()
     unprojected: tuple[str, ...] = ()
     if scenario.chaos is not None:
         schedule = _chaos_schedule(

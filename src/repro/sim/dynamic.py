@@ -17,7 +17,6 @@ from ..core.params import SystemConfig, require_finite
 from ..lighting.ambient import AmbientProfile, BlindRampAmbient
 from ..lighting.controller import ControllerSample, SmartLightingController
 from ..phy.optics import LinkGeometry
-from ..schemes import shared_scheme_design
 from .linkmodel import LinkEvaluator, expected_goodput
 
 
@@ -133,5 +132,4 @@ class DynamicScenario:
             return 0.0
         errors = evaluator.channel.slot_error_model(self.geometry,
                                                     sample.ambient)
-        design = shared_scheme_design(sample.design, self.config)
-        return expected_goodput(design, errors, self.config)
+        return expected_goodput(sample.design, errors, self.config)

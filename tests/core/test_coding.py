@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    AmppmDesign,
     CodewordWeightError,
     StreamCodec,
     SuperSymbol,
-    SuperSymbolCodec,
     SymbolCodec,
     SymbolPattern,
     decode_symbol,
@@ -143,54 +143,58 @@ class TestStreamCodec:
         assert codec.decode_stream([], 0) == []
 
 
-class TestSuperSymbolCodec:
-    def _codec(self) -> SuperSymbolCodec:
+class TestAmppmDesignPayload:
+    """An AMPPM design's own payload codec: the super-symbol's walk."""
+
+    def _design(self) -> AmppmDesign:
+        # C(10,2)=45 -> 5 bits, C(10,3)=120 -> 6: 16 bits in 30 slots.
         s = SuperSymbol(SymbolPattern(10, 2), 2, SymbolPattern(10, 3), 1)
-        return SuperSymbolCodec(s)
+        return AmppmDesign(s.dimming, s)
 
     def test_bits_and_slots(self):
-        codec = self._codec()
-        assert codec.bits == 2 * 5 + 6  # C(10,2)=45->5 bits, C(10,3)=120->6
-        assert codec.n_slots == 30
+        design = self._design()
+        assert design.super_symbol.bits == 2 * 5 + 6
+        assert design.super_symbol.n_slots == 30
+        # Whole units cost whole units' slots.
+        assert design.payload_slots(3 * 16) == 3 * 30
 
     def test_unit_roundtrip(self):
-        codec = self._codec()
-        bits = [(i * 5 + 1) % 2 for i in range(codec.bits)]
-        slots = codec.encode(bits)
-        assert len(slots) == codec.n_slots
-        assert codec.decode(slots) == bits
+        design = self._design()
+        unit = design.super_symbol
+        bits = [(i * 5 + 1) % 2 for i in range(unit.bits)]
+        slots = design.encode_payload(bits)
+        assert len(slots) == unit.n_slots
+        assert design.decode_payload(slots, unit.bits) == bits
 
     def test_stream_roundtrip_with_partial_unit(self):
-        codec = self._codec()
-        # 50 bits: 2 full units (44) plus a partial one.
+        design = self._design()
+        # 50 bits: 3 full units (48 bits, 90 slots) plus one symbol,
+        # never a fourth whole unit.
         bits = [(i * 7 + 3) % 2 for i in range(50)]
-        slots, padding = codec.encode_stream(bits)
-        assert padding < max(c.bits for c in codec.symbol_plan(50))
-        assert codec.decode_stream(slots, 50) == bits
+        slots = design.encode_payload(bits)
+        assert len(slots) == design.payload_slots(50) == 100
+        assert design.decode_payload(slots, 50) == bits
 
     def test_partial_unit_saves_slots(self):
-        codec = self._codec()
+        design = self._design()
         # One bit should cost one symbol, not one super-symbol.
-        assert codec.slots_for_bits(1) == 10
-        assert codec.slots_for_bits(codec.bits) == codec.n_slots
+        assert design.payload_slots(1) == 10
+        assert design.payload_slots(design.super_symbol.bits) \
+            == design.super_symbol.n_slots
 
     def test_symbol_plan_walk_order(self):
-        codec = self._codec()
-        plan = codec.symbol_plan(codec.bits + 1)
-        kinds = [c.pattern for c in plan]
-        assert kinds[:3] == [SymbolPattern(10, 2)] * 2 + [SymbolPattern(10, 3)]
-        assert kinds[3] == SymbolPattern(10, 2)  # the walk wraps around
+        design = self._design()
+        # Each codeword's ON count names its pattern: 2 for S(10,2),
+        # 3 for S(10,3).
+        slots = design.encode_payload([1] * (design.super_symbol.bits + 1))
+        weights = [sum(slots[i:i + 10]) for i in range(0, len(slots), 10)]
+        assert weights[:3] == [2, 2, 3]
+        assert weights[3:] == [2]  # the walk wraps around
 
     def test_stream_length_validation(self):
-        codec = self._codec()
+        design = self._design()
         with pytest.raises(ValueError):
-            codec.decode_stream([True] * 7)
-
-    def test_whole_unit_decode_without_bit_count(self):
-        codec = self._codec()
-        bits = [1, 0] * (codec.bits // 2) + [1] * (codec.bits % 2)
-        slots, _ = codec.encode_stream(bits)
-        assert codec.decode_stream(slots)[:len(bits)] == bits
+            design.decode_payload([True] * 7, design.super_symbol.bits)
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -202,10 +206,11 @@ class TestSuperSymbolCodec:
         p1, p2 = SymbolPattern(n1, k1), SymbolPattern(n2, k2)
         if p1.bits == 0 or p2.bits == 0:
             return
-        codec = SuperSymbolCodec(SuperSymbol(p1, 2, p2, 2))
+        s = SuperSymbol(p1, 2, p2, 2)
+        design = AmppmDesign(s.dimming, s)
         n_bits = data.draw(st.integers(1, 200))
         bits = data.draw(st.lists(st.integers(0, 1), min_size=n_bits,
                                   max_size=n_bits))
-        slots, _ = codec.encode_stream(bits)
-        assert len(slots) == codec.slots_for_bits(n_bits)
-        assert codec.decode_stream(slots, n_bits) == bits
+        slots = design.encode_payload(bits)
+        assert len(slots) == design.payload_slots(n_bits)
+        assert design.decode_payload(slots, n_bits) == bits

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.lighting import (
-    CloudyDayAmbient,
     DayNightManager,
+    DaylightAmbient,
     LinkMode,
     SmartLightingController,
     energy_report,
@@ -12,6 +12,12 @@ from repro.lighting import (
 from repro.link import Receiver, Transmitter, WifiUplink
 from repro.net import desk_room
 from repro.lighting import StaticAmbient
+
+
+#: A 10-minute day of fast clouds whose midday sun alone lights the room.
+DAY = DaylightAmbient(sunrise_s=0.0, sunset_s=600.0, peak_level=1.0,
+                      night_level=0.0, shape=1.0, cloud_depth=0.2,
+                      cloud_time_scale_s=20.0, seed=21)
 
 
 def control(result, field: str) -> list[float]:
@@ -25,14 +31,12 @@ class TestDayNightLoop:
     def test_link_never_goes_silent(self, config):
         manager = DayNightManager(config=config)
         controller = SmartLightingController(target_sum=0.8, config=config)
-        day = CloudyDayAmbient(day_length_s=600.0, peak_level=1.0,
-                               cloud_depth=0.2, seed=21)
         tx, rx = Transmitter(config), Receiver(config)
 
         saw_night = False
         saw_day = False
         for t in range(0, 601, 30):
-            sample = controller.tick(float(t), day.intensity(float(t)))
+            sample = controller.tick(float(t), DAY.intensity(float(t)))
             decision = manager.select(sample.led)
             saw_night |= decision.mode is LinkMode.DARKLIGHT
             saw_day |= decision.mode is LinkMode.SMARTVLC
@@ -43,9 +47,7 @@ class TestDayNightLoop:
 
     def test_energy_ledger_over_the_day(self, config):
         controller = SmartLightingController(target_sum=0.8, config=config)
-        day = CloudyDayAmbient(day_length_s=600.0, peak_level=1.0,
-                               cloud_depth=0.2, seed=21)
-        samples = controller.run(day, 600.0, tick_s=10.0)
+        samples = controller.run(DAY, 600.0, tick_s=10.0)
         report = energy_report([s.led for s in samples], tick_s=10.0)
         # Midday sun should save a substantial share of the energy.
         assert report.saving_fraction > 0.3

@@ -11,7 +11,7 @@ from repro.lighting import (
 )
 from repro.link import Receiver, StopAndWaitMac, Transmitter
 from repro.phy import LinkGeometry, calibrated_channel
-from repro.schemes import AmppmScheme, AmppmSchemeDesign
+from repro.schemes import AmppmScheme
 from repro.sim import EndToEndLink, expected_goodput
 
 
@@ -30,9 +30,8 @@ class TestControllerToAir:
         for t in range(0, 60, 10):
             sample = controller.tick(float(t), profile.intensity(float(t)))
             led_levels.append(sample.led)
-            design = AmppmSchemeDesign(sample.design, config)
             payload = f"tick {t}".encode()
-            slots = tx.encode_frame(payload, design)
+            slots = tx.encode_frame(payload, sample.design)
             # The frame's duty cycle is the commanded dimming level...
             assert sum(slots) / len(slots) == pytest.approx(sample.led,
                                                             abs=0.04)
@@ -57,9 +56,9 @@ class TestControllerToAir:
         delivered = 0
         for t, ambient in enumerate((0.2, 0.4, 0.6, 0.8)):
             sample = controller.tick(float(t), ambient)
-            design = AmppmSchemeDesign(sample.design, config)
             errors = channel.slot_error_model(geometry, ambient)
-            stats = mac.run([bytes(range(64))] * 3, design, errors, rng)
+            stats = mac.run([bytes(range(64))] * 3, sample.design, errors,
+                            rng)
             delivered += stats.frames_delivered
         assert delivered == 12
 

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from repro.lighting import (
-    LUX_FULL_SCALE,
     BlindRampAmbient,
-    CloudyDayAmbient,
     DaylightAmbient,
     ScheduledAmbient,
     StaticAmbient,
 )
+
+
+def trace(profile, times) -> np.ndarray:
+    """The profile's intensity at each of ``times``."""
+    return np.asarray([profile.intensity(float(t)) for t in times])
 
 
 def reject_each_non_finite(profile, *names):
@@ -28,9 +31,6 @@ class TestStatic:
         profile = StaticAmbient(0.4)
         assert profile.intensity(0.0) == profile.intensity(1e6) == 0.4
 
-    def test_lux_mapping(self):
-        assert StaticAmbient(1.0).lux(0.0) == pytest.approx(LUX_FULL_SCALE)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             StaticAmbient(1.5)
@@ -45,26 +45,27 @@ class TestBlindRamp:
     def test_monotone_overall_but_wobbly(self):
         ramp = BlindRampAmbient()
         t = np.linspace(0.0, 67.0, 300)
-        trace = ramp.trace(t)
+        levels = trace(ramp, t)
         # Overall increasing...
-        assert trace[-1] > trace[0]
-        assert np.all(np.diff(trace) > -0.02)
+        assert levels[-1] > levels[0]
+        assert np.all(np.diff(levels) > -0.02)
         # ...but not perfectly linear (the paper's observation).
-        linear = np.linspace(trace[0], trace[-1], trace.size)
-        assert np.abs(trace - linear).max() > 0.005
+        linear = np.linspace(levels[0], levels[-1], levels.size)
+        assert np.abs(levels - linear).max() > 0.005
 
     def test_deterministic_per_seed(self):
-        a = BlindRampAmbient(seed=1).trace(np.linspace(0, 67, 50))
-        b = BlindRampAmbient(seed=1).trace(np.linspace(0, 67, 50))
-        c = BlindRampAmbient(seed=2).trace(np.linspace(0, 67, 50))
+        t = np.linspace(0, 67, 50)
+        a = trace(BlindRampAmbient(seed=1), t)
+        b = trace(BlindRampAmbient(seed=1), t)
+        c = trace(BlindRampAmbient(seed=2), t)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_bounded(self):
         ramp = BlindRampAmbient(start_level=0.0, end_level=1.0, wobble=0.1)
-        trace = ramp.trace(np.linspace(-5, 80, 400))
-        assert np.all(trace >= 0.0)
-        assert np.all(trace <= 1.0)
+        levels = trace(ramp, np.linspace(-5, 80, 400))
+        assert np.all(levels >= 0.0)
+        assert np.all(levels <= 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -99,38 +100,46 @@ class TestBlindRamp:
             assert ramp.intensity(t) == min(max(level, 0.0), 1.0)
 
 
-class TestCloudyDay:
+class TestDaylight:
     def test_daylight_arc(self):
-        day = CloudyDayAmbient(cloud_depth=0.0)
-        dawn = day.intensity(0.0)
-        noon = day.intensity(day.day_length_s / 2)
-        dusk = day.intensity(day.day_length_s)
-        assert dawn == pytest.approx(0.0, abs=1e-9)
-        assert noon == pytest.approx(day.peak_level)
-        assert dusk == pytest.approx(0.0, abs=1e-9)
+        day = DaylightAmbient(cloud_depth=0.0)
+        noon = (day.sunrise_s + day.sunset_s) / 2
+        assert day.intensity(0.0) == day.night_level
+        assert day.intensity(day.sunrise_s) == day.night_level
+        assert day.intensity(noon) == pytest.approx(day.peak_level)
+        assert day.intensity(day.sunset_s) == day.night_level
+        assert day.intensity(day.sunset_s + 3600.0) == day.night_level
+
+    def test_half_sine_arc(self):
+        # No night floor, shape 1 and no clouds: a plain half sine over
+        # [0, sunset_s].
+        day = DaylightAmbient(sunrise_s=0.0, sunset_s=600.0, peak_level=0.9,
+                              night_level=0.0, shape=1.0, cloud_depth=0.0)
+        assert day.intensity(0.0) == day.intensity(600.0) == 0.0
+        for t in np.linspace(1.0, 599.0, 50):
+            assert day.intensity(float(t)) == 0.9 * math.sin(math.pi * (t / 600.0))
+
+    def test_deterministic_per_seed(self):
+        t = np.linspace(6.0 * 3600.0, 18.0 * 3600.0, 200)
+        a = trace(DaylightAmbient(seed=1), t)
+        b = trace(DaylightAmbient(seed=1), t)
+        c = trace(DaylightAmbient(seed=2), t)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_clouds_attenuate(self):
-        clear = CloudyDayAmbient(cloud_depth=0.0)
-        cloudy = CloudyDayAmbient(cloud_depth=0.6, seed=5)
-        t = np.linspace(0, clear.day_length_s, 200)
-        assert np.all(cloudy.trace(t) <= clear.trace(t) + 1e-12)
+        clear = DaylightAmbient(cloud_depth=0.0)
+        cloudy = DaylightAmbient(cloud_depth=0.6, seed=5)
+        t = np.linspace(clear.sunrise_s, clear.sunset_s, 200)
+        assert np.all(trace(cloudy, t) <= trace(clear, t) + 1e-12)
+        assert np.any(trace(cloudy, t) < trace(clear, t) - 0.05)
 
     def test_clouds_move_fast(self):
-        day = CloudyDayAmbient(cloud_depth=0.8, cloud_time_scale_s=10.0)
-        mid = day.day_length_s / 2
-        window = day.trace(np.linspace(mid - 30, mid + 30, 100))
+        day = DaylightAmbient(cloud_depth=0.8, cloud_time_scale_s=10.0)
+        mid = (day.sunrise_s + day.sunset_s) / 2
+        window = trace(day, np.linspace(mid - 30, mid + 30, 100))
         assert window.max() - window.min() > 0.05
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CloudyDayAmbient(cloud_depth=1.0)
-
-    def test_non_finite_fields_rejected(self):
-        reject_each_non_finite(CloudyDayAmbient, "day_length_s", "peak_level",
-                               "cloud_depth", "cloud_time_scale_s")
-
-
-class TestDaylight:
     def test_non_finite_fields_rejected(self):
         reject_each_non_finite(DaylightAmbient, "sunrise_s", "sunset_s",
                                "peak_level", "night_level", "shape",
@@ -151,23 +160,20 @@ class TestStepProfile:
         # Levels at either end of [0, 1] and steps that tie in time are
         # accepted (the later tied step wins); a level below 0 is not.
         profile = ScheduledAmbient(StaticAmbient(0.1),
-                                   ((1.0, 0.0), (1.0, 1.0), (2.0, None)))
+                                   ((1.0, 0.0), (1.0, 1.0), (2.0, 0.3)))
         assert profile.intensity(1.0) == 1.0
-        assert profile.intensity(2.0) == 0.1
+        assert profile.intensity(2.0) == 0.3
         with pytest.raises(ValueError, match="step levels"):
             ScheduledAmbient(StaticAmbient(0.1), ((1.0, -0.1),))
 
-
-class TestScheduled:
-    def test_override_pins_then_releases_to_the_base(self):
-        base = StaticAmbient(0.4)
-        profile = ScheduledAmbient(base=base,
-                                   steps=((10.0, 0.05), (20.0, None)))
-        assert profile.intensity(9.99) == 0.4
-        assert profile.intensity(10.0) == 0.05
-        assert profile.intensity(19.99) == 0.05
-        assert profile.intensity(20.0) == 0.4
-        assert profile.intensity(1e6) == 0.4
+    @pytest.mark.parametrize("at", [math.nan, math.inf, -math.inf])
+    def test_non_finite_step_time_rejected(self, at):
+        # A NaN or +inf step never applies (t >= at is never true) and
+        # a -inf one hides the base profile for all time.
+        with pytest.raises(ValueError, match="step times must be finite"):
+            ScheduledAmbient(StaticAmbient(0.4), ((at, 0.9),))
+        with pytest.raises(ValueError, match="step times must be finite"):
+            ScheduledAmbient(StaticAmbient(0.4), ((1.0, 0.2), (at, 0.9)))
 
 # One case per guard: the profile, the offending fields, the message naming them.
 OUT_OF_RANGE = [
@@ -177,14 +183,14 @@ OUT_OF_RANGE = [
                  id="ramp-end-level"),
     pytest.param(BlindRampAmbient, dict(wobble=-0.01), "wobble",
                  id="ramp-wobble"),
-    pytest.param(CloudyDayAmbient, dict(day_length_s=0.0), "time scales",
-                 id="cloudy-day-length"),
-    pytest.param(CloudyDayAmbient, dict(cloud_time_scale_s=0.0),
-                 "time scales", id="cloudy-cloud-time-scale"),
-    pytest.param(CloudyDayAmbient, dict(peak_level=0.0), "peak_level",
-                 id="cloudy-peak-level"),
     pytest.param(DaylightAmbient, dict(sunrise_s=100.0, sunset_s=50.0),
                  "sunrise_s", id="daylight-sun-order"),
+    pytest.param(DaylightAmbient, dict(sunrise_s=-1.0), "sunrise_s",
+                 id="daylight-sunrise"),
+    pytest.param(DaylightAmbient, dict(peak_level=1.1), "peak_level",
+                 id="daylight-peak-level"),
+    pytest.param(DaylightAmbient, dict(night_level=-0.1), "night_level",
+                 id="daylight-night-level"),
     pytest.param(DaylightAmbient, dict(night_level=0.9, peak_level=0.5),
                  "night_level", id="daylight-level-order"),
     pytest.param(DaylightAmbient, dict(shape=0.0), "shape",

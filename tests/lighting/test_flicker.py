@@ -81,8 +81,7 @@ class TestDesignerOutputsAreFlickerFree:
             assert design.super_symbol.flicker_free(config)
 
     def test_modulated_payload_perceptually_steady(self, config, designer):
-        from repro.schemes import AmppmSchemeDesign
-        design = AmppmSchemeDesign(designer.design(0.5), config)
+        design = designer.design(0.5)
         bits = [(i * 5 + 1) % 2 for i in range(4096)]
         slots = design.encode_payload(bits)
         report = type1_perceptual(slots, config, threshold=0.05)

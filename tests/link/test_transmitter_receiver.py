@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SystemConfig
+from repro.core import SystemConfig, shared_designer
 from repro.link import (
     CrcError,
     PreambleNotFoundError,
@@ -10,7 +10,7 @@ from repro.link import (
     Transmitter,
     descriptor_for_design,
 )
-from repro.link.frame import FrameError
+from repro.link.frame import FrameError, HeaderError
 from repro.schemes import AmppmScheme, Mppm, OokCt, Oppm, Vppm
 
 
@@ -71,6 +71,32 @@ class TestRoundTrip:
         assert [f.payload for f in frames] == [b"first", b"second"]
 
 
+class TestEveryBucket:
+    def test_receiver_decodes_every_bucket_design(self, stack):
+        # The receiver rebuilds the design from the Pattern field alone;
+        # it must decode what each of the designer's bucket designs
+        # encoded.
+        config, tx, rx = stack
+        designer = shared_designer(config)
+        lo, hi = designer.supported_range
+        keys = range(designer.memo_key(lo), designer.memo_key(hi) + 1)
+        designs = [designer.design(designer.clamp(key * config.tau_perceived))
+                   for key in keys]
+        assert len({d.super_symbol for d in designs}) > 300
+        failures = []
+        for design in designs:
+            for n in (0, 7, 128):
+                payload = bytes((i * 37 + n) % 256 for i in range(n))
+                slots = tx.encode_frame(payload, design)
+                try:
+                    decoded = rx.decode_frame(slots).payload
+                except FrameError as exc:
+                    decoded = exc
+                if decoded != payload:
+                    failures.append((design.super_symbol, n, decoded))
+        assert failures == []
+
+
 class TestCorruption:
     def test_payload_bit_flip_caught(self, stack):
         config, tx, rx = stack
@@ -91,6 +117,17 @@ class TestCorruption:
         slots[24 + 3] = not slots[24 + 3]
         with pytest.raises(FrameError):
             rx.decode_frame(slots)
+
+    def test_zero_bit_pattern_field_is_a_header_error(self, stack):
+        # Clearing k1 (frame slots 46-51: preamble 24 + length 16 + n1 6)
+        # leaves a Pattern field whose first symbol S(n1, 0) carries no
+        # data bits; the receiver must drop the frame, not crash.
+        config, tx, rx = stack
+        slots = tx.encode_frame(PAYLOAD, shared_designer(config).design(0.5))
+        slots[46:52] = [False] * 6
+        with pytest.raises(HeaderError):
+            rx.decode_frame(slots)
+        assert rx.decode_all(slots) == []
 
     def test_truncated_stream(self, stack):
         config, tx, rx = stack

@@ -12,7 +12,6 @@ import pytest
 
 from repro.lighting.ambient import (
     BlindRampAmbient,
-    CloudyDayAmbient,
     DaylightAmbient,
     ScheduledAmbient,
     StaticAmbient,
@@ -22,6 +21,11 @@ from repro.scenarios import ScenarioRunner
 from repro.scenarios.shipped import shipped_scenarios
 
 PLAIN = (int, float, str, bool)
+
+#: A 10-minute day of fast clouds: a plain half-sine arc, no night floor.
+CLOUDY_DAY = DaylightAmbient(sunrise_s=0.0, sunset_s=600.0, peak_level=0.9,
+                             night_level=0.0, shape=1.0, cloud_depth=0.5,
+                             cloud_time_scale_s=20.0, seed=7)
 
 
 def huddle_smoke():
@@ -33,7 +37,7 @@ RUNS = {
     "desk-room-blind-ramp": lambda: desk_room(
         profile=BlindRampAmbient()).run(67.0),
     "cloudy-day-network": lambda: default_network(
-        profile=CloudyDayAmbient(), seed=3).run(120.0),
+        profile=CLOUDY_DAY, seed=3).run(120.0),
     "daylight-across-sunrise": lambda: default_network(
         profile=DaylightAmbient(sunrise_s=30.0, sunset_s=600.0),
         seed=4).run(90.0),
@@ -56,10 +60,10 @@ def test_journal_values_are_plain_scalars(run):
 PROFILES = {
     "static": StaticAmbient(0.4),
     "blind-ramp": BlindRampAmbient(),
-    "cloudy-day": CloudyDayAmbient(),
+    "cloudy-day": CLOUDY_DAY,
     "daylight": DaylightAmbient(),
-    "scheduled": ScheduledAmbient(CloudyDayAmbient(),
-                                  ((100.0, 0.05), (200.0, None))),
+    "scheduled": ScheduledAmbient(CLOUDY_DAY,
+                                  ((100.0, 0.05), (200.0, 0.3))),
     "step": ScheduledAmbient(StaticAmbient(0.2), ((50.0, 0.7),)),
 }
 

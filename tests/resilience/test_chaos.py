@@ -23,7 +23,6 @@ from repro.resilience.chaos import (AMBIENT, DEGRADED_ERROR_MARGIN,
                                     DEGRADED_PAYLOAD_BYTES,
                                     PROBE_INTERVAL_S, RECOVER_AFTER,
                                     TARGET_SUM, degraded_designer)
-from repro.schemes import shared_scheme_design
 from repro.sim.linkmodel import frame_slot_count
 
 SCHEDULES = shipped_schedules()
@@ -123,7 +122,7 @@ def frame_airtime(payload_bytes: int, degraded: bool) -> float:
                 else shared_designer(config))
     led = SmartLightingController(target_sum=TARGET_SUM,
                                   config=config).required_led(AMBIENT)
-    design = shared_scheme_design(designer.design_clamped(led), config)
+    design = designer.design_clamped(led)
     return frame_slot_count(design, config, payload_bytes) * config.t_slot
 
 

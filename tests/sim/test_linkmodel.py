@@ -4,8 +4,13 @@ import random
 
 import pytest
 
-from repro.core import AmppmDesigner, SlotErrorModel, shared_designer
-from repro.core.coding import SuperSymbolCodec
+from repro.core import (
+    AmppmDesigner,
+    SlotErrorModel,
+    StreamCodec,
+    SymbolCodec,
+    shared_designer,
+)
 from repro.link import (
     HEADER_SLOTS,
     PREAMBLE_SLOTS,
@@ -17,14 +22,7 @@ from repro.link import (
 from repro.link.frame import header_slots
 from repro.link.transmitter import overhead_slots
 from repro.phy import LinkGeometry
-from repro.schemes import (
-    AmppmScheme,
-    AmppmSchemeDesign,
-    Mppm,
-    OokCt,
-    Vppm,
-    shared_scheme_design,
-)
+from repro.schemes import AmppmScheme, Mppm, OokCt, Vppm
 from repro.sim import (
     LinkEvaluator,
     expected_goodput,
@@ -32,6 +30,7 @@ from repro.sim import (
     frame_success_probability,
     stop_and_wait_goodput,
 )
+from repro.sim.linkmodel import _frame_slots
 
 PAYLOAD_SIZES = (0, 1, 7, 64, 128)
 
@@ -46,8 +45,9 @@ def bucket_designs(designer):
 
 def reference_payload_success(design, n_bits, errors):
     """The per-symbol product along the symbol plan, uncached."""
+    walk = StreamCodec(SymbolCodec(p) for p in design.super_symbol.symbols())
     p_ok = 1.0
-    for codec in SuperSymbolCodec(design.super_symbol).symbol_plan(n_bits):
+    for codec in walk.symbol_plan(n_bits):
         p_ok *= 1.0 - codec.pattern.symbol_error_rate(errors)
     return p_ok
 
@@ -162,31 +162,29 @@ ERROR_MODELS = {
 
 
 @pytest.fixture(scope="module", params=["default", "errors-x4"])
-def bucket_wrappers(request, config):
-    """Every bucket of the default and the conservative designer, as
-    the shared wrappers the simulators use."""
+def every_bucket(request, config):
+    """Every bucket design of the default and the conservative shared
+    designer, the objects the simulators use."""
     errors = SlotErrorModel.from_config(config)
     if request.param == "errors-x4":
         errors = errors.scaled(4)
-    designs = bucket_designs(shared_designer(config, errors))
-    return [shared_scheme_design(d, config) for d in designs]
+    return bucket_designs(shared_designer(config, errors))
 
 
 class TestCachedFrameStructure:
     """The cached link model equals the uncached per-symbol reference."""
 
-    def test_slot_count_matches_encoded_frames(self, config, bucket_wrappers):
+    def test_slot_count_matches_encoded_frames(self, config, every_bucket):
         tx = Transmitter(config)
         mismatches = [
             (design.super_symbol, n)
-            for design in bucket_wrappers for n in PAYLOAD_SIZES
+            for design in every_bucket for n in PAYLOAD_SIZES
             if frame_slot_count(design, config, n)
             != len(tx.encode_frame(bytes(n), design))]
         assert mismatches == []
 
     def test_cached_slot_count_equals_a_fresh_transmitter(self, config):
-        designs = [shared_scheme_design(d, config)
-                   for d in bucket_designs(shared_designer(config))]
+        designs = bucket_designs(shared_designer(config))
         designs += [OokCt(config).design(0.3), Mppm(config).design(0.5),
                     Vppm(config).design(0.7)]
         mismatches = []
@@ -203,37 +201,36 @@ class TestCachedFrameStructure:
 
     @pytest.mark.parametrize("model", sorted(ERROR_MODELS))
     def test_success_is_the_per_symbol_product(self, config,
-                                               bucket_wrappers, model):
+                                               every_bucket, model):
         errors = ERROR_MODELS[model](config)
         header = reference_header_success(errors)
         mismatches = []
-        for design in bucket_wrappers:
+        for design in every_bucket:
             for n in PAYLOAD_SIZES:
                 n_bits = 8 * (n + 2)
-                payload = reference_payload_success(design.design, n_bits,
-                                                    errors)
+                payload = reference_payload_success(design, n_bits, errors)
                 if (design.success_probability(n_bits, errors) != payload
                         or frame_success_probability(design, errors, config, n)
                         != header * payload):
                     mismatches.append((design.super_symbol, n))
         assert mismatches == []
 
-    def test_one_wrapper_per_bucket_and_config(self, config):
+    def test_one_design_per_bucket(self, config):
+        # The scheme hands out the shared designer's memoised design,
+        # the same object for every request in a bucket and for an
+        # equal config.
         designer = shared_designer(config)
-        design = designer.design(0.42)
-        wrapper = shared_scheme_design(design, config)
-        assert shared_scheme_design(design, config) is wrapper
-        assert shared_scheme_design(design=design, config=config) is wrapper
-        assert AmppmScheme(config).design(0.42) is wrapper
-        # Keyed by value: an equal design from another designer, or an
-        # equal config, finds the same wrapper.
+        for level in (0.05, 0.42, 0.4201, 0.95):
+            design = designer.design(level)
+            assert AmppmScheme(config).design(level) is design
+            assert AmppmScheme(config.with_overrides()).design(level) \
+                is design
+        assert designer.design(0.42) is designer.design(0.4201)
+        # Another designer's design of the bucket is equal, not shared.
         twin = AmppmDesigner(config).design(0.42)
-        assert twin is not design
-        assert shared_scheme_design(twin, config) is wrapper
-        assert shared_scheme_design(
-            design, config.with_overrides()) is wrapper
-        other = config.with_overrides(payload_bytes=64)
-        assert shared_scheme_design(design, other) is not wrapper
+        assert twin is not designer.design(0.42)
+        assert twin == designer.design(0.42)
+        assert hash(twin) == hash(designer.design(0.42))
 
     @pytest.mark.parametrize("scheme_cls", [OokCt, Mppm])
     def test_overhead_cache_holds_for_baseline_designs(self, config,
@@ -263,13 +260,14 @@ class TestCachedFrameStructure:
         errors = SlotErrorModel.from_config(config)
 
         def evaluate(order):
-            # Fresh wrappers and an empty overhead cache: the history
-            # the run builds is the only history the values could see.
+            # Fresh designs (so fresh symbol plans) and empty frame
+            # caches: the history the run builds is the only history
+            # the values could see.
             overhead_slots.cache_clear()
-            wrappers = {i: AmppmSchemeDesign(designs[i], config)
-                        for i in order}
-            return {(i, n): (frame_slot_count(wrappers[i], config, n),
-                             expected_goodput(wrappers[i], errors, config, n))
+            _frame_slots.cache_clear()
+            fresh = bucket_designs(AmppmDesigner(config))
+            return {(i, n): (frame_slot_count(fresh[i], config, n),
+                             expected_goodput(fresh[i], errors, config, n))
                     for i in order for n in PAYLOAD_SIZES}
 
         order = list(range(len(designs)))
@@ -277,9 +275,7 @@ class TestCachedFrameStructure:
         backward = evaluate(order[::-1])
         random.Random(13).shuffle(order)
         assert forward == backward == evaluate(order)
-        shared = {(i, n): (frame_slot_count(shared_scheme_design(d, config),
-                                            config, n),
-                           expected_goodput(shared_scheme_design(d, config),
-                                            errors, config, n))
+        shared = {(i, n): (frame_slot_count(d, config, n),
+                           expected_goodput(d, errors, config, n))
                   for i, d in enumerate(designs) for n in PAYLOAD_SIZES}
         assert shared == forward

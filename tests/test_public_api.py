@@ -57,6 +57,7 @@ class TestSubpackages:
 class TestPublicMethodDocstrings:
     @pytest.mark.parametrize("cls_path", [
         "repro.core.Adapter",
+        "repro.core.AmppmDesign",
         "repro.core.AmppmDesigner",
         "repro.core.SuperSymbol",
         "repro.core.SymbolPattern",

@@ -12,7 +12,7 @@ class TestAmppmScheme:
         a = scheme.design(0.3)
         b = scheme.design(0.3)
         # Designs are memoised inside the designer.
-        assert a.design is b.design
+        assert a is b
 
     def test_custom_error_model(self, config):
         clean = AmppmScheme(config, SlotErrorModel.ideal())
